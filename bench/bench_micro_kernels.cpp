@@ -1,5 +1,5 @@
-// Micro-benchmarks (google-benchmark) of the hot kernels: hashing, stateful
-// ALU updates, probability lookups, token-bucket decisions, tree and INT8
+// Micro-benchmarks (google-benchmark) of the hot kernels: hashing,
+// probability lookups, token-bucket decisions, tree and INT8
 // model inference. These quantify the host-side simulation cost, not the
 // hardware latency (which the cycle models report); they gate how large a
 // Figure 10 sweep the harness can replay per second.
@@ -20,7 +20,6 @@
 #include "core/token_bucket.hpp"
 #include "net/hash.hpp"
 #include "nn/quantize.hpp"
-#include "switchsim/register_array.hpp"
 #include "trafficgen/synthesizer.hpp"
 
 namespace {
@@ -85,18 +84,6 @@ void BM_FlowHash(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FlowHash);
-
-void BM_RegisterAluUpdate(benchmark::State& state) {
-  switchsim::ResourceLedger ledger(switchsim::ChipProfile::tofino2());
-  switchsim::RegisterArray reg(ledger, "r", 0, 1 << 15, 32);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(reg.execute(
-        i++ & 0x7fff, {switchsim::AluPredicate::kAlways, 0,
-                       switchsim::AluUpdate::kIncrement, 0}));
-  }
-}
-BENCHMARK(BM_RegisterAluUpdate);
 
 void BM_ProbabilityExact(benchmark::State& state) {
   core::TrafficStats stats;

@@ -7,11 +7,17 @@
 // oldest-first order, appends the current packet's feature from metadata
 // (F9), and emits the result as a mirrored packet toward the Model Engine in
 // the deparser stage.
+//
+// Like the Flow Tracker's registers, the rings are grouped by coordination
+// lane (slot % kCoordinationLanes, local index slot / kCoordinationLanes), and
+// each lane counts its own mirrored packets, so lanes can be driven
+// concurrently.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "core/lane_coordination.hpp"
 #include "net/feature.hpp"
 #include "switchsim/pipeline.hpp"
 #include "switchsim/resources.hpp"
@@ -20,6 +26,8 @@ namespace fenix::core {
 
 class BufferManager {
  public:
+  /// Throws std::invalid_argument for a zero-depth ring, which has no slot
+  /// for the current packet's feature.
   BufferManager(switchsim::ResourceLedger& ledger, std::size_t table_size,
                 unsigned ring_capacity, unsigned stage);
 
@@ -48,13 +56,24 @@ class BufferManager {
                      const net::PacketFeature& current, std::uint32_t ring_slot,
                      std::uint32_t prior_packets, sim::SimTime now);
 
-  const switchsim::MirrorSession& mirror() const { return mirror_; }
+  /// The mirror session's counters, summed over the lanes.
+  switchsim::MirrorSession mirror() const;
 
  private:
-  std::size_t table_size_;
+  /// One coordination lane's rings (local_slots * ring_capacity features)
+  /// and mirror counters.
+  struct alignas(64) Lane {
+    std::vector<net::PacketFeature> rings;
+    switchsim::MirrorSession mirror;
+  };
+
+  net::PacketFeature* ring(std::uint32_t index) {
+    return lanes_[lane_of_slot(index)].rings.data() +
+           lane_index(index) * ring_capacity_;
+  }
+
   unsigned ring_capacity_;
-  std::vector<net::PacketFeature> rings_;  ///< table_size * ring_capacity.
-  switchsim::MirrorSession mirror_;
+  std::vector<Lane> lanes_;  ///< kCoordinationLanes entries.
 };
 
 }  // namespace fenix::core

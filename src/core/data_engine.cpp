@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "switchsim/register_array.hpp"
+
 namespace fenix::core {
 
 DataEngine::DataEngine(const DataEngineConfig& config)
@@ -9,7 +11,7 @@ DataEngine::DataEngine(const DataEngineConfig& config)
       prob_table_(config.prob_t_cells, config.prob_c_cells, config.prob_t_max_s,
                   config.prob_c_max, config.prob_log_scale_c,
                   config.prob_log_scale_t),
-      watchdog_(config.watchdog) {
+      watchdog_(config.watchdog), lanes_(kCoordinationLanes) {
   tracker_ = std::make_unique<FlowTracker>(ledger_, config.tracker);
   // Stage layout (matching the deployed 9-stage program): stages 0-3 flow
   // tracker, 4 IPD register, 5-6 feature rings, 7 probability table +
@@ -30,9 +32,13 @@ DataEngine::DataEngine(const DataEngineConfig& config)
   flow_rate_meter_ = telemetry::RateMeter(config.stats_ewma_alpha);
   packet_rate_meter_ = telemetry::RateMeter(config.stats_ewma_alpha);
 
-  last_orig_t_ = std::make_unique<switchsim::RegisterArray>(
-      ledger_, "feature_last_t", config.tracker.first_stage + 4,
-      tracker_->table_size(), 32);
+  switchsim::allocate_register(ledger_, "feature_last_t",
+                               config.tracker.first_stage + 4,
+                               tracker_->table_size(), 32);
+  for (Lane& lane : lanes_) {
+    lane.last_orig_us.assign(lane_slots(tracker_->table_size()), 0);
+    lane.mirror_buf.sequence.reserve(config.tracker.ring_capacity + 1);
+  }
 
   // The probability lookup table occupies SRAM in the rate-limiter stage.
   switchsim::Allocation prob_alloc;
@@ -71,23 +77,27 @@ void DataEngine::install_preliminary_tree(const trees::DecisionTree& tree,
       ledger_, "prelim_tree", config_.tracker.first_stage + 7,
       std::max<std::size_t>(capacity, 1), prelim_layout_.total_bits(), 8);
   install_rules(rules, *prelim_table_);
+  prelim_table_->prepare();
 }
 
-DataEngineOutput DataEngine::on_packet(const net::PacketRecord& packet) {
+DataEngineOutput DataEngine::on_packet(const net::PacketRecord& packet,
+                                      std::uint32_t slot) {
   DataEngineOutput out;
-  ++packets_seen_;
+  const std::size_t lane = lane_of_slot(slot);
+  Lane& L = lanes_[lane];
+  ++L.packets_seen;
 
   // Stage 0-3: Flow Tracker update.
-  out.flow = tracker_->on_packet(packet.tuple, packet.timestamp);
-  if (admission_ && out.flow.new_flow) admission_->on_new_flow(out.flow.index);
+  out.flow = tracker_->on_packet(packet.tuple, slot, packet.timestamp);
+  if (admission_ && out.flow.new_flow) admission_->on_new_flow(slot);
 
   // Feature computation: IPD from the original capture timestamp register
   // (see net::PacketRecord::orig_timestamp).
   const auto orig_us =
       static_cast<std::uint32_t>(packet.orig_timestamp / sim::kMicrosecond);
-  const auto prev_us =
-      static_cast<std::uint32_t>(last_orig_t_->read(out.flow.index));
-  last_orig_t_->write(out.flow.index, orig_us);
+  std::uint32_t& last_us = L.last_orig_us[lane_index(slot)];
+  const std::uint32_t prev_us = last_us;
+  last_us = orig_us;
   net::PacketFeature feature;
   feature.length = packet.wire_length;
   if (out.flow.new_flow || out.flow.packet_count <= 1) {
@@ -103,67 +113,68 @@ DataEngineOutput DataEngine::on_packet(const net::PacketRecord& packet) {
   // switch-local compiled tree serves. While the watchdog is degraded the
   // tree is the primary verdict source for every flow the DNN never reached,
   // and those verdicts are counted as fallbacks.
-  if (out.flow.classification >= 0) {
-    out.forward_class = out.flow.classification;
+  if (out.flow.verdict != kNoVerdict) {
+    out.forward_class = static_cast<std::int16_t>(out.flow.verdict);
     out.from_model_engine = true;
   } else if (prelim_table_) {
     const std::uint64_t key = pack_key(
         prelim_layout_, {std::min<std::uint64_t>(feature.length, (1u << 11) - 1),
                          feature.ipd_code});
-    if (const auto hit = prelim_table_->lookup(key)) {
+    if (const auto hit = prelim_table_->lookup_shared(key)) {
       out.forward_class = static_cast<std::int16_t>(hit->action_data);
       out.from_fallback_tree = true;
-      if (watchdog_.degraded()) ++fallback_verdicts_;
+      if (watchdog_.degraded()) ++L.fallback_verdicts;
     }
   }
 
-  // Rate Limiter: probabilistic token bucket over (T_i, C_i). While the
-  // watchdog is degraded, grants are thinned to a probe stream: the few
-  // mirrors that do go out are the heartbeats that detect recovery.
+  // Rate Limiter: probabilistic token bucket over (T_i, C_i), one draw per
+  // packet against the lane's sub-bucket. While the watchdog is degraded,
+  // grants are thinned to a probe stream: the few mirrors that do go out are
+  // the heartbeats that detect recovery.
   const double t_i = sim::to_seconds(out.flow.backlog_age);
   const double c_i = static_cast<double>(out.flow.backlog_count);
   const std::uint16_t prob = prob_table_.lookup_fixed(t_i, c_i);
-  const std::size_t lane = lane_of_slot(out.flow.index);
   if (bucket_->on_packet(lane, packet.timestamp, prob)) {
     // Overload-admission ladder first (a shed grant never reaches the
     // degraded probe stride, so every shed is attributed exactly once),
     // then the degraded probe thinning.
-    bool emit = true;
-    if (admission_ &&
-        !admission_->on_grant(lane, out.flow.flow_hash, out.flow.index,
-                              packet.tuple.dst_ip)) {
-      emit = false;
-    }
+    bool emit = admission_ == nullptr ||
+                admission_->on_grant(lane, out.flow.flow_hash, slot,
+                                     packet.tuple.dst_ip);
     if (emit && watchdog_.degraded()) {
       const unsigned stride = std::max(1u, config_.degraded_probe_stride);
-      emit = degraded_grants_[lane]++ % stride == 0;
-      if (!emit) ++mirrors_suppressed_;
+      emit = L.degraded_grants++ % stride == 0;
+      if (!emit) ++L.mirrors_suppressed;
     }
     if (emit) {
-      buffers_->assemble_into(mirror_buf_, out.flow.index, packet.tuple,
-                              packet.flow_id, feature, out.flow.ring_slot,
+      buffers_->assemble_into(L.mirror_buf, slot, packet.tuple, packet.flow_id,
+                              feature, out.flow.ring_slot,
                               out.flow.packet_count - 1, packet.timestamp);
-      out.mirrored = &mirror_buf_;
-      tracker_->record_feature_sent(out.flow.index, packet.timestamp);
-      ++mirrors_sent_;
+      out.mirrored = &L.mirror_buf;
+      tracker_->record_feature_sent(slot, packet.timestamp);
+      ++L.mirrors_sent;
     }
   }
 
   // Deparser-stage register write: current feature enters the ring.
-  buffers_->store(out.flow.index, out.flow.ring_slot, feature);
+  buffers_->store(slot, out.flow.ring_slot, feature);
   return out;
 }
 
-bool DataEngine::deliver_result(const net::InferenceResult& result) {
+bool DataEngine::deliver_result(const net::InferenceResult& result,
+                                VerdictSymbol symbol) {
   // Any verdict making it back is proof of life, stale or not — the slot may
   // have been recycled, but the FPGA computed and returned it. The heartbeat
   // buffers in the result's lane until the next epoch_reconcile().
-  watchdog_.buffer_result(lane_of(result.tuple), result.delivered_at);
-  if (tracker_->apply_classification(result.tuple, result.predicted_class)) {
-    ++results_applied_;
+  const std::uint32_t slot =
+      net::flow_index(result.tuple, config_.tracker.index_bits);
+  const std::size_t lane = lane_of_slot(slot);
+  watchdog_.buffer_result(lane, result.delivered_at);
+  if (tracker_->apply_verdict(result.tuple, slot, symbol)) {
+    ++lanes_[lane].results_applied;
     return true;
   }
-  ++results_stale_;
+  ++lanes_[lane].results_stale;
   return false;
 }
 

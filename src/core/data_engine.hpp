@@ -11,12 +11,21 @@
 // The control plane (control_plane_tick) runs once per window T_w: it reads
 // and resets the flow/packet counters, recomputes the traffic statistics
 // (N, Q), and rebuilds the probability lookup table (§4.2).
+//
+// This is the only implementation of the per-packet switch stages; both
+// replay drivers run it (FenixSystem::run_pipelined, DESIGN.md §4.9). Every
+// register, counter, token sub-bucket and mirror buffer belongs to one
+// coordination lane, so on_packet() and deliver_result() may run
+// concurrently for packets and results of *different* lanes. Between epoch
+// barriers they read only state published at a barrier: the probability
+// table, the watchdog's degraded flag, the admission tier, and the window
+// epoch. epoch_reconcile(), control_plane_tick() and
+// install_preliminary_tree() are barrier-only.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
+#include <vector>
 
 #include "core/admission_controller.hpp"
 #include "core/buffer_manager.hpp"
@@ -81,28 +90,46 @@ struct DataEngineConfig {
 /// Result of one data-plane packet pass.
 struct DataEngineOutput {
   FlowState flow;
-  std::int16_t forward_class = -1;  ///< Class driving the forwarding action.
-  bool from_model_engine = false;   ///< True when forward_class is a cached DNN verdict.
+  /// Class driving the forwarding action. For a cached DNN verdict this is
+  /// flow.verdict read as a class, which is exact when verdicts are
+  /// delivered as classes; replays resolve flow.verdict through their
+  /// inference stage instead.
+  std::int16_t forward_class = -1;
+  bool from_model_engine = false;   ///< True when flow.verdict drives forwarding.
   bool from_fallback_tree = false;  ///< True when the compiled tree supplied it.
-  /// Set on a Rate Limiter grant. Points into a DataEngine-owned assembly
-  /// buffer that stays valid until the next on_packet() call — the hot replay
-  /// loop consumes (or copies) it immediately, so no per-packet FeatureVector
-  /// allocation happens on the granted path.
+  /// Set on a Rate Limiter grant. Points into the lane's DataEngine-owned
+  /// assembly buffer, valid until the next on_packet() of the same lane —
+  /// the hot replay loop consumes (or copies) it immediately, so no
+  /// per-packet FeatureVector allocation happens on the granted path.
   const net::FeatureVector* mirrored = nullptr;
 };
 
 class DataEngine {
  public:
+  /// Throws std::invalid_argument for a zero-depth feature ring.
   explicit DataEngine(const DataEngineConfig& config);
 
   /// Data-plane processing of one packet.
-  DataEngineOutput on_packet(const net::PacketRecord& packet);
+  DataEngineOutput on_packet(const net::PacketRecord& packet) {
+    return on_packet(packet,
+                     net::flow_index(packet.tuple, config_.tracker.index_bits));
+  }
 
-  /// Applies an inference result arriving back from the Model Engine. The
-  /// heartbeat is buffered into the result's lane (derived from the tuple's
-  /// flow-table slot) and folded into the watchdog at the next
-  /// epoch_reconcile().
-  bool deliver_result(const net::InferenceResult& result);
+  /// on_packet() for a caller that already hashed the packet to its
+  /// flow-table slot (the replay coordinator does, to pick the pipe).
+  DataEngineOutput on_packet(const net::PacketRecord& packet, std::uint32_t slot);
+
+  /// Applies an inference result arriving back from the Model Engine and
+  /// caches `symbol` as the flow's verdict. The heartbeat is buffered into
+  /// the result's lane (derived from the tuple's flow-table slot) and folded
+  /// into the watchdog at the next epoch_reconcile(). Returns false (stale)
+  /// when the slot now belongs to another flow.
+  bool deliver_result(const net::InferenceResult& result, VerdictSymbol symbol);
+
+  /// deliver_result() of a class delivered directly (its own symbol).
+  bool deliver_result(const net::InferenceResult& result) {
+    return deliver_result(result, result.predicted_class);
+  }
 
   /// Control-plane window maintenance at time `now`; call at least once per
   /// T_w (idempotent within a window).
@@ -116,15 +143,11 @@ class DataEngine {
     bucket_->reconcile(now);
   }
 
-  /// The coordination lane of a five-tuple (lane of its flow-table slot).
-  std::size_t lane_of(const net::FiveTuple& tuple) const {
-    return lane_of_slot(net::flow_index(tuple, config_.tracker.index_bits));
-  }
-
   /// Installs the preliminary per-packet decision tree (compiled to TCAM).
   /// The tree's features are (packet length, IPD code). `max_entries` caps
   /// the TCAM budget (0 = size to the compiled rule count); compilation
-  /// installs rules in priority order and stops at the cap.
+  /// installs rules in priority order and stops at the cap. The table is
+  /// prepared for the read-only lookups concurrent lanes share.
   void install_preliminary_tree(const trees::DecisionTree& tree,
                                 std::size_t max_entries = 0);
 
@@ -137,25 +160,35 @@ class DataEngine {
   const switchsim::PipelineTiming& timing() const { return timing_; }
   double token_rate_v() const { return token_rate_v_; }
   /// The installed preliminary-classifier TCAM (nullptr before
-  /// install_preliminary_tree). The sharded replay coordinator shares this
-  /// one table across pipes, as all pipes of a real switch share the compiled
-  /// program.
+  /// install_preliminary_tree). All lanes share this one table, as all
+  /// pipes of a real switch share the compiled program.
   const switchsim::TernaryMatchTable* preliminary_table() const {
     return prelim_table_.get();
   }
-  const FeatureLayout& preliminary_layout() const { return prelim_layout_; }
-  std::uint64_t packets_seen() const { return packets_seen_; }
-  std::uint64_t mirrors_sent() const { return mirrors_sent_; }
-  std::uint64_t results_applied() const { return results_applied_; }
-  std::uint64_t results_stale() const { return results_stale_; }
-  std::uint64_t fallback_verdicts() const { return fallback_verdicts_; }
-  std::uint64_t mirrors_suppressed() const { return mirrors_suppressed_; }
+  // Counters, summed over the lanes.
+  std::uint64_t packets_seen() const {
+    return sum_lanes(lanes_, &Lane::packets_seen);
+  }
+  std::uint64_t mirrors_sent() const {
+    return sum_lanes(lanes_, &Lane::mirrors_sent);
+  }
+  std::uint64_t results_applied() const {
+    return sum_lanes(lanes_, &Lane::results_applied);
+  }
+  std::uint64_t results_stale() const {
+    return sum_lanes(lanes_, &Lane::results_stale);
+  }
+  std::uint64_t fallback_verdicts() const {
+    return sum_lanes(lanes_, &Lane::fallback_verdicts);
+  }
+  std::uint64_t mirrors_suppressed() const {
+    return sum_lanes(lanes_, &Lane::mirrors_suppressed);
+  }
 
-  /// Attaches the replay's overload-admission stage (nullptr = none, the
+  /// Attaches a replay's overload-admission stage (nullptr = none, the
   /// standalone-DataEngine default). When set, every flow birth and every
-  /// token-bucket grant is routed through it, so the serial driver makes the
-  /// same shed decisions as the pipelined one. The controller belongs to the
-  /// run's ReplayCore; the driver clears this after the run.
+  /// token-bucket grant is routed through it. The controller belongs to the
+  /// run's ReplayCore, which attaches and detaches it.
   void set_admission(AdmissionController* admission) { admission_ = admission; }
 
   /// FPGA health watchdog, lane-buffered. deliver_result() buffers
@@ -165,6 +198,21 @@ class DataEngine {
   const LaneWatchdog& watchdog() const { return watchdog_; }
 
  private:
+  /// One coordination lane's IPD register (dense over its slots), mirror
+  /// assembly buffer and counters.
+  struct alignas(64) Lane {
+    std::vector<std::uint32_t> last_orig_us;  ///< feature_last_t register.
+    net::FeatureVector mirror_buf;
+    std::uint64_t packets_seen = 0;
+    std::uint64_t mirrors_sent = 0;
+    std::uint64_t results_applied = 0;
+    std::uint64_t results_stale = 0;
+    std::uint64_t fallback_verdicts = 0;
+    std::uint64_t mirrors_suppressed = 0;
+    /// Grants seen while degraded (the probe stride counter).
+    std::uint64_t degraded_grants = 0;
+  };
+
   DataEngineConfig config_;
   switchsim::ResourceLedger ledger_;
   switchsim::PipelineTiming timing_;
@@ -173,9 +221,6 @@ class DataEngine {
   std::unique_ptr<ShardedTokenBucket> bucket_;
   ProbabilityLookupTable prob_table_;
   double token_rate_v_;
-
-  // Per-flow last original-timestamp register for IPD computation.
-  std::unique_ptr<switchsim::RegisterArray> last_orig_t_;
 
   // Preliminary classifier TCAM (installed lazily).
   std::unique_ptr<switchsim::TernaryMatchTable> prelim_table_;
@@ -186,18 +231,9 @@ class DataEngine {
 
   LaneWatchdog watchdog_;
   AdmissionController* admission_ = nullptr;
-  /// Per-lane grants seen while degraded (probe stride); lane-local so pipe
-  /// workers never share a stride counter.
-  std::array<std::uint64_t, kCoordinationLanes> degraded_grants_{};
-  net::FeatureVector mirror_buf_;      ///< Reused mirror assembly buffer.
+  std::vector<Lane> lanes_;  ///< kCoordinationLanes entries.
 
   sim::SimTime last_window_tick_ = 0;
-  std::uint64_t packets_seen_ = 0;
-  std::uint64_t mirrors_sent_ = 0;
-  std::uint64_t results_applied_ = 0;
-  std::uint64_t results_stale_ = 0;
-  std::uint64_t fallback_verdicts_ = 0;
-  std::uint64_t mirrors_suppressed_ = 0;
 };
 
 }  // namespace fenix::core

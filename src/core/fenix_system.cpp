@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "core/replay_core.hpp"
-#include "lifecycle/lifecycle.hpp"
-#include "telemetry/drift_monitor.hpp"
 
 namespace fenix::core {
 
@@ -79,181 +77,40 @@ LaneLinks FenixSystem::from_links() {
 
 net::ReliableLinkStats FenixSystem::link_stats_to_fpga() const {
   net::ReliableLinkStats total;
-  for (const auto& lane : lanes_) {
-    const net::ReliableLinkStats& s = lane->to_link.stats();
-    total.data_frames += s.data_frames;
-    total.delivered += s.delivered;
-    total.retransmits += s.retransmits;
-    total.nacks += s.nacks;
-    total.corrupt_drops += s.corrupt_drops;
-    total.dup_suppressed += s.dup_suppressed;
-    total.reorder_held += s.reorder_held;
-    total.window_overflow_drops += s.window_overflow_drops;
-    total.drops_lost += s.drops_lost;
-    total.drops_corrupt += s.drops_corrupt;
-    total.drops_pacer += s.drops_pacer;
-    total.peak_window = std::max(total.peak_window, s.peak_window);
-    total.resyncs += s.resyncs;
-    total.monotone_violations += s.monotone_violations;
-  }
+  for (const auto& lane : lanes_) total += lane->to_link.stats();
   return total;
 }
 
 net::ReliableLinkStats FenixSystem::link_stats_from_fpga() const {
   net::ReliableLinkStats total;
-  for (const auto& lane : lanes_) {
-    const net::ReliableLinkStats& s = lane->from_link.stats();
-    total.data_frames += s.data_frames;
-    total.delivered += s.delivered;
-    total.retransmits += s.retransmits;
-    total.nacks += s.nacks;
-    total.corrupt_drops += s.corrupt_drops;
-    total.dup_suppressed += s.dup_suppressed;
-    total.reorder_held += s.reorder_held;
-    total.window_overflow_drops += s.window_overflow_drops;
-    total.drops_lost += s.drops_lost;
-    total.drops_corrupt += s.drops_corrupt;
-    total.drops_pacer += s.drops_pacer;
-    total.peak_window = std::max(total.peak_window, s.peak_window);
-    total.resyncs += s.resyncs;
-    total.monotone_violations += s.monotone_violations;
-  }
+  for (const auto& lane : lanes_) total += lane->from_link.stats();
   return total;
 }
 
 sim::ChannelStats FenixSystem::channel_stats_to_fpga() const {
   sim::ChannelStats total;
-  for (const auto& lane : lanes_) {
-    const sim::ChannelStats& s = lane->to_ch.stats();
-    total.transfers += s.transfers;
-    total.bytes += s.bytes;
-    total.losses += s.losses;
-    total.corruptions += s.corruptions;
-    total.duplicates += s.duplicates;
-    total.reorders += s.reorders;
-    total.busy_time += s.busy_time;
-    total.max_queueing = std::max(total.max_queueing, s.max_queueing);
-  }
+  for (const auto& lane : lanes_) total += lane->to_ch.stats();
   return total;
 }
 
 sim::ChannelStats FenixSystem::channel_stats_from_fpga() const {
   sim::ChannelStats total;
-  for (const auto& lane : lanes_) {
-    const sim::ChannelStats& s = lane->from_ch.stats();
-    total.transfers += s.transfers;
-    total.bytes += s.bytes;
-    total.losses += s.losses;
-    total.corruptions += s.corruptions;
-    total.duplicates += s.duplicates;
-    total.reorders += s.reorders;
-    total.busy_time += s.busy_time;
-    total.max_queueing = std::max(total.max_queueing, s.max_queueing);
-  }
+  for (const auto& lane : lanes_) total += lane->from_ch.stats();
   return total;
 }
 
-// The serial replay is the one-thread instantiation of the lane-granular
-// ReplayCore: the Data Engine itself runs the flow-track / admission stages
-// (so its counters stay the system of record), the eager EngineInferenceStage
-// runs one scalar forward pass per mirror on the packet's lane port, and
-// delivered verdicts land back in the Data Engine's Flow Info Table. Epoch
-// boundaries — fault hooks, the cross-lane watchdog fold, token-budget
-// rebalancing, the control-plane window tick — fire on the quantized trace
-// timestamps run_pipelined() reconstructs identically.
 RunReport FenixSystem::run(net::PacketSource& source, std::size_t num_classes,
                            RunHooks* hooks, const std::vector<RunPhase>& phases) {
-  ReplayCoreConfig core_config;
-  core_config.recovery = config_.recovery;
-  core_config.transit_latency = data_engine_.timing().transit_latency();
-  core_config.pass_latency = data_engine_.timing().pass_latency();
-  core_config.admission = config_.admission;
-  // The frozen-flow bit table shadows the Flow Info Table slot-for-slot.
-  core_config.admission.table_slots = data_engine_.tracker().table_size();
-  DataEngineResultSink sink(data_engine_);
-
-  if (config_.lifecycle.enabled()) {
-    // Lifecycle wiring: the shadow-scoring stage replaces the eager engine
-    // stage (identical admission timing and serving-model classes), and the
-    // manager rides the ReplayCore's barrier schedule as its observer.
-    lifecycle::LifecycleInferenceStage stage(model_engine_, config_.lifecycle);
-    ReplayCore core(source, num_classes, phases, core_config, to_links(),
-                    from_links(), data_engine_.watchdog(), stage, sink, hooks);
-    lifecycle::LifecycleManager manager(config_.lifecycle, num_classes,
-                                        model_engine_, stage, to_links(),
-                                        from_links(), data_engine_.watchdog());
-    core.set_lifecycle(&manager);
-    RunReport report = run_serial(core, source);
-    manager.finalize(report);
-    return report;
-  }
-
-  EngineInferenceStage inference(model_engine_);
-  ReplayCore core(source, num_classes, phases, core_config, to_links(),
-                  from_links(), data_engine_.watchdog(), inference, sink, hooks);
-  return run_serial(core, source);
+  PipelineOptions opts;
+  opts.pipes = 1;
+  opts.threads = 1;
+  return run_pipelined(source, num_classes, hooks, phases, opts);
 }
 
 RunReport FenixSystem::run(const net::Trace& trace, std::size_t num_classes,
                            RunHooks* hooks, const std::vector<RunPhase>& phases) {
   net::TraceSource source(trace);
   return run(source, num_classes, hooks, phases);
-}
-
-RunReport FenixSystem::run_serial(ReplayCore& core, net::PacketSource& source) {
-  // Route the Data Engine's grant path through this run's admission stage
-  // (the pipelined driver calls core.admission() from its shard loop).
-  data_engine_.set_admission(&core.admission());
-  const sim::SimDuration quantum =
-      std::max<sim::SimDuration>(1, config_.reconcile_quantum);
-  sim::SimTime last_epoch = 0;
-  sim::SimTime first_ts = 0;
-  sim::SimTime last_ts = 0;
-  bool first = true;
-  std::vector<net::PacketRecord> chunk(4096);
-  for (;;) {
-    const std::size_t n = source.next_chunk(chunk);
-    if (n == 0) break;
-    for (std::size_t i = 0; i < n; ++i) {
-      const net::PacketRecord& packet = chunk[i];
-      const sim::SimTime ts = packet.timestamp;
-      if (first || ts >= last_epoch + quantum) {
-        core.reconcile(ts);
-        data_engine_.epoch_reconcile(ts);
-        data_engine_.control_plane_tick(ts);
-        last_epoch = ts;
-        if (first) first_ts = ts;
-        first = false;
-      }
-      last_ts = ts;
-      const std::size_t lane = data_engine_.lane_of(packet.tuple);
-      core.begin_packet(ts, lane);
-      DataEngineOutput out = data_engine_.on_packet(packet);
-      core.account_packet(ts, packet.label, out.forward_class,
-                          out.from_model_engine,
-                          out.from_model_engine
-                              ? static_cast<VerdictSymbol>(out.forward_class)
-                              : kNoVerdict,
-                          out.from_fallback_tree, lane);
-      if (out.mirrored) core.emit_mirror(*out.mirrored, ts, lane);
-    }
-  }
-
-  // Final barrier at end of trace, then the tail drain (late verdicts still
-  // count; the watchdog folds and closes inside drain()). The measured span
-  // replaces the source's construction-time hint.
-  const sim::SimDuration duration = first ? 0 : last_ts - first_ts;
-  core.set_trace_duration(duration);
-  core.reconcile(duration);
-  data_engine_.epoch_reconcile(duration);
-  core.drain(duration);
-  core.resolve();
-  // Degraded-mode admission ran inside the Data Engine on this path.
-  core.report().fallback_verdicts = data_engine_.fallback_verdicts();
-  core.report().mirrors_suppressed = data_engine_.mirrors_suppressed();
-  core.report().precision = nn::precision_name(model_engine_.precision());
-  data_engine_.set_admission(nullptr);  // The controller dies with the core.
-  return core.take_report();
 }
 
 telemetry::MetricRegistry FenixSystem::health_metrics(const RunReport& report) const {
@@ -370,17 +227,9 @@ telemetry::MetricRegistry FenixSystem::health_metrics(const RunReport& report) c
   reg.set_gauge("lifecycle_swap_blackout_ms",
                 sim::to_milliseconds(report.lifecycle_swap_blackout));
   // Decentralized-coordination health: how often the epoch reconcilers ran,
-  // and (after run_pipelined) the fan-in contention and per-pipe backlog
-  // peaks of the worker fleet.
-  // Exactly one replay driver ran: serial drives the Data Engine's
-  // reconcilers, run_pipelined drives replicas it exports via telemetry —
-  // summing surfaces whichever path executed.
-  reg.set_counter("watchdog_reconciles",
-                  data_engine_.watchdog().reconciles() +
-                      pipeline_telemetry_.watchdog_reconciles);
-  reg.set_counter("bucket_reconciles",
-                  data_engine_.bucket().reconciles() +
-                      pipeline_telemetry_.bucket_reconciles);
+  // and the fan-in contention and per-pipe backlog peaks of the worker fleet.
+  reg.set_counter("watchdog_reconciles", data_engine_.watchdog().reconciles());
+  reg.set_counter("bucket_reconciles", data_engine_.bucket().reconciles());
   reg.set_counter("pipeline_epochs", pipeline_telemetry_.epochs);
   reg.set_counter("fanin_enqueues", pipeline_telemetry_.fanin.enqueues);
   reg.set_counter("fanin_cas_retries", pipeline_telemetry_.fanin.cas_retries);

@@ -11,11 +11,12 @@
 // fabric is lane-striped: the aggregate PCB bandwidth is split into
 // core::kCoordinationLanes per-direction channel + reliable-link pairs, one
 // per coordination lane, so pipe workers drive their lanes' links without a
-// shared endpoint. The serial run() walks the same lane fabric one packet at
-// a time; run_pipelined() spreads the lanes over pipe workers. Both replays
-// reconcile cross-lane state (token budget, watchdog, fault hooks, control
-// plane) on the same epoch schedule — every `reconcile_quantum` of trace
-// time — and produce bit-identical RunReports.
+// shared endpoint. run_pipelined() is the one replay driver: it spreads the
+// lanes of the one Data Engine over pipe workers and reconciles cross-lane
+// state (token budget, watchdog, fault hooks, control plane) on an epoch
+// schedule — every `reconcile_quantum` of trace time — so its RunReport is
+// bit-identical at every pipe, thread and batch count. run() is its one-pipe,
+// one-thread instantiation.
 //
 // The replay is failure-aware (DESIGN.md § Failure semantics): every mirror
 // carries a result deadline; deadlines missed feed the Data Engine's FPGA
@@ -85,8 +86,8 @@ struct FenixSystemConfig {
   /// Epoch-reconciliation quantum of the decentralized coordinator: fault
   /// hooks, the cross-lane watchdog fold, token-budget rebalancing, and the
   /// control-plane window tick all run at trace-timestamp boundaries spaced
-  /// by this quantum. Part of the replay semantics — both replay paths use
-  /// the identical schedule (a pure function of the trace).
+  /// by this quantum. Part of the replay semantics — the schedule is a pure
+  /// function of the trace, identical at every pipe count.
   sim::SimDuration reconcile_quantum = sim::milliseconds(1);
 };
 
@@ -103,17 +104,12 @@ struct PipelineOptions {
   std::size_t threads = 0;
 };
 
-/// What the last run_pipelined() observed about its own coordination
-/// machinery (satellite telemetry of the decentralized coordinator; all
-/// zeros after a serial run()). Exported by health_metrics().
+/// What the last replay observed about its own coordination machinery
+/// (satellite telemetry of the decentralized coordinator). Exported by
+/// health_metrics().
 struct PipelineTelemetry {
   std::size_t pipes = 0;
   std::uint64_t epochs = 0;  ///< Reconciliation barriers executed.
-  /// Barrier counts of the replica reconcilers the pipelined run drove
-  /// (the serial path drives the Data Engine's own; health_metrics sums
-  /// both so either driver's counts surface).
-  std::uint64_t watchdog_reconciles = 0;
-  std::uint64_t bucket_reconciles = 0;
   /// Peak per-epoch packet backlog each pipe worker drained (index = pipe).
   std::vector<std::uint64_t> pipe_queue_peaks;
   /// Model Engine fan-in queue contention/occupancy counters.
@@ -128,10 +124,12 @@ class FenixSystem {
 
   /// Replays a packet stream through the full system, pulling chunks from
   /// `source` as simulated time advances — the workload never materializes
-  /// beyond one chunk, so multi-GB open-loop scenarios replay in bounded
+  /// beyond one epoch, so multi-GB open-loop scenarios replay in bounded
   /// RSS. `hooks` (optional) observes simulated time for fault injection
   /// (fired at epoch boundaries); `phases` (optional, sorted, disjoint)
-  /// requests per-phase forwarding accuracy accounting.
+  /// requests per-phase forwarding accuracy accounting. This is
+  /// run_pipelined() with one pipe on one thread: the packets run inline on
+  /// the calling thread and the DNN passes are batched.
   RunReport run(net::PacketSource& source, std::size_t num_classes,
                 RunHooks* hooks = nullptr, const std::vector<RunPhase>& phases = {});
 
@@ -141,15 +139,16 @@ class FenixSystem {
                 RunHooks* hooks = nullptr, const std::vector<RunPhase>& phases = {});
 
   /// Multi-pipe replay on the decentralized coordinator: bit-identical
-  /// RunReport to run() at any pipe/batch/thread count (DESIGN.md §4.9).
-  /// Pipe workers own disjoint coordination-lane sets — flow tracking,
-  /// admission, the lane's link pair, and Model Engine lane submission all
-  /// run pipe-locally — and the coordinator only reconciles the lanes at
-  /// epoch barriers and merges at the end. DNN forward passes are batched
-  /// through a lock-free MPSC fan-in. Packets stream epoch-by-epoch: the
-  /// coordinator buffers only one reconcile quantum's worth of packets at a
-  /// time. Must be called on a freshly constructed system, exactly like the
-  /// benches call run().
+  /// RunReport at any pipe/batch/thread count (DESIGN.md §4.9). Pipe
+  /// workers own disjoint coordination-lane sets and run the Data Engine's
+  /// on_packet for them — flow tracking, admission, the lane's link pair,
+  /// and Model Engine lane submission all stay pipe-local — and the
+  /// coordinator only reconciles the lanes at epoch barriers and merges at
+  /// the end. DNN forward passes are batched through a lock-free MPSC
+  /// fan-in. Packets stream epoch-by-epoch: the coordinator buffers only one
+  /// reconcile quantum's worth of packets at a time. Must be called on a
+  /// freshly constructed system (the Data Engine's registers and counters
+  /// carry over between runs).
   RunReport run_pipelined(net::PacketSource& source, std::size_t num_classes,
                           RunHooks* hooks = nullptr,
                           const std::vector<RunPhase>& phases = {},
@@ -194,7 +193,7 @@ class FenixSystem {
   sim::ChannelStats channel_stats_to_fpga() const;
   sim::ChannelStats channel_stats_from_fpga() const;
 
-  /// Coordination telemetry of the last run_pipelined() (zeros otherwise).
+  /// Coordination telemetry of the last replay (zeros before the first).
   const PipelineTelemetry& pipeline_telemetry() const { return pipeline_telemetry_; }
 
  private:
@@ -218,11 +217,6 @@ class FenixSystem {
 
   LaneLinks to_links();
   LaneLinks from_links();
-
-  /// The serial packet loop of run(), shared by the plain and
-  /// lifecycle-enabled stage wirings. Streams chunks out of `source` and
-  /// measures the trace span as it goes.
-  RunReport run_serial(ReplayCore& core, net::PacketSource& source);
 
   FenixSystemConfig config_;
   ModelEngine model_engine_;  ///< Built first: the Data Engine derives V from it.

@@ -1,131 +1,148 @@
 #include "core/flow_tracker.hpp"
 
+#include "switchsim/register_array.hpp"
+
 namespace fenix::core {
 
-using switchsim::AluLane;
-using switchsim::AluPredicate;
-using switchsim::AluUpdate;
+FlowTracker::Lane::Lane(std::size_t slots)
+    : hash(slots, 0), bklog_n(slots, 0), bklog_t(slots, 0),
+      verdict(slots, kNoVerdict), buff_idx(slots, 0), pkt_cnt(slots, 0),
+      counter_hash(slots, 0), counter_epoch(slots, 0) {}
 
 FlowTracker::FlowTracker(switchsim::ResourceLedger& ledger,
                          const FlowTrackerConfig& config)
-    : config_(config),
-      table_size_(std::size_t{1} << config.index_bits),
-      hash_(ledger, "flow_hash", config.first_stage, table_size_, 32),
-      bklog_n_(ledger, "bklog_n", config.first_stage + 1, table_size_, 32),
-      bklog_t_(ledger, "bklog_t", config.first_stage + 1, table_size_, 32),
-      class_(ledger, "flow_class", config.first_stage + 2, table_size_, 8),
-      buff_idx_(ledger, "buff_idx", config.first_stage + 2, table_size_, 8),
-      pkt_cnt_(ledger, "pkt_cnt", config.first_stage + 3, table_size_, 32),
-      counter_hash_(ledger, "flow_counter_hash", config.first_stage, table_size_, 32),
-      counter_hash_shadow_(ledger, "flow_counter_hash_shadow", config.first_stage,
-                           table_size_, 32) {}
+    : config_(config), table_size_(std::size_t{1} << config.index_bits) {
+  // The ledger bills the hardware registers. The verdict register is the
+  // 8-bit flow_class; the flow counter is double-buffered so the control
+  // plane can read one copy while the data plane counts in the other (the
+  // window epoch tags stand in for that rotation here).
+  const unsigned s = config.first_stage;
+  switchsim::allocate_register(ledger, "flow_hash", s, table_size_, 32);
+  switchsim::allocate_register(ledger, "bklog_n", s + 1, table_size_, 32);
+  switchsim::allocate_register(ledger, "bklog_t", s + 1, table_size_, 32);
+  switchsim::allocate_register(ledger, "flow_class", s + 2, table_size_, 8);
+  switchsim::allocate_register(ledger, "buff_idx", s + 2, table_size_, 8);
+  switchsim::allocate_register(ledger, "pkt_cnt", s + 3, table_size_, 32);
+  switchsim::allocate_register(ledger, "flow_counter_hash", s, table_size_, 32);
+  switchsim::allocate_register(ledger, "flow_counter_hash_shadow", s,
+                               table_size_, 32);
+  lanes_.reserve(kCoordinationLanes);
+  for (std::size_t lane = 0; lane < kCoordinationLanes; ++lane) {
+    lanes_.emplace_back(lane_slots(table_size_));
+  }
+}
 
-FlowState FlowTracker::on_packet(const net::FiveTuple& tuple, sim::SimTime now) {
+FlowState FlowTracker::on_packet(const net::FiveTuple& tuple, std::uint32_t slot,
+                                 sim::SimTime now) {
   FlowState state;
   state.flow_hash = net::flow_hash32(tuple);
-  state.index = net::flow_index(tuple, config_.index_bits);
+  state.index = slot;
+  Lane& L = lanes_[lane_of_slot(slot)];
+  const std::size_t i = lane_index(slot);
   const std::uint32_t now_us = to_us(now);
-  ++window_packets_;
+  ++L.window_packets;
 
-  // Stage 0: fingerprint check-and-claim. The stateful ALU writes the new
-  // hash when the slot is empty or owned by a different flow (eviction), and
-  // reports the old value so we can classify the case.
-  const auto hash_result = hash_.execute(
-      state.index,
-      AluLane{AluPredicate::kStoredNe, state.flow_hash, AluUpdate::kAssign,
-              state.flow_hash});
-  const auto old_hash = static_cast<std::uint32_t>(hash_result.old_value);
-  if (old_hash == state.flow_hash) {
-    state.new_flow = false;
-  } else {
+  // Stage 0: fingerprint check-and-claim. The new hash is written when the
+  // slot is empty or owned by a different flow (eviction); the old value
+  // classifies the case.
+  const std::uint32_t old_hash = L.hash[i];
+  if (old_hash != state.flow_hash) {
+    L.hash[i] = state.flow_hash;
     state.new_flow = true;
     state.collision_evicted = old_hash != 0;
-    if (state.collision_evicted) ++collisions_;
-    ++tracked_flows_;
-    // Reset the recycled slot's per-flow state (same-stage ALU writes in the
-    // real pipeline; plain control-flow here).
-    bklog_n_.write(state.index, 0);
-    bklog_t_.write(state.index, now_us);
-    class_.write(state.index, 0);
-    buff_idx_.write(state.index, 0);
-    pkt_cnt_.write(state.index, 0);
+    if (state.collision_evicted) ++L.collisions;
+    ++L.tracked_flows;
+    // Reset the recycled slot's per-flow state (same-stage writes in the
+    // real pipeline).
+    L.bklog_n[i] = 0;
+    L.bklog_t[i] = now_us;
+    L.verdict[i] = kNoVerdict;
+    L.buff_idx[i] = 0;
+    L.pkt_cnt[i] = 0;
   }
 
   // Flow counter (Figure 4a): independent hash registers detect flows that
   // are new within the current window.
-  const auto counter_result = counter_hash_.execute(
-      state.index,
-      AluLane{AluPredicate::kStoredNe, state.flow_hash, AluUpdate::kAssign,
-              state.flow_hash});
-  if (static_cast<std::uint32_t>(counter_result.old_value) != state.flow_hash) {
-    ++window_new_flows_;
-  }
+  const std::uint32_t tag = window_epoch_ + 1;
+  const std::uint32_t counted =
+      L.counter_epoch[i] == tag ? L.counter_hash[i] : 0;
+  if (counted != state.flow_hash) ++L.window_new_flows;
+  L.counter_hash[i] = state.flow_hash;
+  L.counter_epoch[i] = tag;
 
   // Stage 1: backlog accumulators. C_i counts packets since the last feature
-  // transmission (including this one); T_i is the elapsed time since then.
-  const auto n_result =
-      bklog_n_.execute(state.index, AluLane{AluPredicate::kAlways, 0,
-                                            AluUpdate::kIncrement, 0});
-  state.backlog_count = static_cast<std::uint32_t>(n_result.new_value);
-  const auto last_sent_us = static_cast<std::uint32_t>(bklog_t_.read(state.index));
-  // Wrap-aware 32-bit subtraction, exactly as the switch ALU computes it.
-  const std::uint32_t age_us = now_us - last_sent_us;
+  // transmission (including this one); T_i is the elapsed time since then,
+  // by wrap-aware 32-bit subtraction exactly as the switch ALU computes it.
+  state.backlog_count = ++L.bklog_n[i];
+  const std::uint32_t age_us = now_us - L.bklog_t[i];
   state.backlog_age = static_cast<sim::SimDuration>(age_us) * sim::kMicrosecond;
 
-  // Stage 2: cached classification (stored as cls + 1; 0 means none).
-  const auto cls_raw = static_cast<std::uint8_t>(class_.read(state.index));
-  state.classification = cls_raw == 0 ? std::int16_t{-1}
-                                      : static_cast<std::int16_t>(cls_raw - 1);
+  // Stage 2: cached verdict.
+  state.verdict = L.verdict[i];
 
-  // Stage 2: ring-buffer index, wrapping without modulo (Figure 4b): the ALU
-  // resets to 0 when the stored index reaches capacity-1, else increments.
-  // The packet uses the *old* value as its write slot.
-  const auto idx_result = buff_idx_.execute(
-      state.index,
-      AluLane{AluPredicate::kStoredGe, config_.ring_capacity - 1, AluUpdate::kAssign, 0},
-      AluLane{AluPredicate::kAlways, 0, AluUpdate::kIncrement, 0});
-  state.ring_slot = static_cast<std::uint32_t>(idx_result.old_value);
+  // Stage 2: ring-buffer index, wrapping without modulo (Figure 4b): reset
+  // to 0 when the stored index reaches capacity-1, else increment. The
+  // packet uses the *old* value as its write slot.
+  state.ring_slot = L.buff_idx[i];
+  L.buff_idx[i] =
+      state.ring_slot >= config_.ring_capacity - 1 ? 0 : state.ring_slot + 1;
 
   // Stage 3: total packet count.
-  const auto cnt_result =
-      pkt_cnt_.execute(state.index, AluLane{AluPredicate::kAlways, 0,
-                                            AluUpdate::kIncrement, 0});
-  state.packet_count = static_cast<std::uint32_t>(cnt_result.new_value);
+  state.packet_count = ++L.pkt_cnt[i];
   return state;
 }
 
 void FlowTracker::record_feature_sent(std::uint32_t index, sim::SimTime now) {
-  bklog_n_.write(index, 0);
-  bklog_t_.write(index, to_us(now));
+  Lane& L = lanes_[lane_of_slot(index)];
+  const std::size_t i = lane_index(index);
+  L.bklog_n[i] = 0;
+  L.bklog_t[i] = to_us(now);
 }
 
-bool FlowTracker::apply_classification(const net::FiveTuple& tuple, std::int16_t cls) {
-  const std::uint32_t index = net::flow_index(tuple, config_.index_bits);
-  const std::uint32_t hash = net::flow_hash32(tuple);
-  if (static_cast<std::uint32_t>(hash_.read(index)) != hash) {
+bool FlowTracker::apply_verdict(const net::FiveTuple& tuple, std::uint32_t slot,
+                                VerdictSymbol symbol) {
+  Lane& L = lanes_[lane_of_slot(slot)];
+  const std::size_t i = lane_index(slot);
+  if (L.hash[i] != net::flow_hash32(tuple)) {
     return false;  // slot recycled while the inference was in flight
   }
-  if (cls < 0 || cls > 254) return false;
-  class_.write(index, static_cast<std::uint64_t>(cls) + 1);
+  L.verdict[i] = symbol;
   return true;
 }
 
+bool FlowTracker::apply_classification(const net::FiveTuple& tuple,
+                                       std::int16_t cls) {
+  if (cls < 0 || cls > 254) return false;
+  return apply_verdict(tuple, net::flow_index(tuple, config_.index_bits), cls);
+}
+
 std::int16_t FlowTracker::classification_of(const net::FiveTuple& tuple) const {
-  const std::uint32_t index = net::flow_index(tuple, config_.index_bits);
-  if (static_cast<std::uint32_t>(hash_.read(index)) != net::flow_hash32(tuple)) {
-    return -1;
-  }
-  const auto raw = static_cast<std::uint8_t>(class_.read(index));
-  return raw == 0 ? std::int16_t{-1} : static_cast<std::int16_t>(raw - 1);
+  const std::uint32_t slot = net::flow_index(tuple, config_.index_bits);
+  const Lane& L = lanes_[lane_of_slot(slot)];
+  const std::size_t i = lane_index(slot);
+  if (L.hash[i] != net::flow_hash32(tuple)) return -1;
+  return static_cast<std::int16_t>(L.verdict[i]);
+}
+
+std::uint64_t FlowTracker::window_new_flows() const {
+  return sum_lanes(lanes_, &Lane::window_new_flows);
+}
+std::uint64_t FlowTracker::window_packets() const {
+  return sum_lanes(lanes_, &Lane::window_packets);
+}
+std::uint64_t FlowTracker::collisions() const {
+  return sum_lanes(lanes_, &Lane::collisions);
+}
+std::uint64_t FlowTracker::tracked_flows() const {
+  return sum_lanes(lanes_, &Lane::tracked_flows);
 }
 
 void FlowTracker::reset_window() {
-  // Rotation: the active copy becomes the control plane's read copy (cleared
-  // here after readout) while counting continues in the other.
-  counter_hash_shadow_.clear();
-  counter_hash_.clear();
-  window_new_flows_ = 0;
-  window_packets_ = 0;
+  for (Lane& lane : lanes_) {
+    lane.window_new_flows = 0;
+    lane.window_packets = 0;
+  }
+  ++window_epoch_;
 }
 
 }  // namespace fenix::core

@@ -3,26 +3,38 @@
 // The Flow Info Table is keyed by a truncated CRC of the five-tuple and
 // stores, per slot: the full 32-bit flow hash (collision detection), backlog
 // packet count and timestamp (the C_i / T_i inputs of the Rate Limiter),
-// the cached classification from the Model Engine, the ring-buffer index,
-// and the total packet count. A separate hash-register flow counter counts
-// new flows per timeout window T_w (Figure 4a); both it and the global packet
-// counter are read and reset by the control plane each window.
+// the cached verdict from the Model Engine, the ring-buffer index, and the
+// total packet count. A separate hash-register flow counter counts new flows
+// per timeout window T_w (Figure 4a); both it and the packet counter are read
+// and reset by the control plane each window.
 //
-// All data-plane state lives in switchsim::RegisterArray objects so the
-// resource ledger sees exactly what a P4 compiler would allocate, and every
-// update is expressed as a stateful-ALU program.
+// Every register is a plain integer array updated with PISA-legal integer
+// operations (compare-and-assign, increment, wrap-aware subtraction), and
+// is billed to the switch resource ledger at its hardware width. Storage is
+// grouped by coordination lane (core/lane_coordination.hpp): lane l holds
+// the slots with slot % kCoordinationLanes == l, at local index
+// slot / kCoordinationLanes, and its window counters sit on their own cache
+// lines. Packets and results of different lanes can therefore be processed
+// concurrently; only reset_window() touches every lane, at an epoch barrier.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <vector>
 
+#include "core/lane_coordination.hpp"
 #include "net/five_tuple.hpp"
 #include "net/hash.hpp"
 #include "sim/time.hpp"
-#include "switchsim/register_array.hpp"
 #include "switchsim/resources.hpp"
 
 namespace fenix::core {
+
+/// A Model Engine verdict as the switch caches it and the replay accounts it.
+/// It resolves to a class once inference completes: a class delivered
+/// directly is its own symbol, while the replay's inference stages encode
+/// (lane, sequence) or (generation, class). kNoVerdict marks "none".
+using VerdictSymbol = std::int64_t;
+inline constexpr VerdictSymbol kNoVerdict = -1;
 
 struct FlowTrackerConfig {
   unsigned index_bits = 15;        ///< Flow Info Table slots = 2^index_bits.
@@ -38,7 +50,7 @@ struct FlowState {
   bool collision_evicted = false; ///< Slot was recycled from another flow.
   std::uint32_t backlog_count = 0;///< C_i: packets since last feature send.
   sim::SimDuration backlog_age = 0;///< T_i: time since last feature send.
-  std::int16_t classification = -1;///< Cached Model Engine verdict (-1 none).
+  VerdictSymbol verdict = kNoVerdict;///< Cached Model Engine verdict.
   std::uint32_t ring_slot = 0;    ///< buff_idx for this packet's feature.
   std::uint32_t packet_count = 0; ///< Total packets of the flow.
 };
@@ -53,55 +65,75 @@ class FlowTracker {
   /// Data-plane update for one packet. `now` drives T_i computation (the
   /// tracker stores microsecond-truncated 32-bit timestamps, as the switch
   /// does).
-  FlowState on_packet(const net::FiveTuple& tuple, sim::SimTime now);
+  FlowState on_packet(const net::FiveTuple& tuple, sim::SimTime now) {
+    return on_packet(tuple, net::flow_index(tuple, config_.index_bits), now);
+  }
+
+  /// on_packet() for a caller that already hashed the tuple to its slot.
+  FlowState on_packet(const net::FiveTuple& tuple, std::uint32_t slot,
+                      sim::SimTime now);
 
   /// Marks that the flow in `index` transmitted its features at `now`:
   /// resets bklog_n and bklog_t (the C_i/T_i accumulators).
   void record_feature_sent(std::uint32_t index, sim::SimTime now);
 
-  /// Applies an inference result returned by the Model Engine. Ignored when
-  /// the slot has been recycled to a different flow since the mirror left.
-  /// Returns true when the classification was stored.
+  /// Caches `symbol` for the flow of `tuple` (whose slot is `slot`). Ignored
+  /// when the slot has been recycled to a different flow since the mirror
+  /// left. Returns true when the verdict was stored.
+  bool apply_verdict(const net::FiveTuple& tuple, std::uint32_t slot,
+                     VerdictSymbol symbol);
+
+  /// apply_verdict() for a class delivered directly; classes outside the
+  /// 8-bit flow_class register's range (0..254) are rejected.
   bool apply_classification(const net::FiveTuple& tuple, std::int16_t cls);
 
-  /// Direct classification lookup (no state change).
+  /// The cached class of a flow whose verdicts are delivered as classes
+  /// (-1 when none or the slot belongs to another flow). No state change.
   std::int16_t classification_of(const net::FiveTuple& tuple) const;
 
   // ---- window statistics (read + reset by the control plane each T_w) ----
-  std::uint64_t window_new_flows() const { return window_new_flows_; }
-  std::uint64_t window_packets() const { return window_packets_; }
+  std::uint64_t window_new_flows() const;
+  std::uint64_t window_packets() const;
+  /// Starts the next window: zeroes the counters and advances the window
+  /// epoch that tags the flow-counter hash registers, which clears them
+  /// without a pass over every slot.
   void reset_window();
 
   // ---- diagnostics ----
-  std::uint64_t collisions() const { return collisions_; }
-  std::uint64_t tracked_flows() const { return tracked_flows_; }
+  std::uint64_t collisions() const;
+  std::uint64_t tracked_flows() const;
 
  private:
+  /// One coordination lane's registers (dense over its slots) and counters.
+  struct alignas(64) Lane {
+    explicit Lane(std::size_t slots);
+
+    std::vector<std::uint32_t> hash;
+    std::vector<std::uint32_t> bklog_n;
+    std::vector<std::uint32_t> bklog_t;
+    std::vector<VerdictSymbol> verdict;
+    std::vector<std::uint32_t> buff_idx;
+    std::vector<std::uint32_t> pkt_cnt;
+    // Flow counter (Figure 4a): the hash register plus the window each entry
+    // was written in (window epoch + 1; 0 = never). An entry from an older
+    // window reads as cleared.
+    std::vector<std::uint32_t> counter_hash;
+    std::vector<std::uint32_t> counter_epoch;
+
+    std::uint64_t window_new_flows = 0;
+    std::uint64_t window_packets = 0;
+    std::uint64_t collisions = 0;
+    std::uint64_t tracked_flows = 0;
+  };
+
   static std::uint32_t to_us(sim::SimTime t) {
     return static_cast<std::uint32_t>(t / sim::kMicrosecond);
   }
 
   FlowTrackerConfig config_;
   std::size_t table_size_;
-
-  // Flow Info Table registers.
-  switchsim::RegisterArray hash_;
-  switchsim::RegisterArray bklog_n_;
-  switchsim::RegisterArray bklog_t_;
-  switchsim::RegisterArray class_;
-  switchsim::RegisterArray buff_idx_;
-  switchsim::RegisterArray pkt_cnt_;
-
-  // Flow counter (Figure 4a): hash registers + window counters. The counter
-  // is double-buffered so the control plane can read/reset one copy while
-  // the data plane keeps counting in the other at window rotation.
-  switchsim::RegisterArray counter_hash_;
-  switchsim::RegisterArray counter_hash_shadow_;
-  std::uint64_t window_new_flows_ = 0;
-  std::uint64_t window_packets_ = 0;
-
-  std::uint64_t collisions_ = 0;
-  std::uint64_t tracked_flows_ = 0;
+  std::vector<Lane> lanes_;  ///< kCoordinationLanes entries.
+  std::uint32_t window_epoch_ = 0;  ///< Advanced by reset_window() only.
 };
 
 }  // namespace fenix::core

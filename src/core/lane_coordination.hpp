@@ -52,6 +52,25 @@ constexpr std::size_t lane_of_slot(std::size_t slot) {
   return slot & (kCoordinationLanes - 1);
 }
 
+/// Lane-grouped register layout: a slot's index within its lane's arrays.
+constexpr std::size_t lane_index(std::size_t slot) {
+  return slot / kCoordinationLanes;
+}
+
+/// Lane-grouped register layout: slots per lane of a `table_size`-slot table.
+constexpr std::size_t lane_slots(std::size_t table_size) {
+  return (table_size + kCoordinationLanes - 1) / kCoordinationLanes;
+}
+
+/// Sums one counter over a component's per-lane state.
+template <typename Lane>
+std::uint64_t sum_lanes(const std::vector<Lane>& lanes,
+                        std::uint64_t Lane::*counter) {
+  std::uint64_t sum = 0;
+  for (const Lane& lane : lanes) sum += lane.*counter;
+  return sum;
+}
+
 /// The Rate Limiter's token bucket, split into kCoordinationLanes
 /// sub-budgets with an epoch reconciler. See the header comment for the
 /// conservation protocol.

@@ -194,47 +194,15 @@ std::optional<net::InferenceResult> ModelEngine::submit_timed_lane(
   return port.vio.pair(-1, start, finish + sync_latency_);
 }
 
-std::optional<net::InferenceResult> ModelEngine::submit_lane(
-    std::size_t lane, const net::FeatureVector& vec, sim::SimTime arrival) {
-  auto result = submit_timed_lane(lane, vec, arrival);
-  if (!result) return std::nullopt;
-  const std::size_t seq_len = cnn_ ? cnn_->config().seq_len : rnn_->config().seq_len;
-  nn::tokenize_into(vec.sequence, seq_len, tokens_);
-  result->predicted_class =
-      cnn_ ? cnn_->predict(tokens_, scratch_) : rnn_->predict(tokens_, scratch_);
-  return result;
-}
-
 ModelEngineStats ModelEngine::combined_stats() const {
   ModelEngineStats total = stats_;
-  for (const EnginePort& port : ports_) {
-    total.inferences += port.stats.inferences;
-    total.input_drops += port.stats.input_drops;
-    total.reconfig_drops += port.stats.reconfig_drops;
-    total.stall_drops += port.stats.stall_drops;
-  }
-  return total;
-}
-
-VectorIoStats ModelEngine::combined_vector_io_stats() const {
-  VectorIoStats total = vector_io_.stats();
-  for (const EnginePort& port : ports_) {
-    total.ingested += port.vio.stats().ingested;
-    total.queue_drops += port.vio.stats().queue_drops;
-    total.paired += port.vio.stats().paired;
-    total.orphan_results += port.vio.stats().orphan_results;
-  }
+  for (const EnginePort& port : ports_) total += port.stats;
   return total;
 }
 
 sim::FifoStats ModelEngine::combined_queue_stats() const {
   sim::FifoStats total = vector_io_.queue_stats();
-  for (const EnginePort& port : ports_) {
-    total.drops += port.vio.queue_stats().drops;
-    if (port.vio.queue_stats().peak_occupancy > total.peak_occupancy) {
-      total.peak_occupancy = port.vio.queue_stats().peak_occupancy;
-    }
-  }
+  for (const EnginePort& port : ports_) total += port.vio.queue_stats();
   return total;
 }
 

@@ -62,6 +62,16 @@ struct ModelEngineStats {
   std::uint64_t reconfig_drops = 0;  ///< Vectors arriving mid-reconfiguration.
   std::uint64_t reconfigurations = 0;
   std::uint64_t stall_drops = 0;  ///< Vectors arriving while the card is down.
+
+  /// Merge: counters summed.
+  ModelEngineStats& operator+=(const ModelEngineStats& o) {
+    inferences += o.inferences;
+    input_drops += o.input_drops;
+    reconfig_drops += o.reconfig_drops;
+    reconfigurations += o.reconfigurations;
+    stall_drops += o.stall_drops;
+    return *this;
+  }
 };
 
 class ModelEngine {
@@ -105,13 +115,6 @@ class ModelEngine {
   std::optional<net::InferenceResult> submit_timed_lane(std::size_t lane,
                                                         const net::FeatureVector& vec,
                                                         sim::SimTime arrival);
-
-  /// Lane admission + eager functional inference (the serial replay's lane
-  /// path). Uses the engine's shared scratch buffers: single-threaded
-  /// callers only.
-  std::optional<net::InferenceResult> submit_lane(std::size_t lane,
-                                                  const net::FeatureVector& vec,
-                                                  sim::SimTime arrival);
 
   /// Model accessors for external batched inference (the ModelPool runs
   /// predict_batch against the same bound model the engine would use).
@@ -167,10 +170,9 @@ class ModelEngine {
   const VectorIoProcessor& vector_io() const { return vector_io_; }
   bool is_cnn() const { return cnn_ != nullptr; }
 
-  /// Whole-engine view across the legacy path and every lane port: summed
-  /// stats, summed identifier-queue drops, max identifier-queue peak.
+  /// Whole-engine view across the legacy path and every lane port (merged
+  /// with each stats struct's +=).
   ModelEngineStats combined_stats() const;
-  VectorIoStats combined_vector_io_stats() const;
   sim::FifoStats combined_queue_stats() const;
 
   const VectorIoProcessor& lane_vector_io(std::size_t lane) const {

@@ -1,26 +1,23 @@
-// Multi-pipe replay on the decentralized coordinator (DESIGN.md §4.9).
+// The replay driver on the decentralized coordinator (DESIGN.md §4.9).
 //
-// FenixSystem::run() replays a trace through one thread walking the
-// lane-granular ReplayCore. This file is the throughput path: the same lane
-// state machines, driven by a fleet of pipe workers. The serial coordinator
-// of the earlier sharded replay is gone — there is no global packet-order
-// drain, no coordinator-owned token bucket or watchdog or Model Engine
-// admission. Instead:
+// FenixSystem::run_pipelined() replays a trace through the one Data Engine,
+// driven by a fleet of pipe workers; run() is the same driver with one pipe
+// on one thread. There is no global packet-order drain and no
+// coordinator-owned token bucket, watchdog or Model Engine admission:
 //
 //  * Every coordination lane (core/lane_coordination.hpp; lane = flow-table
-//    slot mod kCoordinationLanes) owns a full vertical slice of the per-packet
-//    dataflow: a replica of the Flow Tracker / Buffer Manager registers for
-//    its slots, its share of the sharded token bucket, its own PCB link pair,
-//    its Model Engine lane port, and its ReplayCore lane (deadline heaps,
-//    retransmit pacer, deferred accounting). A pipe worker owns the lanes
-//    with lane % pipes == pipe and replays its packets in trace order,
-//    start to finish — admission decision included.
+//    slot mod kCoordinationLanes) owns a full vertical slice of the
+//    per-packet dataflow: its slots of the Data Engine's registers, its
+//    share of the sharded token bucket, its own PCB link pair, its Model
+//    Engine lane port, and its ReplayCore lane (deadline heaps, retransmit
+//    pacer, deferred accounting). A pipe worker owns the lanes with
+//    lane % pipes == pipe and runs DataEngine::on_packet for their packets
+//    in trace order, start to finish — admission decision included.
 //  * The coordinator's only job is the epoch barrier, every
 //    FenixSystemConfig::reconcile_quantum of trace time: fire fault hooks,
 //    fold the lane-buffered watchdog events (publishing the degraded flag),
-//    rebalance the token sub-budgets, and run the control-plane window tick
-//    over the harvested per-lane window counters. Between barriers it drains
-//    the inference fan-in.
+//    rebalance the token sub-budgets, and run the control-plane window tick.
+//    Between barriers it drains the inference fan-in.
 //  * DNN forward passes are batched: workers admit mirrors with
 //    ModelEngine::submit_timed_lane (pure timing/FIFO effects against the
 //    lane port) and push the feature windows through a lock-free MPSC queue
@@ -34,9 +31,9 @@
 // Determinism: a lane's state is touched only by its owner between barriers,
 // every packet of a flow hashes to one lane, and the barrier schedule is a
 // pure function of the trace — so per-lane state evolves identically whether
-// the lanes run interleaved on one thread (run()) or spread over N workers,
-// and the lane-order merge in ReplayCore::resolve() yields bit-identical
-// RunReports at every pipes/batch/threads setting.
+// the lanes run interleaved on one thread or spread over N workers, and the
+// lane-order merge in ReplayCore::resolve() yields bit-identical RunReports
+// at every pipes/batch/threads setting.
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -57,61 +54,12 @@
 namespace fenix::core {
 namespace {
 
-/// Largest ring capacity the inline mirror-window staging supports; larger
-/// configurations fall back to the serial path.
-constexpr std::uint32_t kMaxRing = 16;
-
 /// Fan-in ring depth (admitted mirrors in flight between barriers).
 constexpr std::size_t kFanInDepth = 1 << 14;
 
 /// Bit budget of the per-lane sequence counter inside a VerdictSymbol
 /// ((lane << kSymbolSeqBits) | seq).
 constexpr unsigned kSymbolSeqBits = 40;
-
-/// One coordination lane's replica of the Data Engine's per-slot registers,
-/// dense over the lane's slots (local index = slot / kCoordinationLanes).
-/// Touched only by the lane's owner pipe between barriers; the scalar
-/// tail counters are harvested / summed by the coordinator at barriers.
-struct LaneShard {
-  // Flow Tracker replica (fingerprint check-and-claim + per-flow counters).
-  std::vector<std::uint32_t> fingerprint;
-  std::vector<std::uint32_t> pkt_cnt;
-  std::vector<std::uint32_t> buff_idx;
-  std::vector<std::uint32_t> counter_hash;
-  std::vector<std::uint32_t> counter_epoch;  ///< Window tag (epoch + 1).
-  std::vector<std::uint32_t> last_orig_us;
-  std::vector<net::PacketFeature> rings;  ///< local_slots * ring_capacity.
-
-  // Rate Limiter backlog accumulators + cached-verdict registers.
-  std::vector<std::uint32_t> bklog_n;
-  std::vector<std::uint32_t> bklog_t;
-  /// 0 = no cached verdict, else verdict symbol + 1.
-  std::vector<VerdictSymbol> cls_symbol;
-
-  // Window counters, harvested by the coordinator at each barrier.
-  std::uint64_t win_packets = 0;
-  std::uint64_t win_new_flows = 0;
-
-  // Degraded-mode admission accounting (summed into the report at the end).
-  std::uint64_t degraded_grants = 0;
-  std::uint64_t fallback_verdicts = 0;
-  std::uint64_t mirrors_suppressed = 0;
-
-  // Result-sink accounting.
-  std::uint64_t results_applied = 0;
-  std::uint64_t results_stale = 0;
-
-  net::FeatureVector mirror_buf;  ///< Reused grant-assembly buffer.
-
-  LaneShard(std::size_t local_slots, std::uint32_t ring_capacity)
-      : fingerprint(local_slots, 0), pkt_cnt(local_slots, 0),
-        buff_idx(local_slots, 0), counter_hash(local_slots, 0),
-        counter_epoch(local_slots, 0), last_orig_us(local_slots, 0),
-        rings(local_slots * ring_capacity), bklog_n(local_slots, 0),
-        bklog_t(local_slots, 0), cls_symbol(local_slots, 0) {
-    mirror_buf.sequence.reserve(ring_capacity + 1);
-  }
-};
 
 /// One admitted mirror crossing the fan-in: the symbol its verdict will be
 /// published under, plus the feature window the batcher will tokenize.
@@ -186,114 +134,26 @@ class FanInInferenceStage final : public InferenceStage {
   std::array<std::vector<InferenceBatcher::Ticket>, kCoordinationLanes> tickets_;
 };
 
-/// DataEngine::deliver_result replayed against the lane shards: the
-/// heartbeat buffers into the result's lane, and the verdict only sticks
-/// while its flow still owns the slot. Runs on the lane's owner thread (lane
-/// pumps) or on the coordinator at barriers — never concurrently per lane.
-class LaneResultSink final : public ResultSink {
- public:
-  LaneResultSink(LaneWatchdog& watchdog,
-                 std::vector<std::unique_ptr<LaneShard>>& shards,
-                 unsigned index_bits)
-      : watchdog_(watchdog), shards_(shards), index_bits_(index_bits) {}
-
-  void apply(const net::InferenceResult& result, VerdictSymbol symbol) override {
-    const std::uint32_t slot = net::flow_index(result.tuple, index_bits_);
-    const std::size_t lane = lane_of_slot(slot);
-    watchdog_.buffer_result(lane, result.delivered_at);
-    LaneShard& sh = *shards_[lane];
-    const std::size_t ls = slot / kCoordinationLanes;
-    if (sh.fingerprint[ls] == net::flow_hash32(result.tuple)) {
-      sh.cls_symbol[ls] = symbol + 1;  // 0 = no cached verdict
-      ++sh.results_applied;
-    } else {
-      ++sh.results_stale;
-    }
-  }
-
-  std::uint64_t results_applied() const override {
-    std::uint64_t total = 0;
-    for (const auto& sh : shards_) total += sh->results_applied;
-    return total;
-  }
-  std::uint64_t results_stale() const override {
-    std::uint64_t total = 0;
-    for (const auto& sh : shards_) total += sh->results_stale;
-    return total;
-  }
-
- private:
-  LaneWatchdog& watchdog_;
-  std::vector<std::unique_ptr<LaneShard>>& shards_;
-  unsigned index_bits_;
-};
-
 }  // namespace
 
 RunReport FenixSystem::run_pipelined(net::PacketSource& source,
                                      std::size_t num_classes, RunHooks* hooks,
                                      const std::vector<RunPhase>& phases,
                                      const PipelineOptions& opts) {
-  const DataEngineConfig& de = config_.data_engine;
-  const std::uint32_t cap = de.tracker.ring_capacity;
-  if (cap == 0 || cap > kMaxRing) {
-    // Ring deeper than the inline mirror-window staging: serve serially.
-    return run(source, num_classes, hooks, phases);
-  }
   const std::size_t pipes =
       std::min<std::size_t>(kCoordinationLanes,
                             std::max<std::size_t>(1, opts.pipes));
-
-  const unsigned index_bits = de.tracker.index_bits;
-  const std::size_t table_size = std::size_t{1} << index_bits;
-  const std::size_t local_slots =
-      (table_size + kCoordinationLanes - 1) / kCoordinationLanes;
+  const unsigned index_bits = config_.data_engine.tracker.index_bits;
   const sim::SimDuration quantum =
       std::max<sim::SimDuration>(1, config_.reconcile_quantum);
 
   // The epoch schedule (reconcile barriers, control-plane ticks, window
-  // epochs) is a pure function of the packet timestamps — the same
-  // predicates run() evaluates inline — so it is evaluated incrementally as
-  // packets stream in: the coordinator buffers exactly one epoch's packets
-  // (partitioned per pipe), flushes the fleet at each boundary, and never
-  // holds more than a reconcile quantum's worth of the workload. That bound,
-  // not the trace length, is the pipelined replay's memory footprint.
-
-  // ---- Lane replicas + replica reconcilers (seeded exactly as the Data
-  // Engine's own, so every admission draw and every degraded decision is
-  // identical to run()'s).
-  std::vector<std::unique_ptr<LaneShard>> shards;
-  shards.reserve(kCoordinationLanes);
-  for (std::size_t lane = 0; lane < kCoordinationLanes; ++lane) {
-    shards.push_back(std::make_unique<LaneShard>(local_slots, cap));
-  }
-
-  const double token_rate_v = data_engine_.token_rate_v();
-  TokenBucketConfig bucket_config;
-  bucket_config.token_rate_v = token_rate_v;
-  bucket_config.capacity_tokens = de.bucket_capacity_tokens;
-  bucket_config.seed = de.bucket_seed;
-  ShardedTokenBucket bucket(bucket_config);
-  LaneWatchdog watchdog(de.watchdog);
-
-  ProbabilityLookupTable prob_table(de.prob_t_cells, de.prob_c_cells,
-                                    de.prob_t_max_s, de.prob_c_max,
-                                    de.prob_log_scale_c, de.prob_log_scale_t);
-  {
-    TrafficStats stats;
-    stats.token_rate_v = token_rate_v;
-    stats.flow_count_n = de.initial_flow_count;
-    stats.packet_rate_q = de.initial_packet_rate;
-    prob_table.rebuild(stats);
-  }
-  telemetry::RateMeter flow_meter(de.stats_ewma_alpha);
-  telemetry::RateMeter packet_meter(de.stats_ewma_alpha);
-  std::uint64_t win_new_flows = 0;
-  std::uint64_t win_packets = 0;
-
-  const switchsim::TernaryMatchTable* prelim = data_engine_.preliminary_table();
-  if (prelim) prelim->prepare();  // read-only lookups from here on
-  const FeatureLayout& prelim_layout = data_engine_.preliminary_layout();
+  // epochs) is a pure function of the packet timestamps, so it is evaluated
+  // incrementally as packets stream in: the coordinator buffers exactly one
+  // epoch's packets (partitioned per pipe), flushes the fleet at each
+  // boundary, and never holds more than a reconcile quantum's worth of the
+  // workload. That bound, not the trace length, is the replay's memory
+  // footprint.
 
   // ---- Worker fleet + batched inference fan-in.
   runtime::ThreadPool pool(opts.threads);
@@ -312,7 +172,8 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   core_config.transit_latency = data_engine_.timing().transit_latency();
   core_config.pass_latency = data_engine_.timing().pass_latency();
   core_config.admission = config_.admission;
-  core_config.admission.table_slots = table_size;
+  // The frozen-flow bit table shadows the Flow Info Table slot-for-slot.
+  core_config.admission.table_slots = data_engine_.tracker().table_size();
   const bool lifecycle_on = config_.lifecycle.enabled();
   std::optional<FanInInferenceStage> fanin;
   std::optional<lifecycle::LifecycleInferenceStage> lifecycle_stage;
@@ -324,152 +185,15 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   InferenceStage& inference =
       lifecycle_on ? static_cast<InferenceStage&>(*lifecycle_stage)
                    : static_cast<InferenceStage&>(*fanin);
-  LaneResultSink sink(watchdog, shards, index_bits);
   ReplayCore core(source, num_classes, phases, core_config, to_links(),
-                  from_links(), watchdog, inference, sink, hooks);
+                  from_links(), data_engine_, inference, hooks);
   std::optional<lifecycle::LifecycleManager> manager;
   if (lifecycle_on) {
     manager.emplace(config_.lifecycle, num_classes, model_engine_,
-                    *lifecycle_stage, to_links(), from_links(), watchdog);
+                    *lifecycle_stage, to_links(), from_links(),
+                    data_engine_.watchdog());
     core.set_lifecycle(&*manager);
   }
-
-  // Full per-packet work for one packet, on its lane's state only. Runs on
-  // the lane's owner pipe worker (or inline on the coordinator). `wepoch` is
-  // the packet's control-plane window epoch (constant across one reconcile
-  // epoch, so the coordinator passes the current value at flush time).
-  const auto process_packet = [&](const net::PacketRecord& packet,
-                                  std::uint32_t slot, std::uint32_t wepoch) {
-    const std::size_t lane = lane_of_slot(slot);
-    LaneShard& sh = *shards[lane];
-    const std::size_t ls = slot / kCoordinationLanes;
-    const sim::SimTime ts = packet.timestamp;
-
-    core.begin_packet(ts, lane);
-
-    // Flow Tracker replica: fingerprint check-and-claim + per-flow counters
-    // (bit-for-bit FlowTracker::on_packet arithmetic on the lane's slots).
-    const std::uint32_t flow_hash = net::flow_hash32(packet.tuple);
-    const bool new_flow = sh.fingerprint[ls] != flow_hash;
-    const auto now_us = static_cast<std::uint32_t>(ts / sim::kMicrosecond);
-    if (new_flow) {
-      sh.fingerprint[ls] = flow_hash;
-      sh.pkt_cnt[ls] = 0;
-      sh.buff_idx[ls] = 0;
-      sh.bklog_n[ls] = 0;
-      sh.bklog_t[ls] = now_us;
-      sh.cls_symbol[ls] = 0;
-      core.admission().on_new_flow(slot);
-    }
-
-    // Window new-flow counter (Figure 4a): the serial engine clears the hash
-    // registers at each control window; tagging each entry with its window
-    // epoch is equivalent and needs no cross-lane reset.
-    const std::uint32_t tag = wepoch + 1;
-    const std::uint32_t stored =
-        sh.counter_epoch[ls] == tag ? sh.counter_hash[ls] : 0;
-    const bool counted_new = stored != flow_hash;
-    sh.counter_hash[ls] = flow_hash;
-    sh.counter_epoch[ls] = tag;
-    ++sh.win_packets;
-    if (counted_new) ++sh.win_new_flows;
-
-    // IPD featurization from the original capture timestamp register
-    // (wrap-aware 32-bit microsecond arithmetic, as the switch computes it).
-    const auto orig_us =
-        static_cast<std::uint32_t>(packet.orig_timestamp / sim::kMicrosecond);
-    const std::uint32_t prev_us = sh.last_orig_us[ls];
-    sh.last_orig_us[ls] = orig_us;
-    const std::uint32_t cnt = ++sh.pkt_cnt[ls];
-    net::PacketFeature feature;
-    feature.length = packet.wire_length;
-    if (new_flow || cnt <= 1) {
-      feature.ipd_code = 0;
-    } else {
-      const std::uint32_t ipd_us = orig_us - prev_us;
-      feature.ipd_code = net::encode_ipd(
-          static_cast<sim::SimDuration>(ipd_us) * sim::kMicrosecond);
-    }
-
-    // Ring index (wrap-without-modulo; the packet writes the old value's slot).
-    const std::uint32_t ring_slot = sh.buff_idx[ls];
-    sh.buff_idx[ls] = ring_slot >= cap - 1 ? 0 : ring_slot + 1;
-    net::PacketFeature* ring = sh.rings.data() + ls * cap;
-
-    // Rate Limiter backlog accumulators.
-    const std::uint32_t backlog_count = ++sh.bklog_n[ls];
-    const std::uint32_t age_us = now_us - sh.bklog_t[ls];  // wrap-aware
-
-    // Forwarding decision (degradation ladder): cached DNN verdict, else the
-    // compiled tree. The degraded flag was published at the last barrier.
-    std::int16_t forward_class = -1;
-    bool from_engine = false;
-    bool from_tree = false;
-    VerdictSymbol forward_symbol = kNoVerdict;
-    if (sh.cls_symbol[ls] != 0) {
-      from_engine = true;
-      forward_symbol = sh.cls_symbol[ls] - 1;
-    } else if (prelim) {
-      const std::uint64_t key = pack_key(
-          prelim_layout,
-          {std::min<std::uint64_t>(feature.length, (1u << 11) - 1),
-           feature.ipd_code});
-      if (const auto hit = prelim->lookup_shared(key)) {
-        forward_class = static_cast<std::int16_t>(hit->action_data);
-        from_tree = true;
-        if (watchdog.degraded()) ++sh.fallback_verdicts;
-      }
-    }
-
-    core.account_packet(ts, packet.label, forward_class, from_engine,
-                        forward_symbol, from_tree, lane);
-
-    // Rate Limiter: one probabilistic draw per packet against the lane's
-    // sub-bucket, in the lane's packet order.
-    const double t_i = sim::to_seconds(static_cast<sim::SimDuration>(age_us) *
-                                       sim::kMicrosecond);
-    const std::uint16_t prob =
-        prob_table.lookup_fixed(t_i, static_cast<double>(backlog_count));
-    if (bucket.on_packet(lane, ts, prob)) {
-      // Overload-admission ladder first, then the degraded probe thinning —
-      // the same order as DataEngine::on_packet, so every shed is attributed
-      // exactly once and the reports stay bit-identical.
-      bool emit = true;
-      if (!core.admission().on_grant(lane, flow_hash, slot,
-                                     packet.tuple.dst_ip)) {
-        emit = false;
-      }
-      if (emit && watchdog.degraded()) {
-        const unsigned stride = std::max(1u, de.degraded_probe_stride);
-        emit = sh.degraded_grants++ % stride == 0;
-        if (!emit) ++sh.mirrors_suppressed;
-      }
-      if (emit) {
-        // Mirror-window assembly (BufferManager::assemble + record_feature_sent).
-        net::FeatureVector& mirror = sh.mirror_buf;
-        mirror.tuple = packet.tuple;
-        mirror.flow_id = packet.flow_id;
-        mirror.emitted_at = ts;
-        mirror.sequence.clear();
-        const std::uint32_t valid = std::min(cnt - 1, cap);
-        if (valid < cap) {
-          for (std::uint32_t k = 0; k < valid; ++k) {
-            mirror.sequence.push_back(ring[k]);
-          }
-        } else {
-          for (std::uint32_t k = 0; k < cap; ++k) {
-            mirror.sequence.push_back(ring[(ring_slot + k) % cap]);
-          }
-        }
-        mirror.sequence.push_back(feature);
-        sh.bklog_n[ls] = 0;
-        sh.bklog_t[ls] = now_us;
-        core.emit_mirror(mirror, ts, lane);
-      }
-    }
-
-    ring[ring_slot] = feature;  // deparser-stage register write
-  };
 
   // ---- Epoch staging: one reconcile quantum's packets, pipe-partitioned.
   // The buffers are reused across epochs, so steady-state allocation is the
@@ -477,11 +201,20 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   std::vector<net::PacketRecord> epoch_pkts;
   std::vector<std::uint32_t> epoch_slots;
   std::vector<std::vector<std::uint32_t>> pipe_idxs(pipes);
-  std::uint32_t cur_wepoch = 0;
 
+  // Full per-packet work for one packet, on its lane's state only.
   const auto run_pipe = [&](std::size_t pipe) {
     for (const std::uint32_t k : pipe_idxs[pipe]) {
-      process_packet(epoch_pkts[k], epoch_slots[k], cur_wepoch);
+      const net::PacketRecord& packet = epoch_pkts[k];
+      const std::uint32_t slot = epoch_slots[k];
+      const std::size_t lane = lane_of_slot(slot);
+      const sim::SimTime ts = packet.timestamp;
+      core.begin_packet(ts, lane);
+      const DataEngineOutput out = data_engine_.on_packet(packet, slot);
+      core.account_packet(ts, packet.label, out.forward_class,
+                          out.from_model_engine, out.flow.verdict,
+                          out.from_fallback_tree, lane);
+      if (out.mirrored) core.emit_mirror(*out.mirrored, ts, lane);
     }
   };
 
@@ -492,8 +225,8 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   std::vector<std::uint64_t> pipe_peaks(pipes, 0);
 
   // Replays the buffered epoch over the pipe fleet, then clears the staging
-  // buffers. cur_wepoch is stable for the whole flush: the coordinator only
-  // advances it after the fleet (and its release barrier) has finished.
+  // buffers. Everything on_packet reads between barriers is republished only
+  // after the fleet (and its release barrier) has finished.
   const auto flush_epoch = [&] {
     for (std::size_t p = 0; p < pipes; ++p) {
       pipe_peaks[p] = std::max<std::uint64_t>(pipe_peaks[p],
@@ -530,14 +263,12 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
     for (auto& idxs : pipe_idxs) idxs.clear();
   };
 
-  // ---- Stream loop. At each boundary (run()'s exact schedule): flush the
-  // buffered epoch, then the coordinator barrier work in run()'s order —
-  // fault hooks + all-lane pump, watchdog fold (publishes degraded), token
-  // rebalance, then the control-plane window tick over the harvested window
-  // counters.
+  // ---- Stream loop. At each boundary: flush the buffered epoch, then the
+  // coordinator barrier work in order — fault hooks + all-lane pump,
+  // watchdog fold (publishes degraded), token rebalance, then the
+  // control-plane window tick.
   std::uint64_t epochs = 0;
   sim::SimTime last_epoch = 0;
-  sim::SimTime last_tick = 0;
   sim::SimTime first_ts = 0;
   sim::SimTime last_ts = 0;
   bool first = true;
@@ -552,31 +283,8 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
         flush_epoch();
         ++epochs;
         core.reconcile(ts);
-        watchdog.reconcile();
-        bucket.reconcile(ts);
-        for (auto& sh : shards) {
-          win_packets += sh->win_packets;
-          win_new_flows += sh->win_new_flows;
-          sh->win_packets = 0;
-          sh->win_new_flows = 0;
-        }
-        if (!(ts < last_tick + de.window_tw)) {
-          const sim::SimDuration tick_elapsed =
-              last_tick == 0 ? de.window_tw : ts - last_tick;
-          const double n_smoothed =
-              flow_meter.update(win_new_flows, sim::kSecond);
-          const double q_smoothed =
-              packet_meter.update(win_packets, tick_elapsed);
-          TrafficStats stats;
-          stats.token_rate_v = token_rate_v;
-          stats.flow_count_n = std::max(1.0, n_smoothed);
-          stats.packet_rate_q = std::max(1.0, q_smoothed);
-          prob_table.rebuild(stats);
-          win_new_flows = 0;
-          win_packets = 0;
-          last_tick = ts;
-          ++cur_wepoch;
-        }
+        data_engine_.epoch_reconcile(ts);
+        data_engine_.control_plane_tick(ts);
         last_epoch = ts;
         if (first) first_ts = ts;
         first = false;
@@ -591,13 +299,14 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   }
   flush_epoch();  // last (possibly partial) epoch
 
-  // Final barrier at end of trace (run()'s order), tail drain, then the
-  // compute barrier before resolving symbols to classes.
+  // Final barrier at end of trace, tail drain (late verdicts still count;
+  // the watchdog folds and closes inside drain()), then the compute barrier
+  // before resolving symbols to classes. The measured span replaces the
+  // source's construction-time hint.
   const sim::SimDuration duration = first ? 0 : last_ts - first_ts;
   core.set_trace_duration(duration);
   core.reconcile(duration);
-  watchdog.reconcile();
-  bucket.reconcile(duration);
+  data_engine_.epoch_reconcile(duration);
   core.drain(duration);
   if (fanin) fanin->drain();
   pool.wait();
@@ -606,17 +315,11 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
 
   RunReport& report = core.report();
   report.precision = nn::precision_name(model_engine_.precision());
-  for (const auto& sh : shards) {
-    report.fallback_verdicts += sh->fallback_verdicts;
-    report.mirrors_suppressed += sh->mirrors_suppressed;
-  }
   if (manager) manager->finalize(report);
 
   pipeline_telemetry_ = PipelineTelemetry{};
   pipeline_telemetry_.pipes = pipes;
   pipeline_telemetry_.epochs = epochs;
-  pipeline_telemetry_.watchdog_reconciles = watchdog.reconciles();
-  pipeline_telemetry_.bucket_reconciles = bucket.reconciles();
   pipeline_telemetry_.pipe_queue_peaks = std::move(pipe_peaks);
   pipeline_telemetry_.fanin =
       fanin ? fanin->fanin_stats() : runtime::MpscQueueStats{};

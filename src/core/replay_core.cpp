@@ -4,40 +4,9 @@
 #include <sstream>
 
 #include "core/data_engine.hpp"
-#include "core/model_engine.hpp"
-#include "core/model_pool.hpp"
 #include "net/packet_source.hpp"
 
 namespace fenix::core {
-
-// ---------------------------------------------------------------------------
-// Stage adapters.
-
-std::optional<net::InferenceResult> EngineInferenceStage::submit(
-    const net::FeatureVector& vec, sim::SimTime arrival, std::size_t lane,
-    VerdictSymbol& symbol) {
-  auto result = engine_.submit_lane(lane, vec, arrival);
-  if (result) symbol = static_cast<VerdictSymbol>(result->predicted_class);
-  return result;
-}
-
-std::int16_t EngineInferenceStage::resolve(VerdictSymbol symbol) const {
-  return static_cast<std::int16_t>(symbol);
-}
-
-void DataEngineResultSink::apply(const net::InferenceResult& result,
-                                 VerdictSymbol symbol) {
-  (void)symbol;  // The eager stage's result already carries its class.
-  engine_.deliver_result(result);
-}
-
-std::uint64_t DataEngineResultSink::results_applied() const {
-  return engine_.results_applied();
-}
-
-std::uint64_t DataEngineResultSink::results_stale() const {
-  return engine_.results_stale();
-}
 
 // ---------------------------------------------------------------------------
 // ReplayCore.
@@ -50,11 +19,10 @@ ReplayCore::LaneState::LaneState(net::ReliableLink* to, net::ReliableLink* from,
 ReplayCore::ReplayCore(const net::PacketSource& source, std::size_t num_classes,
                        const std::vector<RunPhase>& phases,
                        const ReplayCoreConfig& config, const LaneLinks& to_fpga,
-                       const LaneLinks& from_fpga, LaneWatchdog& watchdog,
-                       InferenceStage& inference, ResultSink& sink,
-                       RunHooks* hooks)
-    : config_(config), admission_(config.admission), watchdog_(watchdog),
-      inference_(inference), sink_(sink), hooks_(hooks), report_(num_classes),
+                       const LaneLinks& from_fpga, DataEngine& data_engine,
+                       InferenceStage& inference, RunHooks* hooks)
+    : config_(config), admission_(config.admission), data_engine_(data_engine),
+      inference_(inference), hooks_(hooks), report_(num_classes),
       flow_labels_(source.flow_count(), net::kUnlabeled),
       flow_verdict_symbol_(source.flow_count(), kNoVerdict) {
   // A hint, not a measurement: streaming drivers overwrite it with the
@@ -95,7 +63,10 @@ ReplayCore::ReplayCore(const net::PacketSource& source, std::size_t num_classes,
   for (std::uint32_t fid = 0; fid < flow_labels_.size(); ++fid) {
     flow_labels_[fid] = source.flow_label(fid);
   }
+  data_engine_.set_admission(&admission_);
 }
+
+ReplayCore::~ReplayCore() { data_engine_.set_admission(nullptr); }
 
 // One send attempt (original mirror or retransmit) through the lane's full
 // link -> Model Engine lane port -> link path. Any failure to produce a
@@ -171,7 +142,7 @@ void ReplayCore::deliver_one(std::size_t lane) {
     }
     return;
   }
-  sink_.apply(p.result, p.symbol);
+  data_engine_.deliver_result(p.result, p.symbol);
   L.end_to_end.record(p.delivered_at - p.mirror_emitted);
   if (lifecycle_) {
     lifecycle_->on_apply(lane, p.symbol, p.delivered_at - p.mirror_emitted);
@@ -187,7 +158,7 @@ void ReplayCore::miss_one(std::size_t lane) {
   MissEvent ev = L.misses.top();
   L.misses.pop();
   ++L.deadline_misses;
-  watchdog_.buffer_miss(lane, ev.at);
+  data_engine_.watchdog().buffer_miss(lane, ev.at);
   if (ev.retries_left == 0) {
     ++L.retransmits_exhausted;
     return;
@@ -237,7 +208,7 @@ void ReplayCore::reconcile(sim::SimTime now) {
     admission_.observe_lane(lane, lanes_[lane].fifo_drops,
                             lanes_[lane].deadline_misses);
   }
-  if (admission_.reconcile(now)) watchdog_.force_degrade(now);
+  if (admission_.reconcile(now)) data_engine_.watchdog().force_degrade(now);
   // Lifecycle decisions run strictly after the all-lane pump: every pending
   // verdict due by `now` has been applied, so a cutover's link resync leaves
   // only not-yet-due pendings behind — all of which the epoch-staleness rule
@@ -290,10 +261,11 @@ void ReplayCore::drain(sim::SimTime trace_end) {
     pump(0, /*everything=*/true, lane);
   }
   if (lifecycle_) lifecycle_->at_drain(trace_end);
-  watchdog_.close(trace_end);
+  data_engine_.watchdog().close(trace_end);
 }
 
 void ReplayCore::resolve() {
+  net::ReliableLinkStats links;
   for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
     LaneState& L = lanes_[lane];
     report_.packets += L.packets;
@@ -336,34 +308,17 @@ void ReplayCore::resolve() {
     // Link counters: the links belong to the system and outlive a run, so
     // the report carries this run's deltas, aggregated over both directions
     // of every lane.
-    const net::ReliableLinkStats& ts = L.to_fpga->stats();
-    const net::ReliableLinkStats& fs = L.from_fpga->stats();
-    const auto delta = [](std::uint64_t end_to, std::uint64_t start_to,
-                          std::uint64_t end_from, std::uint64_t start_from) {
-      return (end_to - start_to) + (end_from - start_from);
-    };
-    report_.link_retransmits += delta(ts.retransmits, L.to_start.retransmits,
-                                      fs.retransmits, L.from_start.retransmits);
-    report_.link_nacks +=
-        delta(ts.nacks, L.to_start.nacks, fs.nacks, L.from_start.nacks);
-    report_.link_corrupt_drops +=
-        delta(ts.corrupt_drops, L.to_start.corrupt_drops, fs.corrupt_drops,
-              L.from_start.corrupt_drops);
-    report_.link_dup_suppressed +=
-        delta(ts.dup_suppressed, L.to_start.dup_suppressed, fs.dup_suppressed,
-              L.from_start.dup_suppressed);
-    report_.link_reorder_held +=
-        delta(ts.reorder_held, L.to_start.reorder_held, fs.reorder_held,
-              L.from_start.reorder_held);
-    report_.link_window_drops += delta(
-        ts.window_overflow_drops, L.to_start.window_overflow_drops,
-        fs.window_overflow_drops, L.from_start.window_overflow_drops);
-    report_.link_pacer_drops +=
-        delta(ts.drops_pacer, L.to_start.drops_pacer, fs.drops_pacer,
-              L.from_start.drops_pacer);
-    report_.link_resyncs += delta(ts.resyncs, L.to_start.resyncs, fs.resyncs,
-                                  L.from_start.resyncs);
+    links += L.to_fpga->stats() - L.to_start;
+    links += L.from_fpga->stats() - L.from_start;
   }
+  report_.link_retransmits = links.retransmits;
+  report_.link_nacks = links.nacks;
+  report_.link_corrupt_drops = links.corrupt_drops;
+  report_.link_dup_suppressed = links.dup_suppressed;
+  report_.link_reorder_held = links.reorder_held;
+  report_.link_window_drops = links.window_overflow_drops;
+  report_.link_pacer_drops = links.drops_pacer;
+  report_.link_resyncs = links.resyncs;
 
   for (std::size_t f = 0; f < flow_labels_.size(); ++f) {
     const VerdictSymbol s = flow_verdict_symbol_[f];
@@ -371,8 +326,10 @@ void ReplayCore::resolve() {
         flow_labels_[f],
         s == kNoVerdict ? std::int16_t{-1} : inference_.resolve(s));
   }
-  report_.results_applied = sink_.results_applied();
-  report_.results_stale = sink_.results_stale();
+  report_.results_applied = data_engine_.results_applied();
+  report_.results_stale = data_engine_.results_stale();
+  report_.fallback_verdicts = data_engine_.fallback_verdicts();
+  report_.mirrors_suppressed = data_engine_.mirrors_suppressed();
   const AdmissionTotals shed = admission_.totals();
   report_.admission_offered = shed.offered;
   report_.admission_admitted = shed.admitted;
@@ -381,7 +338,7 @@ void ReplayCore::resolve() {
   report_.shed_isolated = shed.shed_isolated;
   report_.admission_transitions = admission_.transitions();
   report_.admission_peak_tier = admission_.peak_tier();
-  report_.watchdog = watchdog_.stats();
+  report_.watchdog = data_engine_.watchdog().stats();
 }
 
 // ---------------------------------------------------------------------------

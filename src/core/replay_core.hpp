@@ -2,18 +2,17 @@
 //
 // FENIX's data plane is one per-packet dataflow — parse, flow-track /
 // featurize, admission / mirror, inference, verdict accounting — and this
-// file owns the stages every replay has in common, exactly once. Since the
-// decentralization of the coordinator (DESIGN.md §4.9) the core is
-// *lane-granular*: all mutable per-packet state — the mirror transmit path
-// (per-lane PCB link pair -> Model Engine lane port -> return link) with
-// per-mirror result deadlines, MissEvent ordering, and the deterministic
-// retransmit pacing bucket; the simulated-time event pump; and the deferred
-// verdict / confusion / phase accounting — is sharded over the fixed
-// core::kCoordinationLanes coordination lanes (core/lane_coordination.hpp),
-// keyed by flow-table slot. A lane's state is touched only by the caller
-// driving that lane's packets, so the serial replay (one thread walking all
-// lanes) and the pipelined replay (lanes spread over pipe workers) drive the
-// exact same per-lane state machines and merge to bit-identical RunReports.
+// file owns the stages around the Data Engine, exactly once. The core is
+// *lane-granular* (DESIGN.md §4.9): all mutable per-packet state — the mirror
+// transmit path (per-lane PCB link pair -> Model Engine lane port -> return
+// link) with per-mirror result deadlines, MissEvent ordering, and the
+// deterministic retransmit pacing bucket; the simulated-time event pump; and
+// the deferred verdict / confusion / phase accounting — is sharded over the
+// fixed core::kCoordinationLanes coordination lanes
+// (core/lane_coordination.hpp), keyed by flow-table slot. A lane's state is
+// touched only by the caller driving that lane's packets, so one thread
+// walking all lanes and several pipe workers splitting them drive the exact
+// same per-lane state machines and merge to bit-identical RunReports.
 //
 // The coordinator's only jobs are the epoch boundaries (reconcile(): fault
 // hooks + an all-lane pump) and the final merge (resolve(): deferred
@@ -23,12 +22,11 @@
 // RNG state — and every confusion cell is resolved once inference completes
 // (confusion increments commute).
 //
-// FenixSystem::run() is the single-threaded instantiation — an eager
-// InferenceStage whose symbols already *are* classes — and run_pipelined()
-// spreads the lanes over pipe workers with a lock-free MPSC fan-in feeding
-// an InferenceBatcher. Both produce bit-identical RunReports; the
-// first_divergence() diagnostic pinpoints the first field that breaks when
-// a change violates that contract.
+// FenixSystem::run_pipelined() is the one driver: it spreads the lanes over
+// pipe workers and feeds the mirrors through a lock-free MPSC fan-in into an
+// InferenceBatcher; run() is its one-pipe, one-thread instantiation. The
+// first_divergence() diagnostic pinpoints the first field where two reports
+// differ.
 #pragma once
 
 #include <array>
@@ -39,6 +37,7 @@
 #include <vector>
 
 #include "core/admission_controller.hpp"
+#include "core/flow_tracker.hpp"
 #include "core/lane_coordination.hpp"
 #include "net/feature.hpp"
 #include "net/packet.hpp"
@@ -126,8 +125,8 @@ struct RunReport {
   telemetry::LatencyRecorder end_to_end;   ///< Mirror emit -> verdict installed.
 
   /// Precision tier the Model Engine served this run ("fp32" / "int8" /
-  /// "int4" / "ternary"). Part of the bit-identity contract: a pipelined run
-  /// must report the same precision as its serial twin.
+  /// "int4" / "ternary"). Part of the bit-identity contract: every pipe count
+  /// reports the same precision.
   std::string precision = "int8";
 
   std::uint64_t packets = 0;
@@ -198,19 +197,12 @@ struct RunReport {
         flow_confusion(num_classes) {}
 };
 
-/// A verdict that resolves to a class only after the replay finishes. The
-/// eager serial stage's symbols already are class values; the pipelined
-/// fan-in stage's symbols encode (lane, per-lane sequence). kNoVerdict marks
-/// "never inferred".
-using VerdictSymbol = std::int64_t;
-inline constexpr VerdictSymbol kNoVerdict = -1;
-
 /// The inference stage of the replay: one mirror in, one timed result out.
 /// Implementations must be timing-identical — the admission decision, FIFO
 /// occupancy, and result timestamps must not depend on which stage runs —
-/// so the serial and pipelined replays stay bit-identical. `lane` selects
-/// the Model Engine lane port; a stage may be driven concurrently on
-/// *distinct* lanes, never concurrently on the same lane.
+/// so every replay stays bit-identical. `lane` selects the Model Engine lane
+/// port; a stage may be driven concurrently on *distinct* lanes, never
+/// concurrently on the same lane.
 class InferenceStage {
  public:
   virtual ~InferenceStage() = default;
@@ -226,24 +218,6 @@ class InferenceStage {
   /// Resolves a symbol to its predicted class. Only valid after the replay's
   /// compute has finished (for batched stages, after InferenceBatcher::finish).
   virtual std::int16_t resolve(VerdictSymbol symbol) const = 0;
-};
-
-/// Where delivered results land: the serial replay applies them to the Data
-/// Engine's Flow Info Table; the sharded replay applies them to per-lane
-/// replicas of the verdict registers. Implementations derive the lane from
-/// the result's five-tuple and must be callable concurrently on distinct
-/// lanes.
-class ResultSink {
- public:
-  virtual ~ResultSink() = default;
-
-  /// One result crossing back into the switch at result.delivered_at.
-  /// Implementations feed the (lane-buffered) watchdog heartbeat and the
-  /// apply/stale split.
-  virtual void apply(const net::InferenceResult& result, VerdictSymbol symbol) = 0;
-
-  virtual std::uint64_t results_applied() const = 0;
-  virtual std::uint64_t results_stale() const = 0;
 };
 
 /// Observer the model-lifecycle control plane (src/lifecycle) hangs off the
@@ -271,37 +245,6 @@ class LifecycleObserver {
   virtual void at_drain(sim::SimTime trace_end) = 0;
 };
 
-/// Eager per-mirror inference (ModelEngine::submit_lane): the symbol is the
-/// predicted class itself. The serial replay's stage.
-class EngineInferenceStage final : public InferenceStage {
- public:
-  explicit EngineInferenceStage(ModelEngine& engine) : engine_(engine) {}
-
-  std::optional<net::InferenceResult> submit(const net::FeatureVector& vec,
-                                             sim::SimTime arrival,
-                                             std::size_t lane,
-                                             VerdictSymbol& symbol) override;
-  std::int16_t resolve(VerdictSymbol symbol) const override;
-
- private:
-  ModelEngine& engine_;
-};
-
-/// Serial result sink: verdicts land in the Data Engine's Flow Info Table
-/// (DataEngine::deliver_result owns the lane-buffered watchdog heartbeat +
-/// staleness check).
-class DataEngineResultSink final : public ResultSink {
- public:
-  explicit DataEngineResultSink(DataEngine& engine) : engine_(engine) {}
-
-  void apply(const net::InferenceResult& result, VerdictSymbol symbol) override;
-  std::uint64_t results_applied() const override;
-  std::uint64_t results_stale() const override;
-
- private:
-  DataEngine& engine_;
-};
-
 /// Timing/recovery knobs of a ReplayCore, copied out of the owning system.
 struct ReplayCoreConfig {
   RecoveryConfig recovery;
@@ -321,7 +264,7 @@ using LaneLinks = std::array<net::ReliableLink*, kCoordinationLanes>;
 ///
 ///   reconcile(ts)                       // at epoch boundaries: hooks + all-lane pump
 ///   begin_packet(ts, lane)              // lane event pump
-///   ... driver-specific flow tracking / admission ...
+///   DataEngine::on_packet(packet, slot) // flow tracking / admission
 ///   account_packet(ts, truth, ..., lane)// deferred outcome capture
 ///   emit_mirror(vec, ts, lane)          // granted mirrors only
 ///
@@ -334,11 +277,18 @@ class ReplayCore {
   /// Sizes per-flow verdict state from the source's flow metadata and its
   /// packet/duration hints; the core never pulls packets itself — the driver
   /// streams them in and feeds each one through the staged calls below.
+  /// Delivered verdicts land in `data_engine`'s Flow Info Table, deadline
+  /// misses in its watchdog, and the core's admission stage is attached to
+  /// it for the core's lifetime.
   ReplayCore(const net::PacketSource& source, std::size_t num_classes,
              const std::vector<RunPhase>& phases, const ReplayCoreConfig& config,
              const LaneLinks& to_fpga, const LaneLinks& from_fpga,
-             LaneWatchdog& watchdog, InferenceStage& inference,
-             ResultSink& sink, RunHooks* hooks);
+             DataEngine& data_engine, InferenceStage& inference,
+             RunHooks* hooks);
+  ~ReplayCore();
+
+  ReplayCore(const ReplayCore&) = delete;
+  ReplayCore& operator=(const ReplayCore&) = delete;
 
   /// Epoch boundary (coordinator only): drives fault hooks at `now`, then
   /// drains every lane's due events in lane order.
@@ -368,8 +318,9 @@ class ReplayCore {
 
   /// Merges the lanes in lane order — deferred outcomes into the confusion
   /// matrices and phase tallies, latency recorders absorbed, counters and
-  /// link deltas summed — and copies the sink/watchdog counters into the
-  /// report. Call after the driver's compute barrier.
+  /// link deltas summed — and copies the Data Engine's result, degraded-mode
+  /// and watchdog counters into the report. Call after the driver's compute
+  /// barrier.
   void resolve();
 
   /// Attaches the model-lifecycle observer (nullptr = none). Set before the
@@ -377,9 +328,9 @@ class ReplayCore {
   void set_lifecycle(LifecycleObserver* lifecycle) { lifecycle_ = lifecycle; }
 
   /// The overload-admission stage (between begin_packet and emit_mirror).
-  /// Drivers route every token-bucket grant through admission().on_grant and
-  /// every flow birth through admission().on_new_flow; the ladder fold runs
-  /// inside reconcile(), so tier changes are epoch-barrier-published.
+  /// The Data Engine routes every token-bucket grant through on_grant and
+  /// every flow birth through on_new_flow; the ladder fold runs inside
+  /// reconcile(), so tier changes are epoch-barrier-published.
   AdmissionController& admission() { return admission_; }
   const AdmissionController& admission() const { return admission_; }
 
@@ -390,8 +341,7 @@ class ReplayCore {
     report_.trace_duration = duration;
   }
 
-  /// Driver-adjustable report (e.g. degraded-mode fallback_verdicts /
-  /// mirrors_suppressed, which belong to the admission stage the driver owns).
+  /// Driver-adjustable report (e.g. the precision tier the driver serves).
   RunReport& report() { return report_; }
   RunReport take_report() { return std::move(report_); }
 
@@ -498,9 +448,8 @@ class ReplayCore {
 
   ReplayCoreConfig config_;
   AdmissionController admission_;
-  LaneWatchdog& watchdog_;
+  DataEngine& data_engine_;
   InferenceStage& inference_;
-  ResultSink& sink_;
   RunHooks* hooks_;
   LifecycleObserver* lifecycle_ = nullptr;
 
@@ -527,9 +476,9 @@ std::optional<std::string> first_divergence(const RunReport& a,
 
 /// Structural equality of two run reports: every counter, every confusion
 /// cell, the latency recorders (count / sum via mean / min / max / percentile
-/// grid), watchdog stats, and per-phase accounting. The sharded-replay tests
-/// and benches use this to assert the parallel path is bit-identical to the
-/// serial one. Equivalent to !first_divergence(a, b).
+/// grid), watchdog stats, and per-phase accounting. The identity tests and
+/// benches use this to assert replays are bit-identical across pipe, thread
+/// and batch counts. Equivalent to !first_divergence(a, b).
 bool run_reports_equal(const RunReport& a, const RunReport& b);
 
 }  // namespace fenix::core

@@ -33,7 +33,7 @@ LifecycleInferenceStage::Score LifecycleInferenceStage::score(
     const std::vector<std::int32_t>& q = model.cnn->logits_q(ls.tokens, ls.scratch);
     // First maximum wins — the exact std::max_element tie-break of
     // QuantizedCnn::predict, so the serving class here is bit-identical to
-    // the plain EngineInferenceStage path.
+    // the batched predict of a replay without a shadow model.
     std::size_t best = 0;
     for (std::size_t i = 1; i < q.size(); ++i) {
       if (q[i] > q[best]) best = i;
@@ -159,8 +159,8 @@ void LifecycleManager::at_barrier(sim::SimTime now) {
   sim::SimDuration p99 = 0;
   const std::uint64_t p99_samples = window_e2e_.size();
   if (p99_samples > 0) {
-    // Sorted multiset percentile: order-independent, so the serial and
-    // sharded apply orders agree bit-for-bit.
+    // Sorted multiset percentile: order-independent, so every lane
+    // interleaving agrees bit-for-bit.
     std::sort(window_e2e_.begin(), window_e2e_.end());
     p99 = window_e2e_[(window_e2e_.size() - 1) * 99 / 100];
   }

@@ -2,10 +2,10 @@
 //
 // Three cooperating pieces, layered on the lane-granular ReplayCore:
 //
-//  * LifecycleInferenceStage — the InferenceStage both replay paths share
-//    when a shadow model is configured. Admission is timing-only
+//  * LifecycleInferenceStage — the replay's InferenceStage when a shadow
+//    model is configured. Admission is timing-only
 //    (ModelEngine::submit_timed_lane, bit-identical FIFO/array effects to
-//    the eager serial stage); the functional forward pass runs eagerly on
+//    the batched fan-in stage); the functional forward pass runs eagerly on
 //    the submitting worker with per-lane scratch, and the *shadow* model is
 //    scored on the same mirrored window — a pure software pass with zero
 //    data-path cost (no admission, no port state, no timing). Verdict
@@ -30,8 +30,9 @@
 //
 // Determinism: lane tallies are folded in lane order, the p99 sorts a
 // value multiset (order-independent), and every decision input is
-// barrier-published state — so run() and run_pipelined() make identical
-// lifecycle decisions and produce bit-identical lifecycle_* report fields.
+// barrier-published state — so the replay makes identical lifecycle
+// decisions at every pipe count and produces bit-identical lifecycle_*
+// report fields.
 #pragma once
 
 #include <array>
@@ -60,11 +61,11 @@ struct ModelRef {
   const nn::QuantizedRnn* rnn = nullptr;
 };
 
-/// Shared inference stage of both replay paths when lifecycle is enabled:
-/// timing-only lane admission + eager per-lane functional inference of the
-/// serving model + shadow scoring of the candidate. May be driven
-/// concurrently on distinct lanes; the model roles flip only at barriers
-/// (swap_models), while the worker fleet is quiescent.
+/// The replay's inference stage when lifecycle is enabled: timing-only lane
+/// admission + eager per-lane functional inference of the serving model +
+/// shadow scoring of the candidate. May be driven concurrently on distinct
+/// lanes; the model roles flip only at barriers (swap_models), while the
+/// worker fleet is quiescent.
 class LifecycleInferenceStage final : public core::InferenceStage {
  public:
   LifecycleInferenceStage(core::ModelEngine& engine, const LifecycleConfig& config);
@@ -75,9 +76,7 @@ class LifecycleInferenceStage final : public core::InferenceStage {
                                              core::VerdictSymbol& symbol) override;
 
   std::int16_t resolve(core::VerdictSymbol symbol) const override {
-    // Strips the generation tag. Also correct for the plain cached-class
-    // symbols the serial driver books (class < 2^16), so both replay paths
-    // resolve every symbol to the same class.
+    // Strips the generation tag.
     return static_cast<std::int16_t>(static_cast<std::uint64_t>(symbol) &
                                      kClassMask);
   }

@@ -5,6 +5,43 @@
 
 namespace fenix::net {
 
+ReliableLinkStats& ReliableLinkStats::operator+=(const ReliableLinkStats& o) {
+  data_frames += o.data_frames;
+  delivered += o.delivered;
+  retransmits += o.retransmits;
+  nacks += o.nacks;
+  corrupt_drops += o.corrupt_drops;
+  dup_suppressed += o.dup_suppressed;
+  reorder_held += o.reorder_held;
+  window_overflow_drops += o.window_overflow_drops;
+  drops_lost += o.drops_lost;
+  drops_corrupt += o.drops_corrupt;
+  drops_pacer += o.drops_pacer;
+  peak_window = std::max(peak_window, o.peak_window);
+  resyncs += o.resyncs;
+  monotone_violations += o.monotone_violations;
+  return *this;
+}
+
+ReliableLinkStats ReliableLinkStats::operator-(
+    const ReliableLinkStats& start) const {
+  ReliableLinkStats d = *this;
+  d.data_frames -= start.data_frames;
+  d.delivered -= start.delivered;
+  d.retransmits -= start.retransmits;
+  d.nacks -= start.nacks;
+  d.corrupt_drops -= start.corrupt_drops;
+  d.dup_suppressed -= start.dup_suppressed;
+  d.reorder_held -= start.reorder_held;
+  d.window_overflow_drops -= start.window_overflow_drops;
+  d.drops_lost -= start.drops_lost;
+  d.drops_corrupt -= start.drops_corrupt;
+  d.drops_pacer -= start.drops_pacer;
+  d.resyncs -= start.resyncs;
+  d.monotone_violations -= start.monotone_violations;
+  return d;
+}
+
 const char* drop_reason_name(DropReason reason) {
   switch (reason) {
     case DropReason::kNone:

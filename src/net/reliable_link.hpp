@@ -56,6 +56,12 @@ struct ReliableLinkStats {
   std::uint64_t peak_window = 0;      ///< Max reorder-window occupancy seen.
   std::uint64_t resyncs = 0;          ///< Epoch bumps (FPGA reboots).
   std::uint64_t monotone_violations = 0;  ///< Release-time inversions (must be 0).
+
+  /// Merge: counters summed, peak_window maxed.
+  ReliableLinkStats& operator+=(const ReliableLinkStats& other);
+  /// What accrued since `start`: counters subtracted; peak_window stays
+  /// this snapshot's high-water mark.
+  ReliableLinkStats operator-(const ReliableLinkStats& start) const;
 };
 
 /// What happened to one logical frame.

@@ -19,6 +19,7 @@
 // try_pop. Capacity is rounded up to a power of two.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -68,7 +69,7 @@ class MpscQueue {
           slot.value = std::move(value);
           slot.seq.store(pos + 1, std::memory_order_release);
           enqueues_.fetch_add(1, std::memory_order_relaxed);
-          note_size(pos + 1 - tail_cache_.load(std::memory_order_relaxed));
+          note_size(pos + 1);
           return true;
         }
         cas_retries_.fetch_add(1, std::memory_order_relaxed);
@@ -128,7 +129,13 @@ class MpscQueue {
     return p;
   }
 
-  void note_size(std::size_t observed) {
+  /// Folds the occupancy just after a push that claimed up to `head` into
+  /// the peak. The consumer may already have drained past `head` (size 0),
+  /// and a stale tail can overstate the size, so it is clamped to capacity.
+  void note_size(std::size_t head) {
+    const std::size_t tail = tail_cache_.load(std::memory_order_relaxed);
+    const std::uint64_t observed =
+        head > tail ? std::min(head - tail, capacity()) : 0;
     std::uint64_t peak = peak_size_.load(std::memory_order_relaxed);
     while (observed > peak &&
            !peak_size_.compare_exchange_weak(peak, observed,

@@ -42,6 +42,19 @@ struct ChannelStats {
   std::uint64_t reorders = 0;      ///< Frames delivered late (overtaken).
   SimDuration busy_time = 0;       ///< Total serialization time.
   SimDuration max_queueing = 0;    ///< Worst-case wait behind earlier transfers.
+
+  /// Merge: counters summed, max_queueing maxed.
+  ChannelStats& operator+=(const ChannelStats& o) {
+    transfers += o.transfers;
+    bytes += o.bytes;
+    losses += o.losses;
+    corruptions += o.corruptions;
+    duplicates += o.duplicates;
+    reorders += o.reorders;
+    busy_time += o.busy_time;
+    if (o.max_queueing > max_queueing) max_queueing = o.max_queueing;
+    return *this;
+  }
 };
 
 /// Everything that happened to one transfer_chaos() frame. `arrival` is the

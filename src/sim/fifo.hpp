@@ -22,6 +22,15 @@ struct FifoStats {
   std::uint64_t pops = 0;
   std::uint64_t drops = 0;         ///< Rejected pushes (queue full).
   std::size_t peak_occupancy = 0;  ///< High-water mark.
+
+  /// Merge: counters summed, peak_occupancy maxed.
+  FifoStats& operator+=(const FifoStats& o) {
+    pushes += o.pushes;
+    pops += o.pops;
+    drops += o.drops;
+    if (o.peak_occupancy > peak_occupancy) peak_occupancy = o.peak_occupancy;
+    return *this;
+  }
 };
 
 /// Bounded single-clock FIFO.

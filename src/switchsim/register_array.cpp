@@ -1,26 +1,33 @@
 #include "switchsim/register_array.hpp"
 
+#include <stdexcept>
+
 namespace fenix::switchsim {
 
-RegisterArray::RegisterArray(ResourceLedger& ledger, std::string name, unsigned stage,
-                             std::size_t entries, unsigned width_bits)
-    : name_(std::move(name)), stage_(stage), width_bits_(width_bits),
-      values_(entries, 0) {
+void allocate_register(ResourceLedger& ledger, const std::string& name,
+                       unsigned stage, std::size_t entries, unsigned width_bits) {
   if (width_bits != 8 && width_bits != 16 && width_bits != 32 && width_bits != 64) {
-    throw std::invalid_argument("RegisterArray '" + name_ +
+    throw std::invalid_argument("register '" + name +
                                 "': width must be 8/16/32/64 bits");
   }
   if (entries == 0) {
-    throw std::invalid_argument("RegisterArray '" + name_ + "': zero entries");
+    throw std::invalid_argument("register '" + name + "': zero entries");
   }
   Allocation alloc;
-  alloc.owner = "register:" + name_;
+  alloc.owner = "register:" + name;
   alloc.stage = stage;
   // SRAM words are allocated in 128-bit units with ~12% overhead for map RAM.
   const std::uint64_t raw = static_cast<std::uint64_t>(entries) * width_bits;
   alloc.sram_bits = raw + raw / 8;
   alloc.bus_bits = width_bits;  // result travels on the action bus
   ledger.allocate(alloc);
+}
+
+RegisterArray::RegisterArray(ResourceLedger& ledger, std::string name, unsigned stage,
+                             std::size_t entries, unsigned width_bits)
+    : name_(std::move(name)), stage_(stage), width_bits_(width_bits) {
+  allocate_register(ledger, name_, stage, entries, width_bits);
+  values_.assign(entries, 0);
 }
 
 std::uint64_t RegisterArray::read(std::size_t index) const {
@@ -33,52 +40,6 @@ void RegisterArray::write(std::size_t index, std::uint64_t value) {
 
 void RegisterArray::clear() {
   for (auto& v : values_) v = 0;
-}
-
-bool RegisterArray::predicate_holds(AluPredicate p, std::uint64_t stored,
-                                    std::uint64_t operand) {
-  switch (p) {
-    case AluPredicate::kAlways: return true;
-    case AluPredicate::kStoredEq: return stored == operand;
-    case AluPredicate::kStoredNe: return stored != operand;
-    case AluPredicate::kStoredLt: return stored < operand;
-    case AluPredicate::kStoredGe: return stored >= operand;
-  }
-  return false;
-}
-
-std::uint64_t RegisterArray::apply(AluUpdate u, std::uint64_t stored,
-                                   std::uint64_t operand) const {
-  switch (u) {
-    case AluUpdate::kNop: return stored;
-    case AluUpdate::kAssign: return operand & mask();
-    case AluUpdate::kAddOperand: return (stored + operand) & mask();
-    case AluUpdate::kSubOperand: return (stored - operand) & mask();
-    case AluUpdate::kIncrement: return (stored + 1) & mask();
-    case AluUpdate::kMax: return stored >= operand ? stored : (operand & mask());
-    case AluUpdate::kMin: return stored <= operand ? stored : (operand & mask());
-  }
-  return stored;
-}
-
-AluResult RegisterArray::execute(std::size_t index, const AluLane& lane0,
-                                 const AluLane& lane1) {
-  ++accesses_;
-  AluResult result;
-  result.old_value = values_.at(index);
-  result.lane_fired[0] =
-      predicate_holds(lane0.predicate, result.old_value, lane0.predicate_operand);
-  result.lane_fired[1] =
-      predicate_holds(lane1.predicate, result.old_value, lane1.predicate_operand);
-  std::uint64_t next = result.old_value;
-  if (result.lane_fired[0]) {
-    next = apply(lane0.update, result.old_value, lane0.update_operand);
-  } else if (result.lane_fired[1]) {
-    next = apply(lane1.update, result.old_value, lane1.update_operand);
-  }
-  values_[index] = next;
-  result.new_value = next;
-  return result;
 }
 
 }  // namespace fenix::switchsim

@@ -1,15 +1,13 @@
-// Stateful register arrays with PISA stateful-ALU semantics.
+// Switch register arrays and their resource billing.
 //
-// A Tofino register array supports exactly one read-modify-write per packet,
-// executed by a stateful ALU whose instruction set is restricted to
-// predicated add/sub/min/max/assign over (at most) a pair of words. The
-// RegisterArray below enforces those restrictions at the API level: callers
-// express updates as StatefulAluOp programs rather than arbitrary lambdas, so
-// Data Engine logic that compiles here would also compile to real hardware.
+// A Tofino register array is SRAM in one pipeline stage whose per-packet
+// access result travels on the action bus. allocate_register() is the one
+// billing rule every register in the switch model uses, whether it is a
+// RegisterArray below or a plain integer array the Data Engine lays out
+// per coordination lane (core/flow_tracker.hpp).
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,42 +15,12 @@
 
 namespace fenix::switchsim {
 
-/// ALU comparison predicates (evaluated against the stored value and operand).
-enum class AluPredicate : std::uint8_t {
-  kAlways,
-  kStoredEq,    ///< stored == operand
-  kStoredNe,    ///< stored != operand
-  kStoredLt,    ///< stored <  operand
-  kStoredGe,    ///< stored >= operand
-};
-
-/// ALU update operations.
-enum class AluUpdate : std::uint8_t {
-  kNop,
-  kAssign,      ///< stored = operand
-  kAddOperand,  ///< stored += operand (wrapping)
-  kSubOperand,  ///< stored -= operand (wrapping)
-  kIncrement,   ///< stored += 1
-  kMax,         ///< stored = max(stored, operand)
-  kMin,         ///< stored = min(stored, operand)
-};
-
-/// One predicated update lane. A stateful ALU executes up to two lanes; the
-/// first lane whose predicate holds fires (hardware evaluates both against
-/// the *old* value, which this model reproduces).
-struct AluLane {
-  AluPredicate predicate = AluPredicate::kAlways;
-  std::uint64_t predicate_operand = 0;
-  AluUpdate update = AluUpdate::kNop;
-  std::uint64_t update_operand = 0;
-};
-
-/// Result of one register access: the value before and after the update.
-struct AluResult {
-  std::uint64_t old_value = 0;
-  std::uint64_t new_value = 0;
-  bool lane_fired[2] = {false, false};
-};
+/// Bills one register array to `ledger`: `entries` x `width_bits` of SRAM
+/// plus 1/8 for map RAM, and `width_bits` of action bus, in `stage`, under
+/// the owner "register:<name>". `width_bits` must be 8, 16, 32, or 64 and
+/// `entries` nonzero; throws std::invalid_argument otherwise.
+void allocate_register(ResourceLedger& ledger, const std::string& name,
+                       unsigned stage, std::size_t entries, unsigned width_bits);
 
 /// A register array occupying SRAM in one pipeline stage.
 class RegisterArray {
@@ -67,38 +35,22 @@ class RegisterArray {
   unsigned stage() const { return stage_; }
   const std::string& name() const { return name_; }
 
-  /// Plain read (control-plane or same-stage match input).
   std::uint64_t read(std::size_t index) const;
 
-  /// Control-plane write (resets, configuration). Not counted as a data-plane
-  /// access.
+  /// Stores `value` truncated to the register width.
   void write(std::size_t index, std::uint64_t value);
 
-  /// Control-plane bulk clear (e.g. the per-window flow-count reset in §4.1).
   void clear();
-
-  /// Executes a single data-plane read-modify-write with up to two lanes.
-  /// Mirrors hardware: both predicates see the old value; lane 0 wins ties.
-  AluResult execute(std::size_t index, const AluLane& lane0,
-                    const AluLane& lane1 = AluLane{});
-
-  /// Data-plane access count (each packet may access an array at most once;
-  /// the Data Engine asserts this invariant in its own tests).
-  std::uint64_t accesses() const { return accesses_; }
 
  private:
   std::uint64_t mask() const {
     return width_bits_ >= 64 ? ~0ULL : ((1ULL << width_bits_) - 1ULL);
   }
-  static bool predicate_holds(AluPredicate p, std::uint64_t stored,
-                              std::uint64_t operand);
-  std::uint64_t apply(AluUpdate u, std::uint64_t stored, std::uint64_t operand) const;
 
   std::string name_;
   unsigned stage_;
   unsigned width_bits_;
   std::vector<std::uint64_t> values_;
-  std::uint64_t accesses_ = 0;
 };
 
 }  // namespace fenix::switchsim

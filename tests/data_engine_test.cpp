@@ -2,6 +2,9 @@
 // load, control-plane window maintenance, and the preliminary classifier.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "core/data_engine.hpp"
 
 namespace fenix::core {
@@ -184,6 +187,60 @@ TEST(DataEngine, ResourceFootprintFitsTofino2) {
   const auto& ledger = engine.ledger();
   EXPECT_LT(ledger.sram_fraction(), 0.5);
   EXPECT_LE(ledger.stages_used(), 12u);
+}
+
+TEST(DataEngine, LedgerPinsTable3Allocations) {
+  // The deployed program at index_bits 15 and ring depth 8: the exact
+  // allocation list behind the FENIX row of Table 3. Registers bill
+  // entries x width x 9/8 SRAM bits and their width in action-bus bits.
+  DataEngineConfig config;
+  config.tracker.index_bits = 15;
+  config.tracker.ring_capacity = 8;
+  DataEngine engine(config);
+  const switchsim::ResourceLedger& ledger = engine.ledger();
+
+  struct Expected {
+    const char* owner;
+    unsigned stage;
+    std::uint64_t sram_bits;
+    std::uint64_t bus_bits;
+  };
+  const std::vector<Expected> expected = {
+      {"register:flow_hash", 0, 1'179'648, 32},
+      {"register:bklog_n", 1, 1'179'648, 32},
+      {"register:bklog_t", 1, 1'179'648, 32},
+      {"register:flow_class", 2, 294'912, 8},
+      {"register:buff_idx", 2, 294'912, 8},
+      {"register:pkt_cnt", 3, 1'179'648, 32},
+      {"register:flow_counter_hash", 0, 1'179'648, 32},
+      {"register:flow_counter_hash_shadow", 0, 1'179'648, 32},
+      {"feature_rings", 5, 9'437'184, 256},
+      {"register:feature_last_t", 4, 1'179'648, 32},
+      {"prob_lookup_table", 7, 65'536, 16},
+      {"token_bucket", 8, 192, 320},
+  };
+  const auto& allocations = ledger.allocations();
+  ASSERT_EQ(allocations.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(allocations[i].owner, expected[i].owner) << i;
+    EXPECT_EQ(allocations[i].stage, expected[i].stage) << expected[i].owner;
+    EXPECT_EQ(allocations[i].sram_bits, expected[i].sram_bits)
+        << expected[i].owner;
+    EXPECT_EQ(allocations[i].tcam_bits, 0u) << expected[i].owner;
+    EXPECT_EQ(allocations[i].bus_bits, expected[i].bus_bits)
+        << expected[i].owner;
+  }
+  EXPECT_EQ(ledger.sram_bits_used(), 18'350'272u);
+  EXPECT_EQ(ledger.tcam_bits_used(), 0u);
+  EXPECT_EQ(ledger.bus_bits_used(), 832u);
+  EXPECT_EQ(ledger.stages_used(), 9u);
+}
+
+TEST(DataEngine, RejectsZeroDepthRing) {
+  // A zero-depth ring has no slot for the current feature to land in.
+  DataEngineConfig config = small_config();
+  config.tracker.ring_capacity = 0;
+  EXPECT_THROW(DataEngine{config}, std::invalid_argument);
 }
 
 TEST(DataEngine, UsesOrigTimestampsForIpd) {

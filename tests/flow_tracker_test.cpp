@@ -37,7 +37,7 @@ TEST_F(FlowTrackerTest, NewFlowDetected) {
   EXPECT_FALSE(state.collision_evicted);
   EXPECT_EQ(state.packet_count, 1u);
   EXPECT_EQ(state.backlog_count, 1u);
-  EXPECT_EQ(state.classification, -1);
+  EXPECT_EQ(state.verdict, -1);
   EXPECT_EQ(tracker_->tracked_flows(), 1u);
 }
 
@@ -74,7 +74,7 @@ TEST_F(FlowTrackerTest, ClassificationCached) {
   tracker_->on_packet(t, sim::microseconds(1));
   EXPECT_TRUE(tracker_->apply_classification(t, 5));
   const auto state = tracker_->on_packet(t, sim::microseconds(2));
-  EXPECT_EQ(state.classification, 5);
+  EXPECT_EQ(state.verdict, 5);
   EXPECT_EQ(tracker_->classification_of(t), 5);
 }
 
@@ -114,7 +114,7 @@ TEST_F(FlowTrackerTest, CollisionEvicts) {
   const auto state = tracker_->on_packet(other, sim::microseconds(2));
   EXPECT_TRUE(state.new_flow);
   EXPECT_TRUE(state.collision_evicted);
-  EXPECT_EQ(state.classification, -1);  // evicted state reset
+  EXPECT_EQ(state.verdict, -1);  // evicted state reset
   EXPECT_EQ(tracker_->collisions(), 1u);
   // The original flow's verdict is gone and can no longer be applied.
   EXPECT_EQ(tracker_->classification_of(base), -1);

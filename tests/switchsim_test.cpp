@@ -72,56 +72,25 @@ TEST_F(RegisterArrayTest, RejectsBadWidth) {
   EXPECT_THROW(RegisterArray(ledger_, "bad", 0, 0, 32), std::invalid_argument);
 }
 
-TEST_F(RegisterArrayTest, AssignAndIncrement) {
-  RegisterArray reg(ledger_, "r", 0, 8, 32);
-  auto r = reg.execute(3, {AluPredicate::kAlways, 0, AluUpdate::kAssign, 42});
-  EXPECT_EQ(r.old_value, 0u);
-  EXPECT_EQ(r.new_value, 42u);
-  r = reg.execute(3, {AluPredicate::kAlways, 0, AluUpdate::kIncrement, 0});
-  EXPECT_EQ(r.new_value, 43u);
-  EXPECT_EQ(reg.accesses(), 2u);
-}
-
-TEST_F(RegisterArrayTest, PredicatesSeeOldValue) {
-  RegisterArray reg(ledger_, "r", 0, 4, 32);
-  reg.write(0, 10);
-  // Both lanes' predicates evaluate against the old value 10; lane 0 wins.
-  const auto r = reg.execute(
-      0, {AluPredicate::kStoredGe, 10, AluUpdate::kAssign, 100},
-      {AluPredicate::kAlways, 0, AluUpdate::kAssign, 200});
-  EXPECT_TRUE(r.lane_fired[0]);
-  EXPECT_TRUE(r.lane_fired[1]);  // predicate held, but lane 0 took effect
-  EXPECT_EQ(r.new_value, 100u);
-}
-
-TEST_F(RegisterArrayTest, SecondLaneFiresWhenFirstFails) {
-  RegisterArray reg(ledger_, "r", 0, 4, 16);
-  reg.write(0, 5);
-  const auto r = reg.execute(
-      0, {AluPredicate::kStoredGe, 7, AluUpdate::kAssign, 0},
-      {AluPredicate::kAlways, 0, AluUpdate::kIncrement, 0});
-  EXPECT_FALSE(r.lane_fired[0]);
-  EXPECT_EQ(r.new_value, 6u);
-}
-
 TEST_F(RegisterArrayTest, WidthMasksWraparound) {
   RegisterArray reg(ledger_, "r", 0, 2, 8);
-  reg.write(0, 255);
-  const auto r = reg.execute(0, {AluPredicate::kAlways, 0, AluUpdate::kIncrement, 0});
-  EXPECT_EQ(r.new_value, 0u);  // 8-bit wrap
-  // Wrap-aware subtraction, as used for timestamps.
-  reg.write(1, 3);
-  const auto s = reg.execute(1, {AluPredicate::kAlways, 0, AluUpdate::kSubOperand, 5});
-  EXPECT_EQ(s.new_value, 254u);
+  reg.write(0, 256);
+  EXPECT_EQ(reg.read(0), 0u);  // 8-bit wrap
+  reg.write(1, 0x1FE);
+  EXPECT_EQ(reg.read(1), 0xFEu);
 }
 
-TEST_F(RegisterArrayTest, MinMaxOps) {
-  RegisterArray reg(ledger_, "r", 0, 2, 32);
-  reg.write(0, 50);
-  EXPECT_EQ(reg.execute(0, {AluPredicate::kAlways, 0, AluUpdate::kMax, 80}).new_value,
-            80u);
-  EXPECT_EQ(reg.execute(0, {AluPredicate::kAlways, 0, AluUpdate::kMin, 60}).new_value,
-            60u);
+TEST(RegisterBilling, SharedRuleForPlainArrays) {
+  ResourceLedger ledger(ChipProfile::tofino2());
+  allocate_register(ledger, "plain", 3, 1024, 8);
+  ASSERT_EQ(ledger.allocations().size(), 1u);
+  const Allocation& a = ledger.allocations()[0];
+  EXPECT_EQ(a.owner, "register:plain");
+  EXPECT_EQ(a.stage, 3u);
+  EXPECT_EQ(a.sram_bits, 8192u + 1024u);  // 1024 * 8 bits + 12.5%
+  EXPECT_EQ(a.bus_bits, 8u);
+  EXPECT_THROW(allocate_register(ledger, "bad", 0, 16, 24),
+               std::invalid_argument);
 }
 
 TEST_F(RegisterArrayTest, ClearResets) {
