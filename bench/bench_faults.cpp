@@ -12,7 +12,7 @@
 // counter table goes to stdout and BENCH_PR2.json.
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -48,35 +48,6 @@ trees::DecisionTree train_fallback_tree(
   config.min_samples_leaf = 64;
   tree.fit(data, num_classes, config);
   return tree;
-}
-
-/// Compact digest of everything the determinism contract promises: every
-/// failure counter and every confusion cell of every phase.
-std::string report_digest(const core::RunReport& report) {
-  std::ostringstream os;
-  os << report.packets << ' ' << report.mirrors << ' ' << report.fifo_drops << ' '
-     << report.channel_losses << ' ' << report.deadline_misses << ' '
-     << report.retransmits << ' ' << report.retransmits_suppressed << ' '
-     << report.retransmits_exhausted << ' ' << report.fallback_verdicts << ' '
-     << report.mirrors_suppressed << ' ' << report.results_applied << ' '
-     << report.results_stale << ' ' << report.watchdog.degradations << ' '
-     << report.watchdog.recoveries << ' ' << report.watchdog.time_degraded << ';';
-  const auto digest_cm = [&](const telemetry::ConfusionMatrix& cm) {
-    for (std::size_t t = 0; t < cm.num_classes(); ++t) {
-      for (std::size_t p = 0; p < cm.num_classes(); ++p) {
-        os << cm.count(t, p) << ' ';
-      }
-    }
-    os << '|';
-  };
-  digest_cm(report.packet_confusion);
-  digest_cm(report.inference_confusion);
-  for (const auto& phase : report.phases) {
-    os << phase.name << ' ' << phase.packets << ' ' << phase.dnn_verdicts << ' '
-       << phase.tree_verdicts << ' ' << phase.unclassified << ' ';
-    digest_cm(phase.packet_confusion);
-  }
-  return os.str();
 }
 
 }  // namespace
@@ -149,7 +120,8 @@ int main() {
             << " ms)...\n";
   const auto [report, health] = replay();
   const auto [report2, health2] = replay();
-  const bool deterministic = report_digest(report) == report_digest(report2);
+  const auto divergence = core::first_divergence(report, report2);
+  const bool deterministic = !divergence.has_value();
 
   // Switch-only baseline: the same tree classifying every packet of the same
   // test flows, no FPGA at all.
@@ -185,7 +157,8 @@ int main() {
 
   std::cout << "\nHealth counters:\n" << health.render();
   std::cout << "\nDeterminism (two replays, same schedule + seed): "
-            << (deterministic ? "bit-identical" : "MISMATCH") << "\n";
+            << (deterministic ? "bit-identical" : "MISMATCH at " + *divergence)
+            << "\n";
   std::cout << "Outage vs tree-only baseline: "
             << telemetry::TextTable::num(outage_f1) << " vs "
             << telemetry::TextTable::num(tree_f1)

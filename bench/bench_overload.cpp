@@ -25,7 +25,6 @@
 // publication to bit-identity while it escalates.
 //
 // Usage: bench_overload
-#include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -41,23 +40,6 @@
 namespace {
 
 using namespace fenix;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-/// Shed-conservation residual of one report: every offered grant must be
-/// admitted or shed with exactly one attributed reason (the same law the
-/// `shed-conservation` invariant and health_metrics' `shed_unattributed`
-/// counter enforce).
-std::uint64_t shed_unattributed(const core::RunReport& r) {
-  const std::uint64_t accounted = r.admission_admitted + r.shed_thinned +
-                                  r.shed_frozen + r.shed_isolated +
-                                  r.mirrors_suppressed;
-  return r.admission_offered > accounted ? r.admission_offered - accounted
-                                         : accounted - r.admission_offered;
-}
 
 /// The system under overload: admission ladder armed at defaults, Rate
 /// Limiter mis-calibrated to ~3 Mpps while the Model Engine is pinned to
@@ -152,7 +134,7 @@ int main() {
           report.shed_thinned + report.shed_frozen + report.shed_isolated;
       point.transitions = report.admission_transitions;
       point.peak_tier = report.admission_peak_tier;
-      point.unattributed = shed_unattributed(report);
+      point.unattributed = report.shed_unattributed();
       residual_total += point.unattributed;
       if (point.served_ratio >= kKneeRatio) {
         knee_pps = std::max(knee_pps, point.offered_pps);

@@ -53,18 +53,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Drop-conservation residual: every mirrored/retransmitted feature vector
-/// must end as exactly one of {channel loss, FIFO drop, stale-epoch drop,
-/// applied result, stale result}. Non-zero means a drop lost its reason —
-/// the same audit FenixSystem::health_metrics() publishes.
-std::uint64_t drop_unattributed(const core::RunReport& r) {
-  const std::uint64_t sent = r.mirrors + r.retransmits;
-  const std::uint64_t attributed = r.channel_losses + r.fifo_drops +
-                                   r.stale_epoch_drops + r.results_applied +
-                                   r.results_stale;
-  return sent > attributed ? sent - attributed : attributed - sent;
-}
-
 core::FenixSystemConfig make_config() {
   core::FenixSystemConfig config;
   // Production-scale presets deliberately overrun the 128k-slot Flow Info
@@ -183,7 +171,7 @@ int main(int argc, char** argv) {
         duration_s > 0 ? static_cast<double>(report.packets) / duration_s : 0.0;
     const std::uint64_t attributed_drops =
         report.fifo_drops + report.channel_losses + report.stale_epoch_drops;
-    const std::uint64_t unattributed = drop_unattributed(report);
+    const std::uint64_t unattributed = report.drop_unattributed();
     if (unattributed != 0) ok = false;
 
     table.add_row({name, std::to_string(report.packets),

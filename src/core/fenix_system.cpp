@@ -121,28 +121,32 @@ telemetry::MetricRegistry FenixSystem::health_metrics(const RunReport& report) c
   if (!nn::parse_precision(report.precision, prec)) prec = nn::Precision::kInt8;
   reg.set_counter("precision_bits",
                   static_cast<std::uint64_t>(nn::weight_bits(prec)));
-  reg.set_counter("packets", report.packets);
-  reg.set_counter("mirrors", report.mirrors);
-  reg.set_counter("results_applied", report.results_applied);
-  reg.set_counter("results_stale", report.results_stale);
-  reg.set_counter("fifo_drops", report.fifo_drops);
-  reg.set_counter("channel_losses", report.channel_losses);
+  // One counter row per report counter, under its for_each_counter() name.
+  for_each_counter(
+      [&reg](const char* name, std::uint64_t value) {
+        reg.set_counter(name, value);
+      },
+      report);
+  // Conservation residuals: nonzero means a drop or shed path went untracked.
+  reg.set_counter("drop_unattributed", report.drop_unattributed());
+  reg.set_counter("shed_unattributed", report.shed_unattributed());
   // SLO-grade verdict-latency tail (mirror emit -> verdict installed). p999
   // is the number the open-loop scenario gates watch: overload shows up here
   // and in the attributed drop counters, never as slower wall-clock.
   reg.set_gauge("e2e_p50_us", report.end_to_end.p50_us());
   reg.set_gauge("e2e_p99_us", report.end_to_end.p99_us());
   reg.set_gauge("e2e_p999_us", report.end_to_end.p999_us());
-  // Drop attribution residual. Every mirror (plus every retransmit) must be
-  // accounted for by exactly one fate: lost on a channel, dropped at the
-  // engine FIFO, discarded stale after an epoch resync, or applied/stale at
-  // the sink. A nonzero residual means a drop path went untracked.
-  const std::uint64_t sent = report.mirrors + report.retransmits;
-  const std::uint64_t attributed = report.channel_losses + report.fifo_drops +
-                                   report.stale_epoch_drops +
-                                   report.results_applied + report.results_stale;
-  reg.set_counter("drop_unattributed",
-                  sent > attributed ? sent - attributed : attributed - sent);
+  reg.set_gauge("time_degraded_ms",
+                sim::to_milliseconds(report.watchdog.time_degraded));
+  // Model-lifecycle drift: the share of shadow evaluations that disagreed
+  // with the serving model (0 when no shadow model is configured).
+  reg.set_gauge("lifecycle_drift_rate",
+                report.lifecycle_shadow_evals == 0
+                    ? 0.0
+                    : static_cast<double>(report.lifecycle_disagreements) /
+                          static_cast<double>(report.lifecycle_shadow_evals));
+  reg.set_gauge("lifecycle_swap_blackout_ms",
+                sim::to_milliseconds(report.lifecycle_swap_blackout));
   const sim::ChannelStats to_ch = channel_stats_to_fpga();
   const sim::ChannelStats from_ch = channel_stats_from_fpga();
   reg.set_counter("to_fpga_losses", to_ch.losses);
@@ -153,79 +157,18 @@ telemetry::MetricRegistry FenixSystem::health_metrics(const RunReport& report) c
   reg.set_counter("from_fpga_duplicates", from_ch.duplicates);
   reg.set_counter("to_fpga_reorders", to_ch.reorders);
   reg.set_counter("from_fpga_reorders", from_ch.reorders);
-  // Reliable-framing health (this run's deltas, both directions aggregated).
-  reg.set_counter("stale_epoch_drops", report.stale_epoch_drops);
-  reg.set_counter("link_retransmits", report.link_retransmits);
-  reg.set_counter("link_nacks", report.link_nacks);
-  reg.set_counter("link_corrupt_drops", report.link_corrupt_drops);
-  reg.set_counter("link_dup_suppressed", report.link_dup_suppressed);
-  reg.set_counter("link_reorder_held", report.link_reorder_held);
-  reg.set_counter("link_window_drops", report.link_window_drops);
-  reg.set_counter("link_pacer_drops", report.link_pacer_drops);
-  reg.set_counter("link_resyncs", report.link_resyncs);
   const ModelEngineStats engine = model_engine_.combined_stats();
   reg.set_counter("engine_input_drops", engine.input_drops);
   reg.set_counter("reconfig_drops", engine.reconfig_drops);
   reg.set_counter("stall_drops", engine.stall_drops);
   // Model Engine Flow Identifier Queue pressure (sim::FifoStats, legacy path
-  // plus every lane port), next to the watchdog counters so brownout benches
-  // see queue saturation directly.
+  // plus every lane port), so brownout benches see queue saturation directly.
   const sim::FifoStats fifo = model_engine_.combined_queue_stats();
   reg.set_counter("engine_fifo_drops", fifo.drops);
   reg.set_counter("engine_fifo_peak", fifo.peak_occupancy);
   const fpgasim::DeviceFaultStats& device = model_engine_.device().fault_stats();
   reg.set_counter("device_stalls", device.stalls);
   reg.set_counter("device_resets", device.resets);
-  reg.set_counter("deadline_misses", report.deadline_misses);
-  reg.set_counter("retransmits", report.retransmits);
-  reg.set_counter("retransmits_suppressed", report.retransmits_suppressed);
-  reg.set_counter("retransmits_exhausted", report.retransmits_exhausted);
-  reg.set_counter("fallback_verdicts", report.fallback_verdicts);
-  reg.set_counter("mirrors_suppressed", report.mirrors_suppressed);
-  // Overload-admission health: the shedding ladder's attributed counters plus
-  // the conservation residual. Every Rate Limiter grant must meet exactly one
-  // fate — emitted as a mirror, shed by a ladder tier, or suppressed by the
-  // degraded probe stride; a nonzero residual means a shed path went
-  // untracked.
-  reg.set_counter("admission_offered", report.admission_offered);
-  reg.set_counter("admission_admitted", report.admission_admitted);
-  reg.set_counter("shed_thinned", report.shed_thinned);
-  reg.set_counter("shed_frozen", report.shed_frozen);
-  reg.set_counter("shed_isolated", report.shed_isolated);
-  reg.set_counter("admission_transitions", report.admission_transitions);
-  reg.set_counter("admission_peak_tier", report.admission_peak_tier);
-  const std::uint64_t shed_served = report.admission_admitted +
-                                    report.shed_thinned + report.shed_frozen +
-                                    report.shed_isolated +
-                                    report.mirrors_suppressed;
-  reg.set_counter("shed_unattributed",
-                  report.admission_offered > shed_served
-                      ? report.admission_offered - shed_served
-                      : shed_served - report.admission_offered);
-  reg.set_counter("watchdog_degradations", report.watchdog.degradations);
-  reg.set_counter("watchdog_recoveries", report.watchdog.recoveries);
-  reg.set_gauge("time_degraded_ms",
-                sim::to_milliseconds(report.watchdog.time_degraded));
-  // Model-lifecycle health: shadow-evaluation drift, swap/rollback activity,
-  // and the mirrors sacrificed to reconfiguration blackouts (all zero when no
-  // shadow model is configured).
-  reg.set_counter("lifecycle_shadow_evals", report.lifecycle_shadow_evals);
-  reg.set_counter("lifecycle_disagreements", report.lifecycle_disagreements);
-  reg.set_counter("lifecycle_promotions", report.lifecycle_promotions);
-  reg.set_counter("lifecycle_rollbacks", report.lifecycle_rollbacks);
-  reg.set_counter("lifecycle_slo_breaches", report.lifecycle_slo_breaches);
-  reg.set_counter("lifecycle_verdicts_primary", report.lifecycle_verdicts_primary);
-  reg.set_counter("lifecycle_verdicts_candidate",
-                  report.lifecycle_verdicts_candidate);
-  reg.set_counter("lifecycle_demoted_applies", report.lifecycle_demoted_applies);
-  reg.set_counter("lifecycle_swap_drops", report.lifecycle_swap_drops);
-  reg.set_gauge("lifecycle_drift_rate",
-                report.lifecycle_shadow_evals == 0
-                    ? 0.0
-                    : static_cast<double>(report.lifecycle_disagreements) /
-                          static_cast<double>(report.lifecycle_shadow_evals));
-  reg.set_gauge("lifecycle_swap_blackout_ms",
-                sim::to_milliseconds(report.lifecycle_swap_blackout));
   // Decentralized-coordination health: how often the epoch reconcilers ran,
   // and the fan-in contention and per-pipe backlog peaks of the worker fleet.
   reg.set_counter("watchdog_reconciles", data_engine_.watchdog().reconciles());

@@ -1,7 +1,9 @@
 #include "core/replay_core.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "core/data_engine.hpp"
 #include "net/packet_source.hpp"
@@ -342,15 +344,21 @@ void ReplayCore::resolve() {
 }
 
 // ---------------------------------------------------------------------------
-// Report comparison / divergence diagnostics.
+// Conservation residuals and report comparison / divergence diagnostics.
 
 namespace {
 
+std::uint64_t abs_diff(std::uint64_t x, std::uint64_t y) {
+  return x > y ? x - y : y - x;
+}
+
 template <typename T>
-std::optional<std::string> diverge(const std::string& field, const T& a,
+std::optional<std::string> diverge(std::string_view field, const T& a,
                                    const T& b) {
   if (a == b) return std::nullopt;
   std::ostringstream out;
+  // Round-trip precision: two doubles that differ must print differently.
+  out.precision(std::numeric_limits<double>::max_digits10);
   out << field << ": " << a << " vs " << b;
   return out.str();
 }
@@ -400,122 +408,28 @@ std::optional<std::string> recorder_divergence(
 
 }  // namespace
 
+std::uint64_t RunReport::drop_unattributed() const {
+  return abs_diff(mirrors + retransmits, channel_losses + fifo_drops +
+                                             stale_epoch_drops +
+                                             results_applied + results_stale);
+}
+
+std::uint64_t RunReport::shed_unattributed() const {
+  return abs_diff(admission_offered, admission_admitted + shed_thinned +
+                                         shed_frozen + shed_isolated +
+                                         mirrors_suppressed);
+}
+
 std::optional<std::string> first_divergence(const RunReport& a,
                                             const RunReport& b) {
   if (auto d = diverge("precision", a.precision, b.precision)) return d;
-  if (auto d = diverge("packets", a.packets, b.packets)) return d;
-  if (auto d = diverge("mirrors", a.mirrors, b.mirrors)) return d;
-  if (auto d = diverge("fifo_drops", a.fifo_drops, b.fifo_drops)) return d;
-  if (auto d = diverge("channel_losses", a.channel_losses, b.channel_losses))
-    return d;
-  if (auto d = diverge("results_applied", a.results_applied, b.results_applied))
-    return d;
-  if (auto d = diverge("results_stale", a.results_stale, b.results_stale))
-    return d;
-  if (auto d = diverge("trace_duration", a.trace_duration, b.trace_duration))
-    return d;
-  if (auto d = diverge("stale_epoch_drops", a.stale_epoch_drops,
-                       b.stale_epoch_drops))
-    return d;
-  if (auto d = diverge("link_retransmits", a.link_retransmits,
-                       b.link_retransmits))
-    return d;
-  if (auto d = diverge("link_nacks", a.link_nacks, b.link_nacks)) return d;
-  if (auto d = diverge("link_corrupt_drops", a.link_corrupt_drops,
-                       b.link_corrupt_drops))
-    return d;
-  if (auto d = diverge("link_dup_suppressed", a.link_dup_suppressed,
-                       b.link_dup_suppressed))
-    return d;
-  if (auto d = diverge("link_reorder_held", a.link_reorder_held,
-                       b.link_reorder_held))
-    return d;
-  if (auto d = diverge("link_window_drops", a.link_window_drops,
-                       b.link_window_drops))
-    return d;
-  if (auto d = diverge("link_pacer_drops", a.link_pacer_drops,
-                       b.link_pacer_drops))
-    return d;
-  if (auto d = diverge("link_resyncs", a.link_resyncs, b.link_resyncs))
-    return d;
-  if (auto d = diverge("lifecycle_shadow_evals", a.lifecycle_shadow_evals,
-                       b.lifecycle_shadow_evals))
-    return d;
-  if (auto d = diverge("lifecycle_disagreements", a.lifecycle_disagreements,
-                       b.lifecycle_disagreements))
-    return d;
-  if (auto d = diverge("lifecycle_promotions", a.lifecycle_promotions,
-                       b.lifecycle_promotions))
-    return d;
-  if (auto d = diverge("lifecycle_rollbacks", a.lifecycle_rollbacks,
-                       b.lifecycle_rollbacks))
-    return d;
-  if (auto d = diverge("lifecycle_slo_breaches", a.lifecycle_slo_breaches,
-                       b.lifecycle_slo_breaches))
-    return d;
-  if (auto d = diverge("lifecycle_verdicts_primary", a.lifecycle_verdicts_primary,
-                       b.lifecycle_verdicts_primary))
-    return d;
-  if (auto d = diverge("lifecycle_verdicts_candidate",
-                       a.lifecycle_verdicts_candidate,
-                       b.lifecycle_verdicts_candidate))
-    return d;
-  if (auto d = diverge("lifecycle_demoted_applies", a.lifecycle_demoted_applies,
-                       b.lifecycle_demoted_applies))
-    return d;
-  if (auto d = diverge("lifecycle_swap_drops", a.lifecycle_swap_drops,
-                       b.lifecycle_swap_drops))
-    return d;
-  if (auto d = diverge("lifecycle_swap_blackout", a.lifecycle_swap_blackout,
-                       b.lifecycle_swap_blackout))
-    return d;
-  if (auto d = diverge("deadline_misses", a.deadline_misses, b.deadline_misses))
-    return d;
-  if (auto d = diverge("retransmits", a.retransmits, b.retransmits)) return d;
-  if (auto d = diverge("retransmits_suppressed", a.retransmits_suppressed,
-                       b.retransmits_suppressed))
-    return d;
-  if (auto d = diverge("retransmits_exhausted", a.retransmits_exhausted,
-                       b.retransmits_exhausted))
-    return d;
-  if (auto d = diverge("fallback_verdicts", a.fallback_verdicts,
-                       b.fallback_verdicts))
-    return d;
-  if (auto d = diverge("mirrors_suppressed", a.mirrors_suppressed,
-                       b.mirrors_suppressed))
-    return d;
-  if (auto d = diverge("admission_offered", a.admission_offered,
-                       b.admission_offered))
-    return d;
-  if (auto d = diverge("admission_admitted", a.admission_admitted,
-                       b.admission_admitted))
-    return d;
-  if (auto d = diverge("shed_thinned", a.shed_thinned, b.shed_thinned))
-    return d;
-  if (auto d = diverge("shed_frozen", a.shed_frozen, b.shed_frozen)) return d;
-  if (auto d = diverge("shed_isolated", a.shed_isolated, b.shed_isolated))
-    return d;
-  if (auto d = diverge("admission_transitions", a.admission_transitions,
-                       b.admission_transitions))
-    return d;
-  if (auto d = diverge("admission_peak_tier", a.admission_peak_tier,
-                       b.admission_peak_tier))
-    return d;
-  if (auto d = diverge("watchdog.deadline_misses", a.watchdog.deadline_misses,
-                       b.watchdog.deadline_misses))
-    return d;
-  if (auto d = diverge("watchdog.heartbeats", a.watchdog.heartbeats,
-                       b.watchdog.heartbeats))
-    return d;
-  if (auto d = diverge("watchdog.degradations", a.watchdog.degradations,
-                       b.watchdog.degradations))
-    return d;
-  if (auto d = diverge("watchdog.recoveries", a.watchdog.recoveries,
-                       b.watchdog.recoveries))
-    return d;
-  if (auto d = diverge("watchdog.time_degraded", a.watchdog.time_degraded,
-                       b.watchdog.time_degraded))
-    return d;
+  std::optional<std::string> counter;
+  for_each_counter(
+      [&counter](const char* name, std::uint64_t x, std::uint64_t y) {
+        if (!counter) counter = diverge(name, x, y);
+      },
+      a, b);
+  if (counter) return counter;
   if (auto d = confusion_divergence("packet_confusion", a.packet_confusion,
                                     b.packet_confusion))
     return d;

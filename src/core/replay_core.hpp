@@ -112,23 +112,11 @@ struct PhaseReport {
         packet_confusion(num_classes) {}
 };
 
-/// Aggregate measurements of one trace replay.
-struct RunReport {
-  telemetry::ConfusionMatrix packet_confusion;    ///< Forwarding class vs truth.
-  telemetry::ConfusionMatrix inference_confusion; ///< DNN verdicts vs truth.
-  telemetry::ConfusionMatrix flow_confusion;      ///< Final per-flow verdict vs truth
-                                                  ///< (flows never inferred = miss).
-  telemetry::LatencyRecorder internal_tx;  ///< Mirror deparser -> FPGA ingress.
-  telemetry::LatencyRecorder queueing;     ///< FPGA ingress -> array start.
-  telemetry::LatencyRecorder inference;    ///< Array compute (+ CDC crossings).
-  telemetry::LatencyRecorder return_tx;    ///< FPGA egress -> switch.
-  telemetry::LatencyRecorder end_to_end;   ///< Mirror emit -> verdict installed.
-
-  /// Precision tier the Model Engine served this run ("fp32" / "int8" /
-  /// "int4" / "ternary"). Part of the bit-identity contract: every pipe count
-  /// reports the same precision.
-  std::string precision = "int8";
-
+/// The scalar counters of one trace replay, declared once. for_each_counter()
+/// below walks them, and first_divergence(), FenixSystem::health_metrics()
+/// and the identity tests all go through it, so a new counter is one member
+/// here plus one visitor line there.
+struct RunCounters {
   std::uint64_t packets = 0;
   std::uint64_t mirrors = 0;
   std::uint64_t fifo_drops = 0;
@@ -189,12 +177,110 @@ struct RunReport {
   std::uint64_t admission_peak_tier = 0;    ///< Highest tier reached.
 
   HealthWatchdogStats watchdog;              ///< Final watchdog state counters.
+};
+
+/// Calls `f(name, c.field...)` once per RunCounters field, in declaration
+/// order, passing that field of every report in `c` — so
+/// for_each_counter(f, a, b) walks two reports side by side, and a
+/// non-const report hands `f` mutable references. `name` is the field's one
+/// name: its health-table row and its first_divergence() label (watchdog
+/// fields carry a `watchdog_` prefix).
+template <typename F, typename... Counters>
+constexpr void for_each_counter(F&& f, Counters&... c) {
+  f("packets", c.packets...);
+  f("mirrors", c.mirrors...);
+  f("fifo_drops", c.fifo_drops...);
+  f("channel_losses", c.channel_losses...);
+  f("results_applied", c.results_applied...);
+  f("results_stale", c.results_stale...);
+  f("trace_duration", c.trace_duration...);
+  f("stale_epoch_drops", c.stale_epoch_drops...);
+  f("link_retransmits", c.link_retransmits...);
+  f("link_nacks", c.link_nacks...);
+  f("link_corrupt_drops", c.link_corrupt_drops...);
+  f("link_dup_suppressed", c.link_dup_suppressed...);
+  f("link_reorder_held", c.link_reorder_held...);
+  f("link_window_drops", c.link_window_drops...);
+  f("link_pacer_drops", c.link_pacer_drops...);
+  f("link_resyncs", c.link_resyncs...);
+  f("lifecycle_shadow_evals", c.lifecycle_shadow_evals...);
+  f("lifecycle_disagreements", c.lifecycle_disagreements...);
+  f("lifecycle_promotions", c.lifecycle_promotions...);
+  f("lifecycle_rollbacks", c.lifecycle_rollbacks...);
+  f("lifecycle_slo_breaches", c.lifecycle_slo_breaches...);
+  f("lifecycle_verdicts_primary", c.lifecycle_verdicts_primary...);
+  f("lifecycle_verdicts_candidate", c.lifecycle_verdicts_candidate...);
+  f("lifecycle_demoted_applies", c.lifecycle_demoted_applies...);
+  f("lifecycle_swap_drops", c.lifecycle_swap_drops...);
+  f("lifecycle_swap_blackout", c.lifecycle_swap_blackout...);
+  f("deadline_misses", c.deadline_misses...);
+  f("retransmits", c.retransmits...);
+  f("retransmits_suppressed", c.retransmits_suppressed...);
+  f("retransmits_exhausted", c.retransmits_exhausted...);
+  f("fallback_verdicts", c.fallback_verdicts...);
+  f("mirrors_suppressed", c.mirrors_suppressed...);
+  f("admission_offered", c.admission_offered...);
+  f("admission_admitted", c.admission_admitted...);
+  f("shed_thinned", c.shed_thinned...);
+  f("shed_frozen", c.shed_frozen...);
+  f("shed_isolated", c.shed_isolated...);
+  f("admission_transitions", c.admission_transitions...);
+  f("admission_peak_tier", c.admission_peak_tier...);
+  f("watchdog_deadline_misses", c.watchdog.deadline_misses...);
+  f("watchdog_heartbeats", c.watchdog.heartbeats...);
+  f("watchdog_degradations", c.watchdog.degradations...);
+  f("watchdog_recoveries", c.watchdog.recoveries...);
+  f("watchdog_time_degraded", c.watchdog.time_degraded...);
+}
+
+/// Number of for_each_counter() entries.
+constexpr std::size_t run_counter_count() {
+  const RunCounters counters;
+  std::size_t n = 0;
+  for_each_counter([&n](const char*, std::uint64_t) { ++n; }, counters);
+  return n;
+}
+
+// Every RunCounters member is 8 bytes, so a member without a visitor line
+// (which first_divergence and the health table would silently skip) fails
+// the build here.
+static_assert(sizeof(RunCounters) == run_counter_count() * sizeof(std::uint64_t),
+              "every RunCounters field needs a for_each_counter() entry");
+
+/// Aggregate measurements of one trace replay: the counters plus the
+/// confusion matrices, latency recorders, precision tier and phases.
+struct RunReport : RunCounters {
+  telemetry::ConfusionMatrix packet_confusion;    ///< Forwarding class vs truth.
+  telemetry::ConfusionMatrix inference_confusion; ///< DNN verdicts vs truth.
+  telemetry::ConfusionMatrix flow_confusion;      ///< Final per-flow verdict vs truth
+                                                  ///< (flows never inferred = miss).
+  telemetry::LatencyRecorder internal_tx;  ///< Mirror deparser -> FPGA ingress.
+  telemetry::LatencyRecorder queueing;     ///< FPGA ingress -> array start.
+  telemetry::LatencyRecorder inference;    ///< Array compute (+ CDC crossings).
+  telemetry::LatencyRecorder return_tx;    ///< FPGA egress -> switch.
+  telemetry::LatencyRecorder end_to_end;   ///< Mirror emit -> verdict installed.
+
+  /// Precision tier the Model Engine served this run ("fp32" / "int8" /
+  /// "int4" / "ternary"). Part of the bit-identity contract: every pipe count
+  /// reports the same precision.
+  std::string precision = "int8";
 
   std::vector<PhaseReport> phases;  ///< Populated when run() was given phases.
 
   explicit RunReport(std::size_t num_classes)
       : packet_confusion(num_classes), inference_confusion(num_classes),
         flow_confusion(num_classes) {}
+
+  /// Drop-attribution residual: every mirror (plus every retransmit) must
+  /// end as exactly one of channel loss, engine FIFO drop, stale-epoch drop,
+  /// or applied / stale result. Nonzero means a drop path went untracked.
+  std::uint64_t drop_unattributed() const;
+
+  /// Shed-conservation residual: every Rate Limiter grant offered to the
+  /// admission stage is admitted as a mirror, shed by one ladder tier, or
+  /// suppressed by the degraded probe stride. Nonzero means a shed path went
+  /// untracked.
+  std::uint64_t shed_unattributed() const;
 };
 
 /// The inference stage of the replay: one mirror in, one timed result out.

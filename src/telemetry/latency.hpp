@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -71,13 +70,6 @@ class LatencyRecorder {
   sim::SimDuration min_ = ~0ULL;
   sim::SimDuration max_ = 0;
   sim::RandomStream rng_;
-};
-
-/// A named latency component for breakdown tables (Figure 11).
-struct LatencyComponent {
-  std::string name;
-  double mean_us = 0.0;
-  double p99_us = 0.0;
 };
 
 }  // namespace fenix::telemetry

@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/fenix_system.hpp"
@@ -108,16 +109,11 @@ net::Trace* LifecycleTest::trace_ = nullptr;
 /// Zeroes the lifecycle accounting so a lifecycle report can be compared
 /// field-for-field against a non-lifecycle baseline.
 RunReport strip_lifecycle(RunReport report) {
-  report.lifecycle_shadow_evals = 0;
-  report.lifecycle_disagreements = 0;
-  report.lifecycle_promotions = 0;
-  report.lifecycle_rollbacks = 0;
-  report.lifecycle_slo_breaches = 0;
-  report.lifecycle_verdicts_primary = 0;
-  report.lifecycle_verdicts_candidate = 0;
-  report.lifecycle_demoted_applies = 0;
-  report.lifecycle_swap_drops = 0;
-  report.lifecycle_swap_blackout = 0;
+  for_each_counter(
+      [](std::string_view name, std::uint64_t& value) {
+        if (name.starts_with("lifecycle_")) value = 0;
+      },
+      report);
   return report;
 }
 

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -46,15 +47,29 @@ TEST(FirstDivergenceTest, EqualReportsReturnNullopt) {
 }
 
 TEST(FirstDivergenceTest, NamesCounterWithBothValues) {
+  // Bump each counter in turn: first_divergence must name exactly that one,
+  // with both values, whichever it is.
   const RunReport a = make_report();
-  RunReport b = make_report();
-  b.deadline_misses = 7;
-  const auto div = first_divergence(a, b);
-  ASSERT_TRUE(div.has_value());
-  EXPECT_NE(div->find("deadline_misses"), std::string::npos) << *div;
-  EXPECT_NE(div->find("0"), std::string::npos) << *div;
-  EXPECT_NE(div->find("7"), std::string::npos) << *div;
-  EXPECT_FALSE(run_reports_equal(a, b));
+  std::set<std::string> names;
+  for (std::size_t target = 0; target < run_counter_count(); ++target) {
+    RunReport b = make_report();
+    std::string name;
+    std::string expected;
+    std::size_t index = 0;
+    for_each_counter(
+        [&](const char* field, const std::uint64_t& before, std::uint64_t& after) {
+          if (index++ != target) return;
+          after += 7;
+          name = field;
+          expected = name + ": " + std::to_string(before) + " vs " +
+                     std::to_string(after);
+        },
+        a, b);
+    EXPECT_TRUE(names.insert(name).second) << "duplicate counter name " << name;
+    EXPECT_EQ(first_divergence(a, b), expected);
+    EXPECT_FALSE(run_reports_equal(a, b)) << name;
+  }
+  EXPECT_EQ(names.size(), run_counter_count());
 }
 
 TEST(FirstDivergenceTest, NamesConfusionCellWithIndices) {
@@ -85,6 +100,25 @@ TEST(FirstDivergenceTest, NamesLatencyRecorderField) {
   const auto div = first_divergence(a, b);
   ASSERT_TRUE(div.has_value());
   EXPECT_NE(div->find("end_to_end"), std::string::npos) << *div;
+
+  // Same count, min and max; the sums differ by 1 ps, so only the means
+  // differ, beyond the sixth significant digit. Both must print exactly.
+  RunReport c(kClasses);
+  RunReport d(kClasses);
+  for (const sim::SimDuration sample :
+       {sim::microseconds(1), sim::microseconds(3), sim::microseconds(5)}) {
+    c.end_to_end.record(sample);
+    d.end_to_end.record(sample == sim::microseconds(3) ? sample + 1 : sample);
+  }
+  const auto mean_div = first_divergence(c, d);
+  ASSERT_TRUE(mean_div.has_value());
+  const std::string prefix = "end_to_end.mean_ps: ";
+  ASSERT_EQ(mean_div->rfind(prefix, 0), 0u) << *mean_div;
+  const std::size_t vs = mean_div->find(" vs ");
+  ASSERT_NE(vs, std::string::npos) << *mean_div;
+  EXPECT_NE(mean_div->substr(prefix.size(), vs - prefix.size()),
+            mean_div->substr(vs + 4))
+      << *mean_div;
 }
 
 TEST(FirstDivergenceTest, NamesPhaseRow) {
