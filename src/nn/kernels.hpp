@@ -180,9 +180,29 @@ void conv1d_sub8_simd(const std::uint8_t* biased, std::size_t out_ch,
 // entry point falls back to the scalar kernel, so results never depend on
 // the ISA, only speed does.
 
-/// True when the running CPU has at least AVX2 (the _simd entry points below
-/// then use vector code; otherwise they forward to the scalar kernels).
-bool simd_available();
+/// Vector ISA levels the kernels dispatch on, lowest first.
+enum class Isa { kScalar, kAvx2, kAvx512 };
+
+/// The best level the running CPU supports (detected once, never capped).
+Isa host_isa();
+
+/// Test seam: while alive, every dispatch in this file (isa-selected kernels,
+/// gemm_batch_lanes(), the VNNI sub-INT8 path) runs at
+/// most `cap`, so one host can exercise the lower tiers. Caps nest; the
+/// destructor restores the previous one. Not for production code: a cap
+/// changes speed only, never results. Create and destroy one only while no
+/// other thread runs these kernels — a batch sized for one lane width must
+/// not run at another.
+class ScopedIsaCap {
+ public:
+  explicit ScopedIsaCap(Isa cap);
+  ~ScopedIsaCap();
+  ScopedIsaCap(const ScopedIsaCap&) = delete;
+  ScopedIsaCap& operator=(const ScopedIsaCap&) = delete;
+
+ private:
+  Isa previous_;
+};
 
 /// Bit-identical SIMD counterparts of gemv_i8 / gemv_acc_i8 / conv1d_i8.
 void gemv_i8_simd(const std::int8_t* w, std::size_t rows, std::size_t row_stride,
@@ -206,23 +226,26 @@ void conv1d_i8_simd(const std::int8_t* w, std::size_t out_ch, std::size_t in_ch,
 // back-to-back frames (§6): per-frame overhead is amortized across the
 // batch, arithmetic is unchanged.
 //
-// Operand layouts:
+// Operand layouts (lanes = gemm_batch_lanes()):
 //  * Weights are pre-widened once per layer into INT16 pairs packed in an
 //    INT32 word: wpairs[r * kpairs + k/2] = (int16)w[r][k] | (int16)w[r][k+1]
 //    << 16, kpairs = ceil(K/2), zero-padded when K is odd (pack_weight_pairs).
-//  * Activations are packed per batch with gemm_pack_x: packed[kp * lanes +
-//    b] holds the same INT16 pair of item b's vector. vpmaddwd then computes
-//    w[k]*x_b[k] + w[k+1]*x_b[k+1] per lane — two MACs per lane per
-//    instruction with no widening in the inner loop.
+//  * Activations are lane-resident pairs: word x[kp * lanes + b] holds
+//    channels 2kp and 2kp+1 of item b as the same INT16 pair (an odd channel
+//    count pads a zero channel). vpmaddwd then computes w[k]*x_b[k] +
+//    w[k+1]*x_b[k+1] per lane — two MACs per lane per instruction with no
+//    widening in the inner loop. gemm_i8_batch and avgpool_i8_batch write
+//    their outputs in this same layout, so a batch stays in it from the
+//    embedding to the last layer.
 //
-// out/acc are row-major rows x lanes. Lanes beyond lanes_used are computed
-// on zero inputs and must be ignored by the caller. Like every kernel here,
-// results are bit-identical to the scalar reference (INT32 accumulation
-// cannot overflow at these layer sizes; requantization is the same
-// rounding_shift_right / relu / saturate_i8 sequence). gemm_i8_batch
-// requires shift > 0 (always true for real quantized layers; callers fall
-// back to the per-item path otherwise so the int64 left-shift semantics of
-// the scalar reference are preserved).
+// Lanes the caller did not fill compute garbage that never crosses into
+// another lane; the caller ignores them. Like every kernel here, results are
+// bit-identical to the scalar reference (INT32 accumulation cannot overflow
+// at these layer sizes; requantization is the same rounding_shift_right /
+// relu / saturate_i8 sequence). gemm_i8_batch and avgpool_i8_batch require
+// shift > 0 (always true for real quantized layers; callers fall back to the
+// per-item path otherwise so the int64 left-shift semantics of the scalar
+// reference are preserved).
 
 /// Batch width the GEMM kernels process per call: 16 with AVX-512, 8 with
 /// AVX2, 1 without either (the scalar fallback loops over one lane).
@@ -236,22 +259,38 @@ std::vector<std::int32_t> pack_weight_pairs(const std::int8_t* w,
                                             std::size_t row_stride,
                                             std::size_t cols);
 
-/// Packs lanes_used items' activation vectors (xs[b], K INT8 each) into the
-/// pair-interleaved batch operand (ceil(K/2) * gemm_batch_lanes() INT32s).
-/// Unused lanes are zeroed.
-void gemm_pack_x(const std::int8_t* const* xs, std::size_t lanes_used,
-                 std::size_t K, std::int32_t* packed);
+/// One pair word: `lo` in bits 0-15, `hi` in bits 16-31.
+constexpr std::int32_t pack_pair(std::int16_t lo, std::int16_t hi) {
+  return static_cast<std::int32_t>(
+      static_cast<std::uint32_t>(static_cast<std::uint16_t>(lo)) |
+      (static_cast<std::uint32_t>(static_cast<std::uint16_t>(hi)) << 16));
+}
 
-/// out[r * lanes + b] = requantize(bias[r] + w_r . x_b); requires shift > 0.
+/// Writes one item's K INT8 activations as ceil(K/2) lane-resident pair
+/// words, pair kp at dst[kp * lanes]; pass dst = plane + b for lane b.
+void pack_pairs(const std::int8_t* x, std::size_t K, std::size_t lanes,
+                std::int32_t* dst);
+
+/// Requantized GEMM into pairs: rows r and r+1 of lane b become the low and
+/// high INT16 halves of out[(r/2) * lanes + b] (an odd final row pairs with
+/// zero), each requantize(bias[r] + w_r . x_b), ReLU'd when `relu`, and
+/// saturated to INT8 range. Requires shift > 0.
 void gemm_i8_batch(const std::int32_t* wpairs, std::size_t rows,
                    std::size_t kpairs, const std::int32_t* packed_x,
                    const std::int32_t* bias, int shift, bool relu,
-                   std::int8_t* out);
+                   std::int32_t* out);
 
 /// acc[r * lanes + b] = w_r . x_b as raw INT32 accumulators.
 void gemm_acc_i8_batch(const std::int32_t* wpairs, std::size_t rows,
                        std::size_t kpairs, const std::int32_t* packed_x,
                        std::int32_t* acc);
+
+/// Average pool over T timestep rows of cpairs pair words each (x[(t *
+/// cpairs + kp) * lanes + b]): every channel's integer sum over T, times
+/// `multiplier`, requantized by `shift` and saturated, lands as a pair in
+/// out[kp * lanes + b]. Requires shift > 0.
+void avgpool_i8_batch(const std::int32_t* x, std::size_t T, std::size_t cpairs,
+                      std::int32_t multiplier, int shift, std::int32_t* out);
 
 }  // namespace kernels
 }  // namespace fenix::nn

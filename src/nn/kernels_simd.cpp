@@ -17,6 +17,7 @@
 // -mavx* flags leak into the rest of the build (the baseline stays plain
 // x86-64 and non-AVX hosts still run everything through the scalar path).
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -41,29 +42,31 @@ inline std::int8_t requantize(std::int32_t acc, std::int32_t bias, int shift,
   return saturate_i8(v);
 }
 
-#if FENIX_SIMD_X86
-
-enum class Isa { kScalar, kAvx2, kAvx512 };
-
-Isa detect_isa() {
-  if (__builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512f")) {
-    return Isa::kAvx512;
-  }
-  if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
-  return Isa::kScalar;
+// The two INT16 halves of a lane-resident pair word.
+inline std::int32_t lo16(std::int32_t w) {
+  return static_cast<std::int16_t>(static_cast<std::uint32_t>(w) & 0xffffu);
 }
+inline std::int32_t hi16(std::int32_t w) {
+  return static_cast<std::int16_t>(static_cast<std::uint32_t>(w) >> 16);
+}
+
+// Test-only dispatch ceiling (ScopedIsaCap); kAvx512 means "uncapped".
+std::atomic<Isa> g_isa_cap{Isa::kAvx512};
 
 Isa isa() {
-  static const Isa cached = detect_isa();
-  return cached;
+  static const Isa host = host_isa();
+  return std::min(host, g_isa_cap.load(std::memory_order_relaxed));
 }
 
+#if FENIX_SIMD_X86
+
 // AVX-512VNNI gates the dpbusd sub-INT8 path; detection is separate from the
-// Isa ladder because VNNI only changes speed, never results.
+// Isa ladder because VNNI only changes speed, never results. A cap below
+// AVX-512 turns it off with the rest of the AVX-512 code.
 bool has_vnni() {
   static const bool cached = __builtin_cpu_supports("avx512vnni") &&
                              __builtin_cpu_supports("avx512bw");
-  return cached;
+  return cached && isa() == Isa::kAvx512;
 }
 
 // ---- AVX2: 16 columns per step (128-bit INT8 loads widened to 256-bit
@@ -236,9 +239,27 @@ __attribute__((target("avx512bw"))) void gemv_acc_avx512(
 
 // ---- batch-lane GEMM ----
 
-// AVX-512: 16 batch lanes per INT32 vector. Rows are processed four at a
-// time so each packed-x load feeds four vpmaddwd; weight pairs broadcast
-// straight from the precomputed wpairs array (one load-op per row per pair).
+// AVX-512: 16 batch lanes per INT32 vector. R weight rows run against one
+// packed operand so each packed-x load feeds R vpmaddwd; weight pairs
+// broadcast straight from the precomputed wpairs array (one load-op per row
+// per pair).
+
+template <int R>
+__attribute__((target("avx512bw"))) inline void rows_avx512(
+    const std::int32_t* w, std::size_t kpairs, const std::int32_t* x,
+    __m512i* acc) {
+#pragma GCC unroll 4
+  for (int i = 0; i < R; ++i) acc[i] = _mm512_setzero_si512();
+  for (std::size_t kp = 0; kp < kpairs; ++kp) {
+    const __m512i xv = _mm512_loadu_si512(x + kp * 16);
+#pragma GCC unroll 4
+    for (int i = 0; i < R; ++i) {
+      acc[i] = _mm512_add_epi32(
+          acc[i],
+          _mm512_madd_epi16(_mm512_set1_epi32(w[i * kpairs + kp]), xv));
+    }
+  }
+}
 
 __attribute__((target("avx512bw"))) inline __m512i requant_avx512(
     __m512i v, int shift, bool relu) {
@@ -253,99 +274,109 @@ __attribute__((target("avx512bw"))) inline __m512i requant_avx512(
                                   static_cast<unsigned>(shift));
   v = _mm512_mask_sub_epi32(mag, neg, zero, mag);
   if (relu) v = _mm512_max_epi32(v, zero);
-  return v;
+  return _mm512_min_epi32(_mm512_max_epi32(v, _mm512_set1_epi32(-128)),
+                          _mm512_set1_epi32(127));
+}
+
+// Two saturated INT32 rows -> one pair word per lane (lo in bits 0-15).
+__attribute__((target("avx512bw"))) inline __m512i pair_avx512(__m512i lo,
+                                                               __m512i hi) {
+  return _mm512_mask_blend_epi16(0xAAAAAAAAu, lo, _mm512_slli_epi32(hi, 16));
+}
+
+// One output row: requantize(acc + bias), saturated.
+__attribute__((target("avx512bw"))) inline __m512i row_avx512(
+    __m512i acc, std::int32_t bias, int shift, bool relu) {
+  return requant_avx512(_mm512_add_epi32(acc, _mm512_set1_epi32(bias)), shift,
+                        relu);
 }
 
 __attribute__((target("avx512bw"))) void gemm_i8_batch_avx512(
     const std::int32_t* wpairs, std::size_t rows, std::size_t kpairs,
     const std::int32_t* packed_x, const std::int32_t* bias, int shift,
-    bool relu, std::int8_t* out) {
+    bool relu, std::int32_t* out) {
+  __m512i acc[4];
   std::size_t r = 0;
   for (; r + 4 <= rows; r += 4) {
-    const std::int32_t* w0 = wpairs + (r + 0) * kpairs;
-    const std::int32_t* w1 = wpairs + (r + 1) * kpairs;
-    const std::int32_t* w2 = wpairs + (r + 2) * kpairs;
-    const std::int32_t* w3 = wpairs + (r + 3) * kpairs;
-    __m512i acc0 = _mm512_setzero_si512();
-    __m512i acc1 = _mm512_setzero_si512();
-    __m512i acc2 = _mm512_setzero_si512();
-    __m512i acc3 = _mm512_setzero_si512();
-    for (std::size_t kp = 0; kp < kpairs; ++kp) {
-      const __m512i xv = _mm512_loadu_si512(packed_x + kp * 16);
-      acc0 = _mm512_add_epi32(acc0,
-                              _mm512_madd_epi16(_mm512_set1_epi32(w0[kp]), xv));
-      acc1 = _mm512_add_epi32(acc1,
-                              _mm512_madd_epi16(_mm512_set1_epi32(w1[kp]), xv));
-      acc2 = _mm512_add_epi32(acc2,
-                              _mm512_madd_epi16(_mm512_set1_epi32(w2[kp]), xv));
-      acc3 = _mm512_add_epi32(acc3,
-                              _mm512_madd_epi16(_mm512_set1_epi32(w3[kp]), xv));
-    }
-    const __m512i accs[4] = {acc0, acc1, acc2, acc3};
-    for (int i = 0; i < 4; ++i) {
-      __m512i v = _mm512_add_epi32(accs[i], _mm512_set1_epi32(bias[r + i]));
-      v = requant_avx512(v, shift, relu);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + (r + i) * 16),
-                       _mm512_cvtsepi32_epi8(v));
+    rows_avx512<4>(wpairs + r * kpairs, kpairs, packed_x, acc);
+    for (std::size_t i = 0; i < 4; i += 2) {
+      _mm512_storeu_si512(
+          out + (r + i) / 2 * 16,
+          pair_avx512(row_avx512(acc[i], bias[r + i], shift, relu),
+                      row_avx512(acc[i + 1], bias[r + i + 1], shift, relu)));
     }
   }
-  for (; r < rows; ++r) {
-    const std::int32_t* wr = wpairs + r * kpairs;
-    __m512i acc = _mm512_setzero_si512();
-    for (std::size_t kp = 0; kp < kpairs; ++kp) {
-      acc = _mm512_add_epi32(
-          acc, _mm512_madd_epi16(_mm512_set1_epi32(wr[kp]),
-                                 _mm512_loadu_si512(packed_x + kp * 16)));
-    }
-    __m512i v = _mm512_add_epi32(acc, _mm512_set1_epi32(bias[r]));
-    v = requant_avx512(v, shift, relu);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + r * 16),
-                     _mm512_cvtsepi32_epi8(v));
+  if (r + 2 <= rows) {
+    rows_avx512<2>(wpairs + r * kpairs, kpairs, packed_x, acc);
+    _mm512_storeu_si512(out + r / 2 * 16,
+                        pair_avx512(row_avx512(acc[0], bias[r], shift, relu),
+                                    row_avx512(acc[1], bias[r + 1], shift, relu)));
+    r += 2;
+  }
+  if (r < rows) {
+    rows_avx512<1>(wpairs + r * kpairs, kpairs, packed_x, acc);
+    _mm512_storeu_si512(out + r / 2 * 16,
+                        pair_avx512(row_avx512(acc[0], bias[r], shift, relu),
+                                    _mm512_setzero_si512()));
   }
 }
 
 __attribute__((target("avx512bw"))) void gemm_acc_batch_avx512(
     const std::int32_t* wpairs, std::size_t rows, std::size_t kpairs,
     const std::int32_t* packed_x, std::int32_t* acc) {
+  __m512i a[4];
   std::size_t r = 0;
   for (; r + 4 <= rows; r += 4) {
-    const std::int32_t* w0 = wpairs + (r + 0) * kpairs;
-    const std::int32_t* w1 = wpairs + (r + 1) * kpairs;
-    const std::int32_t* w2 = wpairs + (r + 2) * kpairs;
-    const std::int32_t* w3 = wpairs + (r + 3) * kpairs;
-    __m512i acc0 = _mm512_setzero_si512();
-    __m512i acc1 = _mm512_setzero_si512();
-    __m512i acc2 = _mm512_setzero_si512();
-    __m512i acc3 = _mm512_setzero_si512();
-    for (std::size_t kp = 0; kp < kpairs; ++kp) {
-      const __m512i xv = _mm512_loadu_si512(packed_x + kp * 16);
-      acc0 = _mm512_add_epi32(acc0,
-                              _mm512_madd_epi16(_mm512_set1_epi32(w0[kp]), xv));
-      acc1 = _mm512_add_epi32(acc1,
-                              _mm512_madd_epi16(_mm512_set1_epi32(w1[kp]), xv));
-      acc2 = _mm512_add_epi32(acc2,
-                              _mm512_madd_epi16(_mm512_set1_epi32(w2[kp]), xv));
-      acc3 = _mm512_add_epi32(acc3,
-                              _mm512_madd_epi16(_mm512_set1_epi32(w3[kp]), xv));
-    }
-    _mm512_storeu_si512(acc + (r + 0) * 16, acc0);
-    _mm512_storeu_si512(acc + (r + 1) * 16, acc1);
-    _mm512_storeu_si512(acc + (r + 2) * 16, acc2);
-    _mm512_storeu_si512(acc + (r + 3) * 16, acc3);
+    rows_avx512<4>(wpairs + r * kpairs, kpairs, packed_x, a);
+    for (int i = 0; i < 4; ++i) _mm512_storeu_si512(acc + (r + i) * 16, a[i]);
   }
   for (; r < rows; ++r) {
-    const std::int32_t* wr = wpairs + r * kpairs;
-    __m512i a = _mm512_setzero_si512();
-    for (std::size_t kp = 0; kp < kpairs; ++kp) {
-      a = _mm512_add_epi32(
-          a, _mm512_madd_epi16(_mm512_set1_epi32(wr[kp]),
-                               _mm512_loadu_si512(packed_x + kp * 16)));
+    rows_avx512<1>(wpairs + r * kpairs, kpairs, packed_x, a);
+    _mm512_storeu_si512(acc + r * 16, a[0]);
+  }
+}
+
+// Per-channel sums over T timesteps: each pair word splits into its two
+// sign-extended halves, which accumulate apart.
+__attribute__((target("avx512bw"))) void avgpool_batch_avx512(
+    const std::int32_t* x, std::size_t T, std::size_t cpairs,
+    std::int32_t multiplier, int shift, std::int32_t* out) {
+  const __m512i m = _mm512_set1_epi32(multiplier);
+  for (std::size_t kp = 0; kp < cpairs; ++kp) {
+    __m512i lo = _mm512_setzero_si512();
+    __m512i hi = _mm512_setzero_si512();
+    for (std::size_t t = 0; t < T; ++t) {
+      const __m512i v = _mm512_loadu_si512(x + (t * cpairs + kp) * 16);
+      lo = _mm512_add_epi32(lo, _mm512_srai_epi32(_mm512_slli_epi32(v, 16), 16));
+      hi = _mm512_add_epi32(hi, _mm512_srai_epi32(v, 16));
     }
-    _mm512_storeu_si512(acc + r * 16, a);
+    _mm512_storeu_si512(
+        out + kp * 16,
+        pair_avx512(requant_avx512(_mm512_mullo_epi32(lo, m), shift, false),
+                    requant_avx512(_mm512_mullo_epi32(hi, m), shift, false)));
   }
 }
 
 // AVX2: 8 batch lanes per INT32 vector, same structure.
+
+template <int R>
+__attribute__((target("avx2"))) inline void rows_avx2(const std::int32_t* w,
+                                                      std::size_t kpairs,
+                                                      const std::int32_t* x,
+                                                      __m256i* acc) {
+#pragma GCC unroll 4
+  for (int i = 0; i < R; ++i) acc[i] = _mm256_setzero_si256();
+  for (std::size_t kp = 0; kp < kpairs; ++kp) {
+    const __m256i xv =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + kp * 8));
+#pragma GCC unroll 4
+    for (int i = 0; i < R; ++i) {
+      acc[i] = _mm256_add_epi32(
+          acc[i],
+          _mm256_madd_epi16(_mm256_set1_epi32(w[i * kpairs + kp]), xv));
+    }
+  }
+}
 
 __attribute__((target("avx2"))) inline __m256i requant_avx2(__m256i v,
                                                             int shift,
@@ -358,77 +389,86 @@ __attribute__((target("avx2"))) inline __m256i requant_avx2(__m256i v,
   // 0 there anyway) — exactly the round-half-away-from-zero sign restore.
   v = _mm256_sign_epi32(mag, v);
   if (relu) v = _mm256_max_epi32(v, zero);
-  return v;
+  return _mm256_min_epi32(_mm256_max_epi32(v, _mm256_set1_epi32(-128)),
+                          _mm256_set1_epi32(127));
 }
 
-__attribute__((target("avx2"))) inline void store_i8_avx2(__m256i v,
-                                                          std::int8_t* out) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  const __m128i p16 = _mm_packs_epi32(lo, hi);
-  const __m128i p8 = _mm_packs_epi16(p16, p16);
-  _mm_storel_epi64(reinterpret_cast<__m128i*>(out), p8);
+__attribute__((target("avx2"))) inline __m256i pair_avx2(__m256i lo,
+                                                         __m256i hi) {
+  return _mm256_blend_epi16(lo, _mm256_slli_epi32(hi, 16), 0xAA);
+}
+
+__attribute__((target("avx2"))) inline void store_avx2(std::int32_t* p,
+                                                       __m256i v) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
+
+__attribute__((target("avx2"))) inline __m256i row_avx2(__m256i acc,
+                                                        std::int32_t bias,
+                                                        int shift, bool relu) {
+  return requant_avx2(_mm256_add_epi32(acc, _mm256_set1_epi32(bias)), shift,
+                      relu);
 }
 
 __attribute__((target("avx2"))) void gemm_i8_batch_avx2(
     const std::int32_t* wpairs, std::size_t rows, std::size_t kpairs,
     const std::int32_t* packed_x, const std::int32_t* bias, int shift,
-    bool relu, std::int8_t* out) {
+    bool relu, std::int32_t* out) {
+  __m256i acc[4];
   std::size_t r = 0;
   for (; r + 4 <= rows; r += 4) {
-    const std::int32_t* w0 = wpairs + (r + 0) * kpairs;
-    const std::int32_t* w1 = wpairs + (r + 1) * kpairs;
-    const std::int32_t* w2 = wpairs + (r + 2) * kpairs;
-    const std::int32_t* w3 = wpairs + (r + 3) * kpairs;
-    __m256i acc0 = _mm256_setzero_si256();
-    __m256i acc1 = _mm256_setzero_si256();
-    __m256i acc2 = _mm256_setzero_si256();
-    __m256i acc3 = _mm256_setzero_si256();
-    for (std::size_t kp = 0; kp < kpairs; ++kp) {
-      const __m256i xv = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(packed_x + kp * 8));
-      acc0 = _mm256_add_epi32(acc0,
-                              _mm256_madd_epi16(_mm256_set1_epi32(w0[kp]), xv));
-      acc1 = _mm256_add_epi32(acc1,
-                              _mm256_madd_epi16(_mm256_set1_epi32(w1[kp]), xv));
-      acc2 = _mm256_add_epi32(acc2,
-                              _mm256_madd_epi16(_mm256_set1_epi32(w2[kp]), xv));
-      acc3 = _mm256_add_epi32(acc3,
-                              _mm256_madd_epi16(_mm256_set1_epi32(w3[kp]), xv));
-    }
-    const __m256i accs[4] = {acc0, acc1, acc2, acc3};
-    for (int i = 0; i < 4; ++i) {
-      __m256i v = _mm256_add_epi32(accs[i], _mm256_set1_epi32(bias[r + i]));
-      store_i8_avx2(requant_avx2(v, shift, relu), out + (r + i) * 8);
+    rows_avx2<4>(wpairs + r * kpairs, kpairs, packed_x, acc);
+    for (std::size_t i = 0; i < 4; i += 2) {
+      store_avx2(out + (r + i) / 2 * 8,
+                 pair_avx2(row_avx2(acc[i], bias[r + i], shift, relu),
+                           row_avx2(acc[i + 1], bias[r + i + 1], shift, relu)));
     }
   }
-  for (; r < rows; ++r) {
-    const std::int32_t* wr = wpairs + r * kpairs;
-    __m256i acc = _mm256_setzero_si256();
-    for (std::size_t kp = 0; kp < kpairs; ++kp) {
-      acc = _mm256_add_epi32(
-          acc, _mm256_madd_epi16(_mm256_set1_epi32(wr[kp]),
-                                 _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                                     packed_x + kp * 8))));
-    }
-    __m256i v = _mm256_add_epi32(acc, _mm256_set1_epi32(bias[r]));
-    store_i8_avx2(requant_avx2(v, shift, relu), out + r * 8);
+  if (r + 2 <= rows) {
+    rows_avx2<2>(wpairs + r * kpairs, kpairs, packed_x, acc);
+    store_avx2(out + r / 2 * 8,
+               pair_avx2(row_avx2(acc[0], bias[r], shift, relu),
+                         row_avx2(acc[1], bias[r + 1], shift, relu)));
+    r += 2;
+  }
+  if (r < rows) {
+    rows_avx2<1>(wpairs + r * kpairs, kpairs, packed_x, acc);
+    store_avx2(out + r / 2 * 8, pair_avx2(row_avx2(acc[0], bias[r], shift, relu),
+                                          _mm256_setzero_si256()));
   }
 }
 
 __attribute__((target("avx2"))) void gemm_acc_batch_avx2(
     const std::int32_t* wpairs, std::size_t rows, std::size_t kpairs,
     const std::int32_t* packed_x, std::int32_t* acc) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::int32_t* wr = wpairs + r * kpairs;
-    __m256i a = _mm256_setzero_si256();
-    for (std::size_t kp = 0; kp < kpairs; ++kp) {
-      a = _mm256_add_epi32(
-          a, _mm256_madd_epi16(_mm256_set1_epi32(wr[kp]),
-                               _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                                   packed_x + kp * 8))));
+  __m256i a[4];
+  std::size_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    rows_avx2<4>(wpairs + r * kpairs, kpairs, packed_x, a);
+    for (int i = 0; i < 4; ++i) store_avx2(acc + (r + i) * 8, a[i]);
+  }
+  for (; r < rows; ++r) {
+    rows_avx2<1>(wpairs + r * kpairs, kpairs, packed_x, a);
+    store_avx2(acc + r * 8, a[0]);
+  }
+}
+
+__attribute__((target("avx2"))) void avgpool_batch_avx2(
+    const std::int32_t* x, std::size_t T, std::size_t cpairs,
+    std::int32_t multiplier, int shift, std::int32_t* out) {
+  const __m256i m = _mm256_set1_epi32(multiplier);
+  for (std::size_t kp = 0; kp < cpairs; ++kp) {
+    __m256i lo = _mm256_setzero_si256();
+    __m256i hi = _mm256_setzero_si256();
+    for (std::size_t t = 0; t < T; ++t) {
+      const __m256i v = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(x + (t * cpairs + kp) * 8));
+      lo = _mm256_add_epi32(lo, _mm256_srai_epi32(_mm256_slli_epi32(v, 16), 16));
+      hi = _mm256_add_epi32(hi, _mm256_srai_epi32(v, 16));
     }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + r * 8), a);
+    store_avx2(out + kp * 8,
+               pair_avx2(requant_avx2(_mm256_mullo_epi32(lo, m), shift, false),
+                         requant_avx2(_mm256_mullo_epi32(hi, m), shift, false)));
   }
 }
 
@@ -659,12 +699,7 @@ void gemm_acc_batch_scalar(const std::int32_t* wpairs, std::size_t rows,
     const std::int32_t* wr = wpairs + r * kpairs;
     std::int32_t a = 0;
     for (std::size_t kp = 0; kp < kpairs; ++kp) {
-      const std::int32_t wp = wr[kp];
-      const std::int32_t xp = packed_x[kp];
-      a += static_cast<std::int32_t>(static_cast<std::int16_t>(wp & 0xffff)) *
-           static_cast<std::int32_t>(static_cast<std::int16_t>(xp & 0xffff));
-      a += static_cast<std::int32_t>(static_cast<std::int16_t>(wp >> 16)) *
-           static_cast<std::int32_t>(static_cast<std::int16_t>(xp >> 16));
+      a += lo16(wr[kp]) * lo16(packed_x[kp]) + hi16(wr[kp]) * hi16(packed_x[kp]);
     }
     acc[r] = a;
   }
@@ -672,13 +707,28 @@ void gemm_acc_batch_scalar(const std::int32_t* wpairs, std::size_t rows,
 
 }  // namespace
 
-bool simd_available() {
+Isa host_isa() {
 #if FENIX_SIMD_X86
-  return isa() != Isa::kScalar;
+  static const Isa detected = [] {
+    if (__builtin_cpu_supports("avx512bw") &&
+        __builtin_cpu_supports("avx512f")) {
+      return Isa::kAvx512;
+    }
+    return __builtin_cpu_supports("avx2") ? Isa::kAvx2 : Isa::kScalar;
+  }();
+  return detected;
 #else
-  return false;
+  return Isa::kScalar;
 #endif
 }
+
+ScopedIsaCap::ScopedIsaCap(Isa cap)
+    : previous_(g_isa_cap.exchange(cap, std::memory_order_relaxed)) {}
+
+ScopedIsaCap::~ScopedIsaCap() {
+  g_isa_cap.store(previous_, std::memory_order_relaxed);
+}
+
 
 void gemv_acc_i8_simd(const std::int8_t* w, std::size_t rows,
                       std::size_t row_stride, std::size_t cols,
@@ -816,7 +866,6 @@ void conv1d_sub8_simd(const std::uint8_t* biased, std::size_t out_ch,
 }
 
 std::size_t gemm_batch_lanes() {
-#if FENIX_SIMD_X86
   switch (isa()) {
     case Isa::kAvx512:
       return 16;
@@ -825,7 +874,6 @@ std::size_t gemm_batch_lanes() {
     case Isa::kScalar:
       break;
   }
-#endif
   return 1;
 }
 
@@ -834,39 +882,17 @@ std::vector<std::int32_t> pack_weight_pairs(const std::int8_t* w,
                                             std::size_t row_stride,
                                             std::size_t cols) {
   const std::size_t kpairs = (cols + 1) / 2;
-  std::vector<std::int32_t> packed(rows * kpairs, 0);
+  std::vector<std::int32_t> packed(rows * kpairs);
   for (std::size_t r = 0; r < rows; ++r) {
-    const std::int8_t* wr = w + r * row_stride;
-    for (std::size_t kp = 0; kp < kpairs; ++kp) {
-      const std::int16_t w0 = wr[2 * kp];
-      const std::int16_t w1 =
-          2 * kp + 1 < cols ? static_cast<std::int16_t>(wr[2 * kp + 1]) : 0;
-      packed[r * kpairs + kp] =
-          static_cast<std::int32_t>(static_cast<std::uint16_t>(w0)) |
-          (static_cast<std::int32_t>(static_cast<std::uint16_t>(w1)) << 16);
-    }
+    pack_pairs(w + r * row_stride, cols, 1, packed.data() + r * kpairs);
   }
   return packed;
 }
 
-void gemm_pack_x(const std::int8_t* const* xs, std::size_t lanes_used,
-                 std::size_t K, std::int32_t* packed) {
-  const std::size_t lanes = gemm_batch_lanes();
-  const std::size_t kpairs = (K + 1) / 2;
-  if (lanes_used < lanes) {
-    std::fill(packed, packed + kpairs * lanes, 0);
-  }
-  for (std::size_t b = 0; b < lanes_used; ++b) {
-    const std::int8_t* x = xs[b];
-    std::int32_t* col = packed + b;
-    for (std::size_t kp = 0; kp < kpairs; ++kp) {
-      const std::int16_t x0 = x[2 * kp];
-      const std::int16_t x1 =
-          2 * kp + 1 < K ? static_cast<std::int16_t>(x[2 * kp + 1]) : 0;
-      col[kp * lanes] =
-          static_cast<std::int32_t>(static_cast<std::uint16_t>(x0)) |
-          (static_cast<std::int32_t>(static_cast<std::uint16_t>(x1)) << 16);
-    }
+void pack_pairs(const std::int8_t* x, std::size_t K, std::size_t lanes,
+                std::int32_t* dst) {
+  for (std::size_t kp = 0; 2 * kp < K; ++kp) {
+    dst[kp * lanes] = pack_pair(x[2 * kp], 2 * kp + 1 < K ? x[2 * kp + 1] : 0);
   }
 }
 
@@ -891,7 +917,7 @@ void gemm_acc_i8_batch(const std::int32_t* wpairs, std::size_t rows,
 void gemm_i8_batch(const std::int32_t* wpairs, std::size_t rows,
                    std::size_t kpairs, const std::int32_t* packed_x,
                    const std::int32_t* bias, int shift, bool relu,
-                   std::int8_t* out) {
+                   std::int32_t* out) {
 #if FENIX_SIMD_X86
   switch (isa()) {
     case Isa::kAvx512:
@@ -906,10 +932,38 @@ void gemm_i8_batch(const std::int32_t* wpairs, std::size_t rows,
       break;
   }
 #endif
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::int32_t a;
-    gemm_acc_batch_scalar(wpairs + r * kpairs, 1, kpairs, packed_x, &a);
-    out[r] = requantize(a, bias[r], shift, relu);
+  std::int32_t a[2];
+  for (std::size_t r = 0; r < rows; r += 2) {
+    const std::size_t n = std::min<std::size_t>(2, rows - r);
+    gemm_acc_batch_scalar(wpairs + r * kpairs, n, kpairs, packed_x, a);
+    out[r / 2] = pack_pair(requantize(a[0], bias[r], shift, relu),
+                           n == 2 ? requantize(a[1], bias[r + 1], shift, relu)
+                                  : 0);
+  }
+}
+
+void avgpool_i8_batch(const std::int32_t* x, std::size_t T, std::size_t cpairs,
+                      std::int32_t multiplier, int shift, std::int32_t* out) {
+#if FENIX_SIMD_X86
+  switch (isa()) {
+    case Isa::kAvx512:
+      avgpool_batch_avx512(x, T, cpairs, multiplier, shift, out);
+      return;
+    case Isa::kAvx2:
+      avgpool_batch_avx2(x, T, cpairs, multiplier, shift, out);
+      return;
+    case Isa::kScalar:
+      break;
+  }
+#endif
+  for (std::size_t kp = 0; kp < cpairs; ++kp) {
+    std::int64_t lo = 0, hi = 0;
+    for (std::size_t t = 0; t < T; ++t) {
+      lo += lo16(x[t * cpairs + kp]);
+      hi += hi16(x[t * cpairs + kp]);
+    }
+    out[kp] = pack_pair(saturate_i8(rounding_shift_right(lo * multiplier, shift)),
+                        saturate_i8(rounding_shift_right(hi * multiplier, shift)));
   }
 }
 

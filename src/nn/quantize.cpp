@@ -491,6 +491,59 @@ int Calibrator::exponent(std::size_t point) const {
   return e;
 }
 
+// ------------------------------------------------- lane-resident batch path
+
+namespace {
+
+std::size_t pairs_of(std::size_t channels) { return (channels + 1) / 2; }
+
+template <class Layer>
+int requant_shift(const Layer& l) {
+  return l.out_exponent - (l.w.exponent + l.in_exponent);
+}
+
+// Writes one token's [len | ipd] embedding as lane-resident pair words, pair
+// kp at dst[kp * lanes] (an odd width pads a zero channel).
+void embed_pairs(const QEmbedding& len, const QEmbedding& ipd, const Token& tk,
+                 std::size_t lanes, std::int32_t* dst) {
+  const std::int8_t* lr = len.row(tk[0]);
+  const std::int8_t* ir = ipd.row(tk[1]);
+  const std::size_t L = len.table.cols;
+  const std::size_t E = L + ipd.table.cols;
+  auto at = [&](std::size_t k) -> std::int8_t {
+    return k < L ? lr[k] : k < E ? ir[k - L] : 0;
+  };
+  for (std::size_t k = 0; k < E; k += 2) {
+    dst[(k / 2) * lanes] = kernels::pack_pair(at(k), at(k + 1));
+  }
+}
+
+// Classes of the first n lanes from the head's raw rows x lanes
+// accumulators, requantized as QDense::forward does (no ReLU). The strict >
+// keeps the first maximum, as std::max_element does in predict().
+void argmax_lanes(const QDense& head, const std::int32_t* acc,
+                  std::size_t lanes, std::size_t n, std::int16_t* out) {
+  const int shift = requant_shift(head);
+  for (std::size_t b = 0; b < n; ++b) {
+    auto logit = [&](std::size_t r) {
+      return saturate_i8(rounding_shift_right(
+          static_cast<std::int64_t>(acc[r * lanes + b]) + head.bias[r], shift));
+    };
+    std::int16_t best = 0;
+    std::int8_t best_logit = logit(0);
+    for (std::size_t r = 1; r < head.w.rows; ++r) {
+      const std::int8_t v = logit(r);
+      if (v > best_logit) {
+        best = static_cast<std::int16_t>(r);
+        best_logit = v;
+      }
+    }
+    out[b] = best;
+  }
+}
+
+}  // namespace
+
 // ------------------------------------------------------------- QuantizedCnn
 
 QuantizedCnn::QuantizedCnn(const CnnClassifier& model,
@@ -594,19 +647,22 @@ QuantizedCnn::QuantizedCnn(const CnnClassifier& model,
   }
   if (sub8) return;  // The batch-lane GEMM path below is INT8-only.
 
-  // Pre-widen every layer for the batch-lane GEMM; the batched path also
-  // needs shift > 0 everywhere (it always is for calibrated layers — the
+  // Pre-widen every layer for the lane-resident batch path. Conv rows pack
+  // tap by tap, so an odd in_ch pads every tap to whole pairs, exactly like
+  // the activation planes. The batch kernels also need every requantization
+  // shift > 0, the pool's included (always true for calibrated layers — the
   // flag guards pathological hand-built models).
-  batch_ok_ = true;
+  batch_ok_ = !convs_.empty() && !fcs_.empty() &&
+              15 + (pool_out_exponent_ - pool_in_exponent_) > 0;
   for (const QConv1D& c : convs_) {
-    conv_wpairs_.push_back(kernels::pack_weight_pairs(c.w.data.data(), c.out_ch,
-                                                      c.w.cols, c.w.cols));
-    if (c.out_exponent - (c.w.exponent + c.in_exponent) <= 0) batch_ok_ = false;
+    conv_wpairs_.push_back(kernels::pack_weight_pairs(
+        c.w.data.data(), c.out_ch * c.kernel, c.in_ch, c.in_ch));
+    if (requant_shift(c) <= 0) batch_ok_ = false;
   }
   for (const QDense& f : fcs_) {
     fc_wpairs_.push_back(kernels::pack_weight_pairs(f.w.data.data(), f.w.rows,
                                                     f.w.cols, f.w.cols));
-    if (f.out_exponent - (f.w.exponent + f.in_exponent) <= 0) batch_ok_ = false;
+    if (requant_shift(f) <= 0) batch_ok_ = false;
   }
 }
 
@@ -744,8 +800,7 @@ std::int16_t QuantizedCnn::predict(const std::vector<Token>& tokens,
 void QuantizedCnn::predict_batch(const Token* tokens, std::size_t count,
                                  Scratch& s, std::int16_t* out) const {
   const std::size_t T = config_.seq_len;
-  const std::size_t lanes = kernels::gemm_batch_lanes();
-  if (!batch_ok_ || convs_.empty() || fcs_.empty() || lanes == 1) {
+  if (!batch_ok_) {
     for (std::size_t i = 0; i < count; ++i) {
       const auto& q = logits_q_impl(tokens + i * T, s, /*simd=*/true);
       out[i] = static_cast<std::int16_t>(std::max_element(q.begin(), q.end()) -
@@ -754,116 +809,69 @@ void QuantizedCnn::predict_batch(const Token* tokens, std::size_t count,
     return;
   }
 
-  // Batch-lane pipeline: lane b of every GEMM carries inference base+b.
-  // Activation planes are zero-padded with `maxpad` border rows so each conv
-  // always consumes a full kernel window — padded rows are zero, contribute
-  // zero to the integer accumulators, and keep the result bit-identical to
-  // the edge-trimmed serial convolution.
+  // Lane-resident pipeline: lane b of every kernel carries inference base+b,
+  // and every activation plane stays in the GEMM's operand layout,
+  // [padded timestep][channel pair][lane] pair words (kernels.hpp), from the
+  // embedding to the head. `pad` zero border rows above and below the T
+  // timesteps let each conv timestep read one contiguous kernel-row window:
+  // a zero row adds zero to the integer accumulators, so the result is
+  // bit-identical to the edge-trimmed serial convolution.
+  const std::size_t lanes = kernels::gemm_batch_lanes();
   const std::size_t E = config_.embed_dim();
-  std::size_t maxpad = 0, max_w = E, max_kpairs = 0, max_rows = 0;
+  std::size_t pad = 0, max_pairs = pairs_of(E);
   for (const QConv1D& c : convs_) {
-    maxpad = std::max(maxpad, c.kernel / 2);
-    max_w = std::max(max_w, c.out_ch);
-    max_kpairs = std::max(max_kpairs, (c.w.cols + 1) / 2);
-    max_rows = std::max(max_rows, c.out_ch);
+    pad = std::max(pad, c.kernel / 2);
+    max_pairs = std::max(max_pairs, pairs_of(c.out_ch));
   }
-  for (const QDense& f : fcs_) {
-    max_w = std::max(max_w, f.w.rows);
-    max_kpairs = std::max(max_kpairs, (f.w.cols + 1) / 2);
-    max_rows = std::max(max_rows, f.w.rows);
-  }
-  const std::size_t plane = (T + 2 * maxpad) * max_w;
-  s.batch_a.resize(lanes * plane);
-  s.batch_b.resize(lanes * plane);
-  s.batch_pack.resize(max_kpairs * lanes);
-  s.batch_out.resize(max_rows * lanes);
+  for (const QDense& f : fcs_) max_pairs = std::max(max_pairs, pairs_of(f.w.rows));
+  s.batch_a.resize((T + 2 * pad) * max_pairs * lanes);
+  s.batch_b.resize(s.batch_a.size());
+  s.batch_acc_a.resize(fcs_.back().w.rows * lanes);
+  const int pool_shift = 15 + (pool_out_exponent_ - pool_in_exponent_);
 
-  const std::int8_t* xs[16];
   for (std::size_t base = 0; base < count; base += lanes) {
     const std::size_t n = std::min(lanes, count - base);
-    std::int8_t* cur = s.batch_a.data();
-    std::int8_t* nxt = s.batch_b.data();
+    std::int32_t* cur = s.batch_a.data();
+    std::int32_t* nxt = s.batch_b.data();
+    std::size_t cp = pairs_of(E);  // pair words per timestep and lane
     for (std::size_t b = 0; b < n; ++b) {
-      std::int8_t* p = cur + b * plane;
-      std::memset(p, 0, (T + 2 * maxpad) * E);
       const Token* tk = tokens + (base + b) * T;
       for (std::size_t t = 0; t < T; ++t) {
-        std::memcpy(p + (maxpad + t) * E, len_embed_.row(tk[t][0]),
-                    config_.len_embed_dim);
-        std::memcpy(p + (maxpad + t) * E + config_.len_embed_dim,
-                    ipd_embed_.row(tk[t][1]), config_.ipd_embed_dim);
+        embed_pairs(len_embed_, ipd_embed_, tk[t], lanes,
+                    cur + (pad + t) * cp * lanes + b);
       }
     }
-    std::size_t in_ch = E;
     for (std::size_t l = 0; l < convs_.size(); ++l) {
       const QConv1D& c = convs_[l];
-      const std::size_t pad = c.kernel / 2;
-      const std::size_t kpairs = (c.w.cols + 1) / 2;
-      const int shift = c.out_exponent - (c.w.exponent + c.in_exponent);
-      for (std::size_t b = 0; b < n; ++b) {
-        std::memset(nxt + b * plane, 0, (T + 2 * maxpad) * c.out_ch);
-      }
+      const std::size_t row = cp * lanes;
+      const std::size_t out_row = pairs_of(c.out_ch) * lanes;
+      const std::size_t k2 = c.kernel / 2;
+      // Only the border rows this layer's windows reach need zeroing.
+      std::fill(cur + (pad - k2) * row, cur + pad * row, 0);
+      std::fill(cur + (pad + T) * row, cur + (pad + T + k2) * row, 0);
       for (std::size_t t = 0; t < T; ++t) {
-        for (std::size_t b = 0; b < n; ++b) {
-          xs[b] = cur + b * plane + (maxpad + t - pad) * in_ch;
-        }
-        kernels::gemm_pack_x(xs, n, c.w.cols, s.batch_pack.data());
-        kernels::gemm_i8_batch(conv_wpairs_[l].data(), c.out_ch, kpairs,
-                               s.batch_pack.data(), c.bias.data(), shift,
-                               /*relu=*/true, s.batch_out.data());
-        for (std::size_t b = 0; b < n; ++b) {
-          std::int8_t* dst = nxt + b * plane + (maxpad + t) * c.out_ch;
-          const std::int8_t* src = s.batch_out.data() + b;
-          for (std::size_t r = 0; r < c.out_ch; ++r) dst[r] = src[r * lanes];
-        }
+        kernels::gemm_i8_batch(conv_wpairs_[l].data(), c.out_ch, c.kernel * cp,
+                               cur + (pad + t - k2) * row, c.bias.data(),
+                               requant_shift(c), /*relu=*/true,
+                               nxt + (pad + t) * out_row);
       }
       std::swap(cur, nxt);
-      in_ch = c.out_ch;
+      cp = pairs_of(c.out_ch);
     }
-    const std::size_t C = in_ch;
-    const int pool_shift = 15 + (pool_out_exponent_ - pool_in_exponent_);
-    for (std::size_t b = 0; b < n; ++b) {
-      const std::int8_t* p = cur + b * plane + maxpad * C;
-      std::int8_t* dst = nxt + b * plane;
-      for (std::size_t ch = 0; ch < C; ++ch) {
-        std::int64_t sum = 0;
-        for (std::size_t t = 0; t < T; ++t) sum += p[t * C + ch];
-        dst[ch] =
-            saturate_i8(rounding_shift_right(sum * pool_multiplier_, pool_shift));
-      }
-    }
+    kernels::avgpool_i8_batch(cur + pad * cp * lanes, T, cp, pool_multiplier_,
+                              pool_shift, nxt);
     std::swap(cur, nxt);
-    for (std::size_t l = 0; l < fcs_.size(); ++l) {
+    for (std::size_t l = 0; l + 1 < fcs_.size(); ++l) {
       const QDense& f = fcs_[l];
-      const std::size_t kpairs = (f.w.cols + 1) / 2;
-      const int shift = f.out_exponent - (f.w.exponent + f.in_exponent);
-      const bool relu = l + 1 < fcs_.size();
-      for (std::size_t b = 0; b < n; ++b) xs[b] = cur + b * plane;
-      kernels::gemm_pack_x(xs, n, f.w.cols, s.batch_pack.data());
-      kernels::gemm_i8_batch(fc_wpairs_[l].data(), f.w.rows, kpairs,
-                             s.batch_pack.data(), f.bias.data(), shift, relu,
-                             s.batch_out.data());
-      if (l + 1 < fcs_.size()) {
-        for (std::size_t b = 0; b < n; ++b) {
-          std::int8_t* dst = nxt + b * plane;
-          for (std::size_t r = 0; r < f.w.rows; ++r) {
-            dst[r] = s.batch_out[r * lanes + b];
-          }
-        }
-        std::swap(cur, nxt);
-      } else {
-        // max_element semantics: the first maximum wins.
-        for (std::size_t b = 0; b < n; ++b) {
-          std::size_t best = 0;
-          for (std::size_t r = 1; r < f.w.rows; ++r) {
-            if (s.batch_out[r * lanes + b] > s.batch_out[best * lanes + b]) {
-              best = r;
-            }
-          }
-          out[base + b] = static_cast<std::int16_t>(best);
-        }
-      }
+      kernels::gemm_i8_batch(fc_wpairs_[l].data(), f.w.rows, cp, cur,
+                             f.bias.data(), requant_shift(f), /*relu=*/true,
+                             nxt);
+      std::swap(cur, nxt);
+      cp = pairs_of(f.w.rows);
     }
+    kernels::gemm_acc_i8_batch(fc_wpairs_.back().data(), fcs_.back().w.rows, cp,
+                               cur, s.batch_acc_a.data());
+    argmax_lanes(fcs_.back(), s.batch_acc_a.data(), lanes, n, out + base);
   }
 }
 
@@ -1088,7 +1096,7 @@ QuantizedRnn::QuantizedRnn(const RnnClassifier& model,
   // Batch-lane GEMM operands (see QuantizedCnn): recurrent weight rows use
   // their logical widths (E for Wx, U for Wh) so padding never pairs a
   // weight with a neighbour from the next row.
-  batch_ok_ = true;
+  batch_ok_ = !fcs_.empty();
   wx_pairs_ = kernels::pack_weight_pairs(wx_.data.data(), wx_.rows, wx_.cols,
                                          config_.embed_dim());
   wh_pairs_ = kernels::pack_weight_pairs(wh_.data.data(), wh_.rows, wh_.cols,
@@ -1096,7 +1104,7 @@ QuantizedRnn::QuantizedRnn(const RnnClassifier& model,
   for (const QDense& f : fcs_) {
     fc_wpairs_.push_back(kernels::pack_weight_pairs(f.w.data.data(), f.w.rows,
                                                     f.w.cols, f.w.cols));
-    if (f.out_exponent - (f.w.exponent + f.in_exponent) <= 0) batch_ok_ = false;
+    if (requant_shift(f) <= 0) batch_ok_ = false;
   }
 }
 
@@ -1108,99 +1116,70 @@ std::int16_t QuantizedRnn::predict(const std::vector<Token>& tokens,
 void QuantizedRnn::predict_batch(const Token* tokens, std::size_t count,
                                  Scratch& s, std::int16_t* out) const {
   const std::size_t T = config_.seq_len;
-  const std::size_t lanes = kernels::gemm_batch_lanes();
-  if (!batch_ok_ || lanes == 1) {
+  if (!batch_ok_) {
     for (std::size_t i = 0; i < count; ++i) {
       out[i] = predict_impl(tokens + i * T, s, /*simd=*/true);
     }
     return;
   }
 
+  // Lane-resident like QuantizedCnn::predict_batch: x, h and every FC
+  // activation are [channel pair][lane] pair-word planes.
+  const std::size_t lanes = kernels::gemm_batch_lanes();
   const std::size_t E = config_.embed_dim();
   const std::size_t U = config_.units;
-  std::size_t vec_w = std::max(E, U);
-  std::size_t max_kpairs = std::max((E + 1) / 2, (U + 1) / 2);
-  std::size_t max_rows = U;
-  for (const QDense& f : fcs_) {
-    vec_w = std::max(vec_w, f.w.rows);
-    max_kpairs = std::max(max_kpairs, (f.w.cols + 1) / 2);
-    max_rows = std::max(max_rows, f.w.rows);
-  }
-  s.batch_a.resize(lanes * vec_w);  // x, then the FC ping plane
-  s.batch_b.resize(lanes * vec_w);  // h, then the FC pong plane
-  s.batch_c.resize(lanes * vec_w);  // h_next
-  s.batch_pack.resize(max_kpairs * lanes);
-  s.batch_acc_a.resize(U * lanes);
-  s.batch_acc_b.resize(U * lanes);
-  s.batch_out.resize(max_rows * lanes);
+  std::size_t max_pairs = std::max(pairs_of(E), pairs_of(U));
+  for (const QDense& f : fcs_) max_pairs = std::max(max_pairs, pairs_of(f.w.rows));
+  s.batch_a.resize(max_pairs * lanes);  // x, then the FC ping plane
+  s.batch_b.resize(max_pairs * lanes);  // h, then the FC pong plane
+  s.batch_c.resize(max_pairs * lanes);  // h_next
+  s.batch_acc_a.resize(std::max(U, fcs_.back().w.rows) * lanes);  // Wx x, head
+  s.batch_acc_b.resize(U * lanes);                                // Wh h
+  const std::int32_t* aa = s.batch_acc_a.data();
+  const std::int32_t* ab = s.batch_acc_b.data();
+  auto cell = [&](std::size_t u, std::size_t b) {
+    std::int64_t acc = static_cast<std::int64_t>(cell_bias_[u]) + aa[u * lanes + b];
+    acc += rounding_shift_right(ab[u * lanes + b], wh_acc_shift_);
+    return tanh_lut_.apply(acc);
+  };
 
-  const std::size_t wx_kpairs = (E + 1) / 2;
-  const std::size_t wh_kpairs = (U + 1) / 2;
-  const std::int8_t* xs[16];
   for (std::size_t base = 0; base < count; base += lanes) {
     const std::size_t n = std::min(lanes, count - base);
-    std::int8_t* x = s.batch_a.data();
-    std::int8_t* h = s.batch_b.data();
-    std::int8_t* h_next = s.batch_c.data();
-    for (std::size_t b = 0; b < n; ++b) std::memset(h + b * vec_w, 0, U);
+    std::int32_t* x = s.batch_a.data();
+    std::int32_t* h = s.batch_b.data();
+    std::int32_t* h_next = s.batch_c.data();
+    std::fill(h, h + pairs_of(U) * lanes, 0);
     for (std::size_t t = 0; t < T; ++t) {
       for (std::size_t b = 0; b < n; ++b) {
-        const Token* tk = tokens + (base + b) * T;
-        std::int8_t* xb = x + b * vec_w;
-        std::memcpy(xb, len_embed_.row(tk[t][0]), config_.len_embed_dim);
-        std::memcpy(xb + config_.len_embed_dim, ipd_embed_.row(tk[t][1]),
-                    config_.ipd_embed_dim);
-        xs[b] = xb;
+        embed_pairs(len_embed_, ipd_embed_, tokens[(base + b) * T + t], lanes,
+                    x + b);
       }
-      kernels::gemm_pack_x(xs, n, E, s.batch_pack.data());
-      kernels::gemm_acc_i8_batch(wx_pairs_.data(), U, wx_kpairs,
-                                 s.batch_pack.data(), s.batch_acc_a.data());
-      for (std::size_t b = 0; b < n; ++b) xs[b] = h + b * vec_w;
-      kernels::gemm_pack_x(xs, n, U, s.batch_pack.data());
-      kernels::gemm_acc_i8_batch(wh_pairs_.data(), U, wh_kpairs,
-                                 s.batch_pack.data(), s.batch_acc_b.data());
-      for (std::size_t u = 0; u < U; ++u) {
-        const std::int32_t* aa = s.batch_acc_a.data() + u * lanes;
-        const std::int32_t* ab = s.batch_acc_b.data() + u * lanes;
+      kernels::gemm_acc_i8_batch(wx_pairs_.data(), U, pairs_of(E), x,
+                                 s.batch_acc_a.data());
+      kernels::gemm_acc_i8_batch(wh_pairs_.data(), U, pairs_of(U), h,
+                                 s.batch_acc_b.data());
+      for (std::size_t u = 0; u < U; u += 2) {
         for (std::size_t b = 0; b < n; ++b) {
-          std::int64_t acc = static_cast<std::int64_t>(cell_bias_[u]) + aa[b];
-          acc += rounding_shift_right(ab[b], wh_acc_shift_);
-          (h_next + b * vec_w)[u] = tanh_lut_.apply(acc);
+          h_next[(u / 2) * lanes + b] =
+              kernels::pack_pair(cell(u, b), u + 1 < U ? cell(u + 1, b) : 0);
         }
       }
       std::swap(h, h_next);
     }
-    std::int8_t* cur = h;
-    std::int8_t* nxt = h_next;
-    std::size_t dim = U;
-    for (std::size_t l = 0; l < fcs_.size(); ++l) {
+    std::int32_t* cur = h;
+    std::int32_t* nxt = x;
+    std::size_t cp = pairs_of(U);
+    for (std::size_t l = 0; l + 1 < fcs_.size(); ++l) {
       const QDense& f = fcs_[l];
-      const std::size_t kpairs = (f.w.cols + 1) / 2;
-      const int shift = f.out_exponent - (f.w.exponent + f.in_exponent);
-      const bool relu = l + 1 < fcs_.size();
-      for (std::size_t b = 0; b < n; ++b) xs[b] = cur + b * vec_w;
-      kernels::gemm_pack_x(xs, n, f.w.cols, s.batch_pack.data());
-      kernels::gemm_i8_batch(fc_wpairs_[l].data(), f.w.rows, kpairs,
-                             s.batch_pack.data(), f.bias.data(), shift, relu,
-                             s.batch_out.data());
-      for (std::size_t b = 0; b < n; ++b) {
-        std::int8_t* dst = nxt + b * vec_w;
-        for (std::size_t r = 0; r < f.w.rows; ++r) {
-          dst[r] = s.batch_out[r * lanes + b];
-        }
-      }
-      dim = f.w.rows;
+      kernels::gemm_i8_batch(fc_wpairs_[l].data(), f.w.rows, cp, cur,
+                             f.bias.data(), requant_shift(f), /*relu=*/true,
+                             nxt);
       std::swap(cur, nxt);
+      cp = pairs_of(f.w.rows);
     }
-    // Strictly-greater scan: the first maximum wins, as in predict().
-    for (std::size_t b = 0; b < n; ++b) {
-      const std::int8_t* v = cur + b * vec_w;
-      std::size_t best = 0;
-      for (std::size_t r = 1; r < dim; ++r) {
-        if (v[r] > v[best]) best = r;
-      }
-      out[base + b] = static_cast<std::int16_t>(best);
-    }
+    kernels::gemm_acc_i8_batch(fc_wpairs_.back().data(), fcs_.back().w.rows, cp,
+                               cur, s.batch_acc_a.data());
+    argmax_lanes(fcs_.back(), s.batch_acc_a.data(), lanes, n, out + base);
   }
 }
 

@@ -243,15 +243,14 @@ struct Scratch {
   std::vector<std::int32_t> acc_b;  ///< Raw accumulators (recurrent Wh h).
   std::vector<std::int32_t> logits;
 
-  // Batched (predict_batch) workspace: per-lane activation planes plus the
-  // packed GEMM operand and its row-major rows x lanes outputs.
-  std::vector<std::int8_t> batch_a;
-  std::vector<std::int8_t> batch_b;
-  std::vector<std::int8_t> batch_c;
-  std::vector<std::int32_t> batch_pack;
+  // Batched (predict_batch) workspace: lane-resident pair-word activation
+  // planes (kernels.hpp, "Batch-lane GEMM") and raw rows x lanes INT32
+  // accumulators.
+  std::vector<std::int32_t> batch_a;
+  std::vector<std::int32_t> batch_b;
+  std::vector<std::int32_t> batch_c;
   std::vector<std::int32_t> batch_acc_a;
   std::vector<std::int32_t> batch_acc_b;
-  std::vector<std::int8_t> batch_out;
 };
 
 // ------------------------------------------------------------ Quantized CNN
@@ -289,10 +288,11 @@ class QuantizedCnn {
   std::vector<std::int32_t> logits_q_reference(const std::vector<Token>& tokens) const;
 
   /// Batched inference over `count` windows laid out row-major as
-  /// count * seq_len tokens: each window runs the explicitly vectorized
-  /// (AVX2/AVX-512) layer kernels and writes its argmax class to out[i].
-  /// Bit-identical to calling predict() per window — the batch exists to
-  /// amortize dispatch/frame overhead, not to change arithmetic.
+  /// count * seq_len tokens, writing each window's argmax class to out[i].
+  /// gemm_batch_lanes() windows run at once through the batch-lane kernels,
+  /// their activations lane-resident from embedding to head. Bit-identical
+  /// to calling predict() per window — the batch exists to amortize
+  /// dispatch/frame overhead, not to change arithmetic.
   void predict_batch(const Token* tokens, std::size_t count, Scratch& scratch,
                      std::int16_t* out) const;
 
@@ -322,7 +322,8 @@ class QuantizedCnn {
   int pool_in_exponent_ = 0;
   int pool_out_exponent_ = 0;
   // Batch-lane GEMM operands: per-layer weight pairs (pack_weight_pairs) and
-  // whether every layer satisfies the batched kernels' shift > 0 contract.
+  // whether the model has the shape the lane-resident path needs, with every
+  // layer and the pool meeting the batched kernels' shift > 0 contract.
   std::vector<std::vector<std::int32_t>> conv_wpairs_;
   std::vector<std::vector<std::int32_t>> fc_wpairs_;
   bool batch_ok_ = false;

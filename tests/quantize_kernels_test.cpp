@@ -4,9 +4,12 @@
 // cannot overflow (guaranteed for the layer sizes here) every reordering
 // must produce the same bits as the sequential reference — these tests pin
 // that contract across randomized shapes, including dims that are not a
-// multiple of the 4-wide block.
+// multiple of the 4-wide block. The lane-resident batch kernels and
+// predict_batch are checked the same way at every ISA level the host runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -286,55 +289,253 @@ TEST(QuantizedRnnKernels, BlockedPredictMatchesReference) {
   }
 }
 
-TEST(QuantizedCnnKernels, PredictBatchMatchesPerWindowPredict) {
-  CnnConfig config;
-  config.conv_channels = {16, 24};
-  config.fc_dims = {32};
-  config.num_classes = 3;
-  CnnClassifier model(config, 35);
-  const auto train = pattern_samples(20, 76);
-  TrainOptions opts;
-  opts.epochs = 2;
-  model.fit(train, opts);
-  const QuantizedCnn qmodel(model, train);
+// ------------------------------------------- batched (lane-resident) paths
+//
+// The batch kernels dispatch on the host ISA; kernels::ScopedIsaCap lowers
+// it, so an AVX-512 host also runs the 8-lane AVX2 and 1-lane scalar paths.
 
-  const auto test = pattern_samples(30, 77);
+std::vector<kernels::Isa> host_isa_levels() {
+  std::vector<kernels::Isa> levels;
+  for (kernels::Isa isa :
+       {kernels::Isa::kScalar, kernels::Isa::kAvx2, kernels::Isa::kAvx512}) {
+    if (isa <= kernels::host_isa()) levels.push_back(isa);
+  }
+  return levels;
+}
+
+const char* isa_name(kernels::Isa isa) {
+  switch (isa) {
+    case kernels::Isa::kScalar:
+      return "scalar";
+    case kernels::Isa::kAvx2:
+      return "avx2";
+    case kernels::Isa::kAvx512:
+      return "avx512";
+  }
+  return "?";
+}
+
+TEST(IsaCap, LowersDispatchAndRestoresOnExit) {
+  const std::size_t host_lanes = kernels::gemm_batch_lanes();
+  {
+    kernels::ScopedIsaCap avx2(kernels::Isa::kAvx2);
+    const std::size_t avx2_lanes =
+        kernels::host_isa() >= kernels::Isa::kAvx2 ? 8 : 1;
+    EXPECT_EQ(kernels::gemm_batch_lanes(), avx2_lanes);
+    {
+      kernels::ScopedIsaCap scalar(kernels::Isa::kScalar);
+      EXPECT_EQ(kernels::gemm_batch_lanes(), 1u);
+    }
+    EXPECT_EQ(kernels::gemm_batch_lanes(), avx2_lanes);
+  }
+  EXPECT_EQ(kernels::gemm_batch_lanes(), host_lanes);
+}
+
+// Pair-output GEMM, raw-accumulator GEMM and the pair average pool against
+// plain scalar loops, on random operands that reach both saturation bounds,
+// odd row counts, and partial 4-row blocks.
+TEST(BatchKernels, PairLayoutMatchesScalarAtEveryIsa) {
+  for (kernels::Isa isa : host_isa_levels()) {
+    kernels::ScopedIsaCap cap(isa);
+    const std::size_t lanes = kernels::gemm_batch_lanes();
+    sim::RandomStream rng(41);
+    for (std::size_t rows : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 13u, 64u}) {
+      for (std::size_t K : {1u, 2u, 5u, 16u, 33u, 96u}) {
+        std::vector<std::int8_t> w(rows * K), x(lanes * K);
+        fill_i8(w, rng);
+        fill_i8(x, rng);
+        const std::size_t kpairs = (K + 1) / 2;
+        const auto wpairs = kernels::pack_weight_pairs(w.data(), rows, K, K);
+        std::vector<std::int32_t> packed(kpairs * lanes);
+        for (std::size_t b = 0; b < lanes; ++b) {
+          kernels::pack_pairs(x.data() + b * K, K, lanes, packed.data() + b);
+        }
+        std::vector<std::int32_t> bias(rows);
+        for (auto& v : bias) {
+          v = static_cast<std::int32_t>(rng.uniform_int(1 << 12)) - (1 << 11);
+        }
+        std::vector<std::int32_t> acc(rows * lanes);
+        kernels::gemm_acc_i8_batch(wpairs.data(), rows, kpairs, packed.data(),
+                                   acc.data());
+        for (int shift : {1, 4, 9}) {
+          for (bool relu : {false, true}) {
+            std::vector<std::int32_t> out((rows + 1) / 2 * lanes);
+            kernels::gemm_i8_batch(wpairs.data(), rows, kpairs, packed.data(),
+                                   bias.data(), shift, relu, out.data());
+            for (std::size_t b = 0; b < lanes; ++b) {
+              for (std::size_t r = 0; r < rows + rows % 2; ++r) {
+                std::int32_t dot = 0;
+                std::int8_t want = 0;
+                if (r < rows) {
+                  for (std::size_t k = 0; k < K; ++k) {
+                    dot += w[r * K + k] * x[b * K + k];
+                  }
+                  std::int64_t v = rounding_shift_right(
+                      static_cast<std::int64_t>(dot) + bias[r], shift);
+                  if (relu && v < 0) v = 0;
+                  want = saturate_i8(v);
+                  ASSERT_EQ(acc[r * lanes + b], dot);
+                }
+                const std::int32_t word = out[(r / 2) * lanes + b];
+                const auto half = static_cast<std::int16_t>(
+                    r % 2 ? static_cast<std::uint32_t>(word) >> 16
+                          : static_cast<std::uint32_t>(word) & 0xffffu);
+                ASSERT_EQ(half, want)
+                    << isa_name(isa) << " rows=" << rows << " K=" << K
+                    << " r=" << r << " b=" << b << " shift=" << shift
+                    << " relu=" << relu;
+              }
+            }
+          }
+        }
+      }
+    }
+    for (std::size_t T : {1u, 3u, 9u}) {
+      for (std::size_t C : {1u, 6u, 33u}) {
+        std::vector<std::int8_t> x(lanes * T * C);
+        fill_i8(x, rng);
+        const std::size_t cpairs = (C + 1) / 2;
+        std::vector<std::int32_t> plane(T * cpairs * lanes);
+        for (std::size_t t = 0; t < T; ++t) {
+          for (std::size_t b = 0; b < lanes; ++b) {
+            kernels::pack_pairs(x.data() + (b * T + t) * C, C, lanes,
+                                plane.data() + t * cpairs * lanes + b);
+          }
+        }
+        const auto multiplier =
+            static_cast<std::int32_t>(std::llround(32768.0 / T));
+        for (int shift : {1, 8, 15}) {
+          std::vector<std::int32_t> out(cpairs * lanes);
+          kernels::avgpool_i8_batch(plane.data(), T, cpairs, multiplier, shift,
+                                    out.data());
+          for (std::size_t b = 0; b < lanes; ++b) {
+            for (std::size_t c = 0; c < C; ++c) {
+              std::int64_t sum = 0;
+              for (std::size_t t = 0; t < T; ++t) sum += x[(b * T + t) * C + c];
+              const std::int8_t want =
+                  saturate_i8(rounding_shift_right(sum * multiplier, shift));
+              const std::int32_t word = out[(c / 2) * lanes + b];
+              const auto half = static_cast<std::int16_t>(
+                  c % 2 ? static_cast<std::uint32_t>(word) >> 16
+                        : static_cast<std::uint32_t>(word) & 0xffffu);
+              ASSERT_EQ(half, want) << isa_name(isa) << " T=" << T << " C=" << C
+                                    << " c=" << c << " shift=" << shift;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+std::vector<Token> flatten(const std::vector<SeqSample>& samples) {
   std::vector<Token> flat;
-  for (const SeqSample& s : test) {
+  for (const SeqSample& s : samples) {
     flat.insert(flat.end(), s.tokens.begin(), s.tokens.end());
   }
-  Scratch scratch;
-  std::vector<std::int16_t> batched(test.size());
-  qmodel.predict_batch(flat.data(), test.size(), scratch, batched.data());
-  Scratch serial_scratch;
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    ASSERT_EQ(batched[i], qmodel.predict(test[i].tokens, serial_scratch)) << i;
+  return flat;
+}
+
+// Runs predict_batch over the first `count` windows for every count in
+// [1, expected.size()] at every host ISA level: full batches, partial final
+// batches and single windows all run at 16, 8 and 1 lanes.
+template <class Model>
+void expect_batches_match(const Model& qmodel, const std::vector<Token>& flat,
+                          const std::vector<std::int16_t>& expected) {
+  for (kernels::Isa isa : host_isa_levels()) {
+    kernels::ScopedIsaCap cap(isa);
+    Scratch scratch;
+    for (std::size_t count = 1; count <= expected.size(); ++count) {
+      std::vector<std::int16_t> batched(count, -1);
+      qmodel.predict_batch(flat.data(), count, scratch, batched.data());
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(batched[i], expected[i])
+            << isa_name(isa) << " count=" << count << " window=" << i;
+      }
+    }
+  }
+}
+
+TEST(QuantizedCnnKernels, PredictBatchMatchesPerWindowPredict) {
+  struct Shape {
+    const char* name;
+    std::size_t len_embed, ipd_embed;
+    std::vector<std::size_t> conv, fc;
+    std::size_t kernel;
+  };
+  const Shape shapes[] = {
+      {"perfbench", 12, 4, {16, 32, 64}, {128, 64}, 3},
+      {"odd channels", 5, 4, {7, 13}, {9}, 3},
+      {"kernel 5", 12, 4, {16, 24}, {32}, 5},
+  };
+  const auto train = pattern_samples(20, 76);
+  const auto test = pattern_samples(11, 77);  // 33 windows
+  const auto flat = flatten(test);
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    CnnConfig config;
+    config.len_embed_dim = shape.len_embed;
+    config.ipd_embed_dim = shape.ipd_embed;
+    config.conv_channels = shape.conv;
+    config.fc_dims = shape.fc;
+    config.kernel = shape.kernel;
+    config.num_classes = 3;
+    CnnClassifier model(config, 35);
+    TrainOptions opts;
+    opts.epochs = 2;
+    model.fit(train, opts);
+    const QuantizedCnn qmodel(model, train);
+
+    std::vector<std::int16_t> expected;
+    Scratch serial_scratch;
+    for (const SeqSample& s : test) {
+      const auto reference = qmodel.logits_q_reference(s.tokens);
+      const auto cls = static_cast<std::int16_t>(
+          std::max_element(reference.begin(), reference.end()) -
+          reference.begin());
+      ASSERT_EQ(qmodel.predict(s.tokens, serial_scratch), cls);
+      expected.push_back(cls);
+    }
+    expect_batches_match(qmodel, flat, expected);
   }
 }
 
 TEST(QuantizedRnnKernels, PredictBatchMatchesPerWindowPredict) {
-  RnnConfig config;
-  config.units = 24;
-  config.fc_dims = {16};
-  config.num_classes = 3;
-  RnnClassifier model(config, 36);
+  struct Shape {
+    const char* name;
+    std::size_t len_embed, ipd_embed, units;
+    std::vector<std::size_t> fc;
+  };
+  const Shape shapes[] = {
+      {"fc tail", 12, 4, 24, {16}},
+      {"odd widths", 5, 4, 15, {9}},
+      {"head only", 12, 4, 32, {}},
+  };
   const auto train = pattern_samples(20, 78);
-  TrainOptions opts;
-  opts.epochs = 2;
-  model.fit(train, opts);
-  const QuantizedRnn qmodel(model, train);
+  const auto test = pattern_samples(11, 79);  // 33 windows
+  const auto flat = flatten(test);
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    RnnConfig config;
+    config.len_embed_dim = shape.len_embed;
+    config.ipd_embed_dim = shape.ipd_embed;
+    config.units = shape.units;
+    config.fc_dims = shape.fc;
+    config.num_classes = 3;
+    RnnClassifier model(config, 36);
+    TrainOptions opts;
+    opts.epochs = 2;
+    model.fit(train, opts);
+    const QuantizedRnn qmodel(model, train);
 
-  const auto test = pattern_samples(30, 79);
-  std::vector<Token> flat;
-  for (const SeqSample& s : test) {
-    flat.insert(flat.end(), s.tokens.begin(), s.tokens.end());
-  }
-  Scratch scratch;
-  std::vector<std::int16_t> batched(test.size());
-  qmodel.predict_batch(flat.data(), test.size(), scratch, batched.data());
-  Scratch serial_scratch;
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    ASSERT_EQ(batched[i], qmodel.predict(test[i].tokens, serial_scratch)) << i;
+    std::vector<std::int16_t> expected;
+    Scratch serial_scratch;
+    for (const SeqSample& s : test) {
+      const std::int16_t cls = qmodel.predict_reference(s.tokens);
+      ASSERT_EQ(qmodel.predict(s.tokens, serial_scratch), cls);
+      expected.push_back(cls);
+    }
+    expect_batches_match(qmodel, flat, expected);
   }
 }
 
