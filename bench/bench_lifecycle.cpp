@@ -10,8 +10,9 @@
 // lifecycle_* counter — before any throughput number is accepted.
 //
 // Headline metrics (BENCH_PR7.json § lifecycle): packets/sec with the
-// lifecycle armed (serial and 4-pipe), the swap counts actually exercised,
-// and the identity contract: `lifecycle_bit_identical` must be 1 and
+// lifecycle armed (serial and 4-pipe) beside the host's worker-thread count
+// (`host_threads`), the swap counts actually exercised, and the identity
+// contract: `lifecycle_bit_identical` must be 1 and
 // `lifecycle_divergence` (the number of sharded configurations whose report
 // diverged from serial) must be 0 — both gated by bench_gate against
 // bench/baselines_lifecycle.json.
@@ -24,6 +25,7 @@
 #include "bench_common.hpp"
 #include "bench_json.hpp"
 #include "core/fenix_system.hpp"
+#include "runtime/thread_pool.hpp"
 #include "telemetry/table.hpp"
 
 namespace {
@@ -82,6 +84,9 @@ int main() {
   const double serial_pps =
       serial_s > 0 ? static_cast<double>(serial_report.packets) / serial_s : 0.0;
 
+  const std::size_t host_threads = runtime::ThreadPool::default_thread_count();
+  std::cout << "Host worker threads: " << host_threads << "\n";
+
   telemetry::TextTable table(
       {"Config", "Wall s", "Packets/sec", "Promotions", "Rollbacks",
        "Bit-identical"});
@@ -92,6 +97,7 @@ int main() {
 
   bench::JsonSection perf;
   perf.put("trace_packets", static_cast<std::int64_t>(trace.packets.size()));
+  perf.put("host_threads", static_cast<std::int64_t>(host_threads));
   perf.put("serial_wall_s", serial_s);
   perf.put("serial_packets_per_sec", serial_pps);
   perf.put("promotions",

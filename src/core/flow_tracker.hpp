@@ -31,8 +31,8 @@ namespace fenix::core {
 
 /// A Model Engine verdict as the switch caches it and the replay accounts it.
 /// It resolves to a class once inference completes: a class delivered
-/// directly is its own symbol, while the replay's inference stages encode
-/// (lane, sequence) or (generation, class). kNoVerdict marks "none".
+/// directly is its own symbol, while the replay's inference stage encodes
+/// (generation, lane, sequence). kNoVerdict marks "none".
 using VerdictSymbol = std::int64_t;
 inline constexpr VerdictSymbol kNoVerdict = -1;
 

@@ -172,7 +172,7 @@ InvariantRegistry InvariantRegistry::standard() {
                  ctx.report.lifecycle_demoted_applies, 0);
           });
 
-  // The drift monitor never invents evaluations: disagreements are a subset
+  // Shadow scoring never invents evaluations: disagreements are a subset
   // of shadow evaluations.
   reg.add("drift-bounds",
           [](const InvariantContext& ctx, std::vector<InvariantViolation>& out) {

@@ -35,14 +35,29 @@ std::size_t ModelPool::add_engine(ModelEngineConfig config,
 
 // ---------------------------------------------------------- InferenceBatcher
 
+namespace {
+
+std::size_t seq_len_of(const ModelRef& model) {
+  return model.cnn ? model.cnn->config().seq_len
+                   : model.rnn ? model.rnn->config().seq_len : 0;
+}
+
+}  // namespace
+
 InferenceBatcher::InferenceBatcher(const nn::QuantizedCnn* cnn,
                                    const nn::QuantizedRnn* rnn,
-                                   std::size_t batch_size, std::size_t workers)
-    : cnn_(cnn), rnn_(rnn),
-      seq_len_(cnn ? cnn->config().seq_len : rnn ? rnn->config().seq_len : 0),
+                                   std::size_t batch_size, std::size_t workers,
+                                   ModelRef shadow)
+    : models_{ModelRef{cnn, rnn}, shadow},
+      seq_len_{seq_len_of(models_[0]), seq_len_of(shadow)},
+      model_count_(shadow.cnn || shadow.rnn ? 2 : 1),
       batch_size_(std::max<std::size_t>(1, batch_size)) {
-  if ((cnn_ == nullptr) == (rnn_ == nullptr)) {
+  if ((cnn == nullptr) == (rnn == nullptr)) {
     throw std::invalid_argument("InferenceBatcher: exactly one model must be bound");
+  }
+  if (shadow.cnn && shadow.rnn) {
+    throw std::invalid_argument(
+        "InferenceBatcher: exactly one shadow model required");
   }
   if (workers > 0) {
     pool_ = std::make_unique<runtime::ThreadPool>(workers);
@@ -73,16 +88,19 @@ InferenceBatcher::~InferenceBatcher() {
 }
 
 void InferenceBatcher::compute(Batch& batch, nn::Scratch& scratch) {
-  if (cnn_) {
-    cnn_->predict_batch(batch.tokens.data(), batch.count, scratch, batch.out.data());
-  } else {
-    rnn_->predict_batch(batch.tokens.data(), batch.count, scratch, batch.out.data());
+  for (std::size_t m = 0; m < model_count_; ++m) {
+    const nn::Token* tokens = batch.tokens.data() + token_base(m);
+    std::int16_t* out = batch.out.data() + m * batch_size_;
+    if (models_[m].cnn) {
+      models_[m].cnn->predict_batch(tokens, batch.count, scratch, out);
+    } else {
+      models_[m].rnn->predict_batch(tokens, batch.count, scratch, out);
+    }
   }
   batch.done.store(true, std::memory_order_release);
 }
 
 void InferenceBatcher::dispatch(Batch* batch) {
-  ++dispatched_;
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     Worker& w = *workers_[round_robin_];
     round_robin_ = (round_robin_ + 1) % workers_.size();
@@ -96,8 +114,8 @@ InferenceBatcher::Batch& InferenceBatcher::open_batch() {
   const std::size_t offset = static_cast<std::size_t>(next_ticket_ % batch_size_);
   if (offset == 0) {
     Batch& b = batches_.emplace_back();
-    b.tokens.resize(batch_size_ * seq_len_);
-    b.out.assign(batch_size_, -1);
+    b.tokens.resize(batch_size_ * (seq_len_[0] + seq_len_[1]));
+    b.out.assign(batch_size_ * model_count_, -1);
     return b;
   }
   return batches_.back();
@@ -107,13 +125,29 @@ InferenceBatcher::Ticket InferenceBatcher::enqueue(
     const std::vector<net::PacketFeature>& sequence) {
   Batch& batch = open_batch();
   const std::size_t offset = static_cast<std::size_t>(next_ticket_ % batch_size_);
-  nn::tokenize_into(sequence, seq_len_, tmp_tokens_);
-  std::copy(tmp_tokens_.begin(), tmp_tokens_.end(),
-            batch.tokens.begin() + offset * seq_len_);
+  for (std::size_t m = 0; m < model_count_; ++m) {
+    nn::tokenize_into(sequence, seq_len_[m], tmp_tokens_);
+    std::copy(tmp_tokens_.begin(), tmp_tokens_.end(),
+              batch.tokens.begin() + token_base(m) + offset * seq_len_[m]);
+  }
   batch.count = offset + 1;
   const Ticket ticket = next_ticket_++;
   if (batch.count == batch_size_) dispatch(&batch);
   return ticket;
+}
+
+InferenceBatcher::Ticket InferenceBatcher::flush() {
+  const std::size_t offset = static_cast<std::size_t>(next_ticket_ % batch_size_);
+  if (offset != 0) {
+    dispatch(&batches_.back());
+    next_ticket_ += batch_size_ - offset;
+  }
+  for (; settled_ < batches_.size(); ++settled_) {
+    while (!batches_[settled_].done.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  }
+  return next_ticket_;
 }
 
 void InferenceBatcher::finish() {
@@ -125,6 +159,68 @@ void InferenceBatcher::finish() {
   }
   // Every dispatched batch is now done (workers drained their rings before
   // exiting; inline computes finished synchronously).
+}
+
+// ------------------------------------------------------------ InferenceStage
+
+namespace {
+
+/// Fan-in ring depth (admitted mirrors in flight between barriers).
+constexpr std::size_t kFanInDepth = 1 << 14;
+
+}  // namespace
+
+InferenceStage::InferenceStage(ModelEngine& engine, ModelRef shadow,
+                               std::size_t batch_size, std::size_t workers)
+    : engine_(engine),
+      batcher_(engine.cnn(), engine.rnn(), batch_size, workers, shadow),
+      queue_(kFanInDepth),
+      consumer_(std::this_thread::get_id()) {}
+
+std::optional<net::InferenceResult> InferenceStage::submit(
+    const net::FeatureVector& vec, sim::SimTime arrival, std::size_t lane,
+    VerdictSymbol& symbol) {
+  auto result = engine_.submit_timed_lane(lane, vec, arrival);
+  if (!result) return std::nullopt;
+  symbol = static_cast<VerdictSymbol>(
+      (generation_ << kSymbolGenerationShift) |
+      (static_cast<std::uint64_t>(lane) << kSymbolSeqBits) | lane_seq_[lane]++);
+  FanInItem item;
+  item.symbol = symbol;
+  item.sequence = vec.sequence;
+  while (!queue_.try_push(item)) {
+    // Full ring: the coordinator drains itself (barrier-time retransmit
+    // pumps run on the consumer thread); workers wait for the consumer.
+    if (std::this_thread::get_id() == consumer_) {
+      drain();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  return result;
+}
+
+void InferenceStage::drain() {
+  while (auto item = queue_.try_pop()) {
+    const auto [lane, seq] =
+        lane_and_seq(static_cast<std::uint64_t>(item->symbol));
+    auto& slots = tickets_[lane];
+    if (seq >= slots.size()) slots.resize(seq + 1);
+    slots[seq] = batcher_.enqueue(item->sequence);
+    window_end_ = slots[seq] + 1;
+  }
+}
+
+ShadowTally InferenceStage::close_window() {
+  drain();
+  const InferenceBatcher::Ticket next = batcher_.flush();
+  ShadowTally tally;
+  tally.evals = window_end_ - window_begin_;
+  for (InferenceBatcher::Ticket t = window_begin_; t < window_end_; ++t) {
+    if (batcher_.result(t, 0) != batcher_.result(t, 1)) ++tally.disagreements;
+  }
+  window_begin_ = window_end_ = next;
+  return tally;
 }
 
 }  // namespace fenix::core

@@ -7,8 +7,13 @@
 // session selects. The pool validates that the combined synthesis fits the
 // device before admitting an engine, routes submissions by task id, and
 // supports per-engine hot-swap.
+//
+// The file also holds the functional side of one engine in a replay: the
+// InferenceBatcher that computes forward passes in batches, and the
+// InferenceStage that feeds it from the replay's lanes.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -16,10 +21,14 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/flow_tracker.hpp"
 #include "core/model_engine.hpp"
 #include "nn/featurizer.hpp"
+#include "runtime/mpsc_queue.hpp"
 #include "runtime/spsc_queue.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -106,9 +115,16 @@ class ModelPool {
   std::vector<std::unique_ptr<ModelEngine>> engines_;
 };
 
+/// One resident model: exactly one of `cnn` / `rnn` non-null, or neither
+/// for "no model".
+struct ModelRef {
+  const nn::QuantizedCnn* cnn = nullptr;
+  const nn::QuantizedRnn* rnn = nullptr;
+};
+
 /// Batched Model Engine submission front end.
 ///
-/// The sharded replay admits mirrors through ModelEngine::submit_timed (pure
+/// The replay admits mirrors through ModelEngine::submit_timed_lane (pure
 /// timing/FIFO effects) and routes the functional forward passes here: each
 /// enqueue() tokenizes one feature sequence into the open batch; full batches
 /// are dispatched to inference workers (or computed inline when none are
@@ -117,20 +133,23 @@ class ModelPool {
 /// FPGA's async input FIFO feeding the systolic array back-to-back frames:
 /// per-frame dispatch overhead amortizes across the batch while the
 /// arithmetic — nn::predict_batch is bit-identical to per-window predict() —
-/// is unchanged.
+/// is unchanged. With a shadow model bound, every batch is computed by both
+/// models, each over its own seq_len tokenization of the same sequences.
 ///
-/// Threading contract: exactly one producer thread calls enqueue()/finish();
-/// result() is valid after finish(). Batches live until destruction, so
-/// tickets never dangle.
+/// Threading contract: exactly one producer thread calls enqueue()/flush()/
+/// finish(); result() is valid for tickets below the last flush() and after
+/// finish(). Batches live until destruction, so tickets never dangle.
 class InferenceBatcher {
  public:
   using Ticket = std::uint64_t;
 
   /// Exactly one of `cnn` / `rnn` non-null (the model the bound engine
-  /// executes). `batch_size` inferences per dispatched frame; `workers`
-  /// background inference workers (0 = compute on the producer thread).
+  /// executes, model 0); `shadow` (model 1) is optional. `batch_size`
+  /// inferences per dispatched frame; `workers` background inference workers
+  /// (0 = compute on the producer thread).
   InferenceBatcher(const nn::QuantizedCnn* cnn, const nn::QuantizedRnn* rnn,
-                   std::size_t batch_size, std::size_t workers);
+                   std::size_t batch_size, std::size_t workers,
+                   ModelRef shadow = {});
   ~InferenceBatcher();
 
   InferenceBatcher(const InferenceBatcher&) = delete;
@@ -140,24 +159,31 @@ class InferenceBatcher {
   /// predicted class will be readable under. Dispatches the batch when full.
   Ticket enqueue(const std::vector<net::PacketFeature>& sequence);
 
+  /// Dispatches the open partial batch, moves the ticket counter up to the
+  /// next batch boundary (so no later enqueue lands in a dispatched batch),
+  /// and waits until every dispatched batch has completed. Returns the next
+  /// ticket enqueue() will hand out; every earlier ticket is readable.
+  Ticket flush();
+
   /// Dispatch-and-complete everything outstanding (including a partial final
   /// batch) and stop the workers. Terminal: call once, before result().
   void finish();
 
-  /// Predicted class of `ticket`; valid after finish().
-  std::int16_t result(Ticket ticket) const {
+  /// Class `model` (0 = primary, 1 = shadow) predicted for `ticket`.
+  std::int16_t result(Ticket ticket, std::size_t model = 0) const {
     const Batch& b = batches_[ticket / batch_size_];
-    return b.out[ticket % batch_size_];
+    return b.out[model * batch_size_ + ticket % batch_size_];
   }
 
-  std::uint64_t enqueued() const { return next_ticket_; }
-  std::uint64_t batches_dispatched() const { return dispatched_; }
-  std::size_t batch_size() const { return batch_size_; }
+  const ModelRef& model(std::size_t i) const { return models_[i]; }
 
  private:
   struct Batch {
-    std::vector<nn::Token> tokens;   ///< batch_size * seq_len, row-major.
-    std::vector<std::int16_t> out;   ///< One predicted class per inference.
+    /// Per model, model 0 first: batch_size * that model's seq_len tokens,
+    /// row-major.
+    std::vector<nn::Token> tokens;
+    /// Per model, model 0 first: one predicted class per inference.
+    std::vector<std::int16_t> out;
     std::size_t count = 0;
     std::atomic<bool> done{false};
   };
@@ -169,15 +195,19 @@ class InferenceBatcher {
   void compute(Batch& batch, nn::Scratch& scratch);
   void dispatch(Batch* batch);
   Batch& open_batch();
+  /// Offset of model `m`'s tokens in Batch::tokens.
+  std::size_t token_base(std::size_t m) const {
+    return m * batch_size_ * seq_len_[0];
+  }
 
-  const nn::QuantizedCnn* cnn_;
-  const nn::QuantizedRnn* rnn_;
-  std::size_t seq_len_;
+  std::array<ModelRef, 2> models_;
+  std::array<std::size_t, 2> seq_len_{};
+  std::size_t model_count_;  ///< 1, or 2 with a shadow bound.
   std::size_t batch_size_;
 
   std::deque<Batch> batches_;  ///< Stable addresses; grows only.
   Ticket next_ticket_ = 0;
-  std::uint64_t dispatched_ = 0;
+  std::size_t settled_ = 0;    ///< Batches below this index are done.
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::unique_ptr<runtime::ThreadPool> pool_;
@@ -185,6 +215,111 @@ class InferenceBatcher {
   std::size_t round_robin_ = 0;
   nn::Scratch scratch_;                ///< Producer-side compute scratch.
   std::vector<nn::Token> tmp_tokens_;  ///< tokenize_into staging.
+};
+
+/// VerdictSymbol layout of the InferenceStage:
+/// (generation << 44) | (lane << 40) | per-lane sequence.
+inline constexpr unsigned kSymbolSeqBits = 40;
+inline constexpr unsigned kSymbolGenerationShift = 44;
+static_assert(kCoordinationLanes <= (1u << (kSymbolGenerationShift - kSymbolSeqBits)),
+              "the lane field of a VerdictSymbol must hold every lane");
+
+/// Shadow evaluations of one lifecycle window, and how many of them the
+/// primary and the shadow classified differently.
+struct ShadowTally {
+  std::uint64_t evals = 0;
+  std::uint64_t disagreements = 0;
+};
+
+/// The replay's inference stage (DESIGN.md §4.8): one mirror in, one timed
+/// result out. A worker admits the mirror on its lane port
+/// (ModelEngine::submit_timed_lane) and pushes the feature window through a
+/// lock-free MPSC fan-in — the software mirror of the Model Engine's shared
+/// input arbiter — to the coordinator, which drains it into the
+/// InferenceBatcher. Symbols carry (generation, lane, sequence); resolve()
+/// maps them to batcher tickets and returns the class of model
+/// `generation & 1` once the batches are done. In lifecycle runs the batcher
+/// also computes the shadow, and close_window() counts the window's
+/// disagreements at each barrier.
+///
+/// submit() may run concurrently on distinct lanes, never on the same lane;
+/// every other member runs on the coordinator (the constructing thread).
+/// The generation flips only at barriers, while the workers are quiescent.
+class InferenceStage {
+ public:
+  /// Binds the engine's current model as model 0 and `shadow` (none in plain
+  /// runs) as model 1; the batcher runs `workers` compute threads.
+  InferenceStage(ModelEngine& engine, ModelRef shadow, std::size_t batch_size,
+                 std::size_t workers);
+
+  /// Admits one feature vector arriving at the Model Engine at `arrival` on
+  /// `lane`. On admission, returns the timed result (predicted class is a
+  /// placeholder) and sets `symbol` to the verdict symbol accounting should
+  /// carry. nullopt = input FIFO drop.
+  std::optional<net::InferenceResult> submit(const net::FeatureVector& vec,
+                                             sim::SimTime arrival,
+                                             std::size_t lane,
+                                             VerdictSymbol& symbol);
+
+  /// Feeds everything queued into the batcher. Per-producer FIFO holds, so
+  /// each lane's items arrive in sequence order; batch composition across
+  /// lanes is racy but per-item results are composition-independent.
+  void drain();
+
+  /// Barrier-only (lifecycle runs): drains the fan-in, flushes the batcher
+  /// and waits for it, then tallies the window's mirrors since the previous
+  /// call and their primary-vs-shadow disagreements.
+  ShadowTally close_window();
+
+  /// Completes every batch and stops the batcher's workers; resolve() is
+  /// valid afterwards.
+  void finish() { batcher_.finish(); }
+
+  /// The class a symbol's serving model predicted.
+  std::int16_t resolve(VerdictSymbol symbol) const {
+    const auto bits = static_cast<std::uint64_t>(symbol);
+    const auto [lane, seq] = lane_and_seq(bits);
+    return batcher_.result(tickets_[lane][seq],
+                           (bits >> kSymbolGenerationShift) & 1);
+  }
+
+  /// Serving generation: even generations serve model(0) (the original
+  /// primary), odd ones model(1) (the shadow candidate).
+  std::uint64_t generation() const { return generation_; }
+
+  /// Barrier-only: flip the serving and shadow roles.
+  void swap_models() { ++generation_; }
+
+  const ModelRef& model(std::size_t i) const { return batcher_.model(i); }
+
+  runtime::MpscQueueStats fanin_stats() const { return queue_.stats(); }
+
+ private:
+  /// One admitted mirror crossing the fan-in: the symbol its verdict will be
+  /// published under, plus the feature window the batcher will tokenize.
+  struct FanInItem {
+    VerdictSymbol symbol = kNoVerdict;
+    std::vector<net::PacketFeature> sequence;
+  };
+
+  /// A symbol's (lane, per-lane sequence) fields.
+  static std::pair<std::size_t, std::size_t> lane_and_seq(std::uint64_t bits) {
+    const std::uint64_t lane_mask =
+        (std::uint64_t{1} << (kSymbolGenerationShift - kSymbolSeqBits)) - 1;
+    return {(bits >> kSymbolSeqBits) & lane_mask,
+            bits & ((std::uint64_t{1} << kSymbolSeqBits) - 1)};
+  }
+
+  ModelEngine& engine_;
+  InferenceBatcher batcher_;
+  runtime::MpscQueue<FanInItem> queue_;
+  std::thread::id consumer_;
+  std::uint64_t generation_ = 0;  ///< Written at barriers only.
+  std::array<std::uint64_t, kCoordinationLanes> lane_seq_{};
+  std::array<std::vector<InferenceBatcher::Ticket>, kCoordinationLanes> tickets_;
+  /// Tickets of the open lifecycle window: [window_begin_, window_end_).
+  InferenceBatcher::Ticket window_begin_ = 0;
+  InferenceBatcher::Ticket window_end_ = 0;
 };
 
 }  // namespace fenix::core

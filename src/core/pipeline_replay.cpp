@@ -18,15 +18,17 @@
 //    fold the lane-buffered watchdog events (publishing the degraded flag),
 //    rebalance the token sub-budgets, and run the control-plane window tick.
 //    Between barriers it drains the inference fan-in.
-//  * DNN forward passes are batched: workers admit mirrors with
+//  * DNN forward passes are batched by the one InferenceStage
+//    (core/model_pool.hpp): workers admit mirrors with
 //    ModelEngine::submit_timed_lane (pure timing/FIFO effects against the
 //    lane port) and push the feature windows through a lock-free MPSC queue
 //    — the software mirror of the Model Engine's shared input arbiter — to
 //    the coordinator, which feeds an InferenceBatcher. Verdicts flow through
-//    the accounting as (lane, sequence) symbols and resolve to classes after
-//    the batches complete; a predicted class is pure data (nn::predict_batch
-//    is bit-identical to scalar predict), so the racy drain order never
-//    leaks into the replay.
+//    the accounting as (generation, lane, sequence) symbols and resolve to
+//    classes after the batches complete; a predicted class is pure data
+//    (nn::predict_batch is bit-identical to scalar predict), so the racy
+//    drain order never leaks into the replay. Lifecycle runs batch the
+//    shadow model too and wait for the batches only at epoch barriers.
 //
 // Determinism: a lane's state is touched only by its owner between barriers,
 // every packet of a flow hashes to one lane, and the barrier schedule is a
@@ -35,10 +37,8 @@
 // lane-order merge in ReplayCore::resolve() yields bit-identical RunReports
 // at every pipes/batch/threads setting.
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -48,93 +48,9 @@
 #include "core/replay_core.hpp"
 #include "lifecycle/lifecycle.hpp"
 #include "net/hash.hpp"
-#include "runtime/mpsc_queue.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace fenix::core {
-namespace {
-
-/// Fan-in ring depth (admitted mirrors in flight between barriers).
-constexpr std::size_t kFanInDepth = 1 << 14;
-
-/// Bit budget of the per-lane sequence counter inside a VerdictSymbol
-/// ((lane << kSymbolSeqBits) | seq).
-constexpr unsigned kSymbolSeqBits = 40;
-
-/// One admitted mirror crossing the fan-in: the symbol its verdict will be
-/// published under, plus the feature window the batcher will tokenize.
-struct FanInItem {
-  VerdictSymbol symbol = kNoVerdict;
-  std::vector<net::PacketFeature> sequence;
-};
-
-/// The pipelined InferenceStage: lane-port admission on the worker, batched
-/// compute behind the MPSC fan-in on the coordinator. Symbols encode
-/// (lane, per-lane sequence); drain() maps them to InferenceBatcher tickets.
-class FanInInferenceStage final : public InferenceStage {
- public:
-  FanInInferenceStage(ModelEngine& engine, InferenceBatcher& batcher)
-      : engine_(engine), batcher_(batcher), queue_(kFanInDepth),
-        consumer_(std::this_thread::get_id()) {}
-
-  std::optional<net::InferenceResult> submit(const net::FeatureVector& vec,
-                                             sim::SimTime arrival,
-                                             std::size_t lane,
-                                             VerdictSymbol& symbol) override {
-    auto result = engine_.submit_timed_lane(lane, vec, arrival);
-    if (!result) return std::nullopt;
-    symbol = static_cast<VerdictSymbol>(
-        (static_cast<std::uint64_t>(lane) << kSymbolSeqBits) |
-        lane_seq_[lane]++);
-    FanInItem item;
-    item.symbol = symbol;
-    item.sequence = vec.sequence;
-    while (!queue_.try_push(item)) {
-      // Full ring: the coordinator drains itself (barrier-time retransmit
-      // pumps run on the consumer thread); workers wait for the consumer.
-      if (std::this_thread::get_id() == consumer_) {
-        drain();
-      } else {
-        std::this_thread::yield();
-      }
-    }
-    return result;
-  }
-
-  /// Coordinator only: feed everything queued into the batcher. Per-producer
-  /// FIFO holds, so each lane's items arrive in sequence order; batch
-  /// composition across lanes is racy but per-item results are
-  /// composition-independent.
-  void drain() {
-    while (auto item = queue_.try_pop()) {
-      const auto bits = static_cast<std::uint64_t>(item->symbol);
-      const std::size_t lane = bits >> kSymbolSeqBits;
-      const std::size_t seq = bits & ((std::uint64_t{1} << kSymbolSeqBits) - 1);
-      auto& slots = tickets_[lane];
-      if (seq >= slots.size()) slots.resize(seq + 1);
-      slots[seq] = batcher_.enqueue(item->sequence);
-    }
-  }
-
-  std::int16_t resolve(VerdictSymbol symbol) const override {
-    const auto bits = static_cast<std::uint64_t>(symbol);
-    const std::size_t lane = bits >> kSymbolSeqBits;
-    const std::size_t seq = bits & ((std::uint64_t{1} << kSymbolSeqBits) - 1);
-    return batcher_.result(tickets_[lane][seq]);
-  }
-
-  runtime::MpscQueueStats fanin_stats() const { return queue_.stats(); }
-
- private:
-  ModelEngine& engine_;
-  InferenceBatcher& batcher_;
-  runtime::MpscQueue<FanInItem> queue_;
-  std::thread::id consumer_;
-  std::array<std::uint64_t, kCoordinationLanes> lane_seq_{};
-  std::array<std::vector<InferenceBatcher::Ticket>, kCoordinationLanes> tickets_;
-};
-
-}  // namespace
 
 RunReport FenixSystem::run_pipelined(net::PacketSource& source,
                                      std::size_t num_classes, RunHooks* hooks,
@@ -155,18 +71,16 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   // workload. That bound, not the trace length, is the replay's memory
   // footprint.
 
-  // ---- Worker fleet + batched inference fan-in.
+  // ---- Worker fleet, the one inference stage, and the shared lane-granular
+  // core. Lifecycle runs bind the shadow as the stage's second model, so the
+  // batcher scores both, and attach the manager that collects the window's
+  // disagreements at every barrier.
   runtime::ThreadPool pool(opts.threads);
   const std::size_t threads = pool.size();
-  InferenceBatcher batcher(model_engine_.cnn(), model_engine_.rnn(),
-                           std::max<std::size_t>(1, opts.batch),
-                           threads > 1 ? threads - 1 : 0);
-
-  // ---- The shared lane-granular core. Plain runs batch DNN passes behind
-  // the MPSC fan-in; lifecycle runs score eagerly on the workers with
-  // per-lane scratch (the shadow pass must see every window, and the serving
-  // class must be published under a generation-tagged symbol), so they skip
-  // the fan-in/batcher machinery entirely.
+  InferenceStage inference(
+      model_engine_,
+      ModelRef{config_.lifecycle.shadow_cnn, config_.lifecycle.shadow_rnn},
+      std::max<std::size_t>(1, opts.batch), threads > 1 ? threads - 1 : 0);
   ReplayCoreConfig core_config;
   core_config.recovery = config_.recovery;
   core_config.transit_latency = data_engine_.timing().transit_latency();
@@ -174,24 +88,12 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   core_config.admission = config_.admission;
   // The frozen-flow bit table shadows the Flow Info Table slot-for-slot.
   core_config.admission.table_slots = data_engine_.tracker().table_size();
-  const bool lifecycle_on = config_.lifecycle.enabled();
-  std::optional<FanInInferenceStage> fanin;
-  std::optional<lifecycle::LifecycleInferenceStage> lifecycle_stage;
-  if (lifecycle_on) {
-    lifecycle_stage.emplace(model_engine_, config_.lifecycle);
-  } else {
-    fanin.emplace(model_engine_, batcher);
-  }
-  InferenceStage& inference =
-      lifecycle_on ? static_cast<InferenceStage&>(*lifecycle_stage)
-                   : static_cast<InferenceStage&>(*fanin);
   ReplayCore core(source, num_classes, phases, core_config, to_links(),
                   from_links(), data_engine_, inference, hooks);
   std::optional<lifecycle::LifecycleManager> manager;
-  if (lifecycle_on) {
-    manager.emplace(config_.lifecycle, num_classes, model_engine_,
-                    *lifecycle_stage, to_links(), from_links(),
-                    data_engine_.watchdog());
+  if (config_.lifecycle.enabled()) {
+    manager.emplace(config_.lifecycle, model_engine_, inference, to_links(),
+                    from_links(), data_engine_.watchdog());
     core.set_lifecycle(&*manager);
   }
 
@@ -234,7 +136,7 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
     }
     if (inline_exec) {
       for (std::size_t p = 0; p < pipes; ++p) run_pipe(p);
-      if (fanin) fanin->drain();
+      inference.drain();
     } else {
       std::atomic<std::size_t> pending{0};
       for (std::size_t p = 0; p < pipes; ++p) {
@@ -253,10 +155,10 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
       // The coordinator is the fan-in consumer: drain while the fleet works
       // so producers never wedge on a full ring.
       while (pending.load(std::memory_order_acquire) != 0) {
-        if (fanin) fanin->drain();
+        inference.drain();
         std::this_thread::yield();
       }
-      if (fanin) fanin->drain();
+      inference.drain();
     }
     epoch_pkts.clear();
     epoch_slots.clear();
@@ -308,9 +210,9 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   core.reconcile(duration);
   data_engine_.epoch_reconcile(duration);
   core.drain(duration);
-  if (fanin) fanin->drain();
+  inference.drain();
   pool.wait();
-  batcher.finish();
+  inference.finish();
   core.resolve();
 
   RunReport& report = core.report();
@@ -321,8 +223,7 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   pipeline_telemetry_.pipes = pipes;
   pipeline_telemetry_.epochs = epochs;
   pipeline_telemetry_.pipe_queue_peaks = std::move(pipe_peaks);
-  pipeline_telemetry_.fanin =
-      fanin ? fanin->fanin_stats() : runtime::MpscQueueStats{};
+  pipeline_telemetry_.fanin = inference.fanin_stats();
   return core.take_report();
 }
 

@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "core/data_engine.hpp"
+#include "core/model_pool.hpp"
 #include "net/packet_source.hpp"
 
 namespace fenix::core {

@@ -23,8 +23,9 @@
 // (confusion increments commute).
 //
 // FenixSystem::run_pipelined() is the one driver: it spreads the lanes over
-// pipe workers and feeds the mirrors through a lock-free MPSC fan-in into an
-// InferenceBatcher; run() is its one-pipe, one-thread instantiation. The
+// pipe workers and calls the one InferenceStage (core/model_pool.hpp), which
+// feeds the mirrors through a lock-free MPSC fan-in into an InferenceBatcher;
+// run() is its one-pipe, one-thread instantiation. The
 // first_divergence() diagnostic pinpoints the first field where two reports
 // differ.
 #pragma once
@@ -52,8 +53,8 @@ class PacketSource;
 
 namespace fenix::core {
 
-class ModelEngine;
 class DataEngine;
+class InferenceStage;
 
 /// Per-mirror deadline / retransmit / watchdog knobs.
 struct RecoveryConfig {
@@ -283,29 +284,6 @@ struct RunReport : RunCounters {
   std::uint64_t shed_unattributed() const;
 };
 
-/// The inference stage of the replay: one mirror in, one timed result out.
-/// Implementations must be timing-identical — the admission decision, FIFO
-/// occupancy, and result timestamps must not depend on which stage runs —
-/// so every replay stays bit-identical. `lane` selects the Model Engine lane
-/// port; a stage may be driven concurrently on *distinct* lanes, never
-/// concurrently on the same lane.
-class InferenceStage {
- public:
-  virtual ~InferenceStage() = default;
-
-  /// Submits one feature vector arriving at the Model Engine at `arrival`
-  /// on `lane`. On admission, returns the timed result (predicted class may
-  /// be a placeholder) and sets `symbol` to the verdict symbol accounting
-  /// should carry. nullopt = input FIFO drop.
-  virtual std::optional<net::InferenceResult> submit(
-      const net::FeatureVector& vec, sim::SimTime arrival, std::size_t lane,
-      VerdictSymbol& symbol) = 0;
-
-  /// Resolves a symbol to its predicted class. Only valid after the replay's
-  /// compute has finished (for batched stages, after InferenceBatcher::finish).
-  virtual std::int16_t resolve(VerdictSymbol symbol) const = 0;
-};
-
 /// Observer the model-lifecycle control plane (src/lifecycle) hangs off the
 /// replay. on_apply fires lane-locally for every verdict that survives the
 /// epoch-staleness check; at_barrier fires on the coordinator AFTER the
@@ -318,16 +296,18 @@ class LifecycleObserver {
   virtual ~LifecycleObserver() = default;
 
   /// One applied verdict on `lane` (concurrent across distinct lanes):
-  /// carries the verdict symbol (generation-tagged by the lifecycle stage)
+  /// carries the verdict symbol (tagged with its serving generation)
   /// and the mirror-emit -> install latency.
   virtual void on_apply(std::size_t lane, VerdictSymbol symbol,
                         sim::SimDuration end_to_end) = 0;
 
-  /// Epoch barrier (coordinator only, post-pump): fold lane tallies, judge
-  /// the SLO, and perform at most one promote/rollback cutover.
+  /// Epoch barrier (coordinator only, post-pump): fold lane tallies, count
+  /// the window's disagreements, judge the SLO, and perform at most one
+  /// promote/rollback cutover.
   virtual void at_barrier(sim::SimTime now) = 0;
 
-  /// End-of-trace tail drained; fold the remaining lane tallies.
+  /// End-of-trace tail drained; fold the remaining lane tallies and
+  /// disagreements.
   virtual void at_drain(sim::SimTime trace_end) = 0;
 };
 
@@ -354,10 +334,10 @@ using LaneLinks = std::array<net::ReliableLink*, kCoordinationLanes>;
 ///   account_packet(ts, truth, ..., lane)// deferred outcome capture
 ///   emit_mirror(vec, ts, lane)          // granted mirrors only
 ///
-/// then a final reconcile(trace_end), `drain(trace_end)`, any
-/// driver-specific compute barrier (thread-pool wait, batcher finish), and
-/// `resolve()` to merge the lanes and materialize symbolic verdicts into the
-/// final RunReport.
+/// then a final reconcile(trace_end), `drain(trace_end)`, the compute
+/// barrier (thread-pool wait, InferenceStage::finish), and `resolve()` to
+/// merge the lanes and materialize symbolic verdicts into the final
+/// RunReport.
 class ReplayCore {
  public:
   /// Sizes per-flow verdict state from the source's flow metadata and its

@@ -1,4 +1,4 @@
-// Golden RunReport digests: four fixed-seed replays whose every report field
+// Golden RunReport digests: five fixed-seed replays whose every report field
 // is folded into one 64-bit digest and compared against a checked-in
 // constant. The serial/pipelined identity suites compare two drivers with
 // each other; these constants pin what both of them must produce, so a
@@ -126,7 +126,8 @@ std::string hex(std::uint64_t v) {
 class GoldenReportTest : public ::testing::Test {
  protected:
   /// The pipeline_parallel_test / lifecycle_test workload: 400 synthesized
-  /// ISCX-VPN flows, a one-epoch CNN, and an untrained sibling as the shadow.
+  /// ISCX-VPN flows, a one-epoch CNN, an untrained sibling as the shadow, and
+  /// an untrained six-token RNN as a shadow of the other model family.
   static void SetUpTestSuite() {
     profile_ = new trafficgen::DatasetProfile(
         trafficgen::DatasetProfile::iscx_vpn());
@@ -146,6 +147,13 @@ class GoldenReportTest : public ::testing::Test {
     primary_ = new nn::QuantizedCnn(primary, samples);
     const nn::CnnClassifier shadow(cnn, 29);
     shadow_ = new nn::QuantizedCnn(shadow, samples);
+    nn::RnnConfig rnn;
+    rnn.seq_len = 6;
+    rnn.units = 24;
+    rnn.num_classes = profile_->num_classes();
+    const nn::RnnClassifier rnn_shadow(rnn, 29);
+    rnn_shadow_ = new nn::QuantizedRnn(
+        rnn_shadow, trafficgen::make_packet_samples(flows, 6, 6, 3));
 
     trafficgen::TraceConfig trace_config;
     trace_config.flow_arrival_rate_hz = 2500;
@@ -154,6 +162,7 @@ class GoldenReportTest : public ::testing::Test {
 
   static void TearDownTestSuite() {
     delete trace_;
+    delete rnn_shadow_;
     delete shadow_;
     delete primary_;
     delete profile_;
@@ -166,31 +175,36 @@ class GoldenReportTest : public ::testing::Test {
     return config;
   }
 
-  /// Replays `trace` through run() and through run_pipelined() at pipes 4;
-  /// both digests must equal `expected`. `schedule` (optional) is armed on a
-  /// fresh injector per replay. Returns the run() report.
+  /// Replays `trace` through run() and through run_pipelined() at each
+  /// `grid` setting (default: pipes 4, batch 16); every digest must equal
+  /// `expected`. `schedule` (optional) is armed on a fresh injector per
+  /// replay. Returns the run() report.
   static RunReport expect_digest(const FenixSystemConfig& config,
                                  const nn::QuantizedCnn* model,
                                  const net::Trace& trace,
                                  std::size_t num_classes,
                                  const faults::FaultSchedule* schedule,
                                  const std::vector<RunPhase>& phases,
-                                 std::uint64_t expected) {
+                                 std::uint64_t expected,
+                                 const std::vector<PipelineOptions>& grid = {
+                                     PipelineOptions{}}) {
     std::optional<RunReport> serial;
-    for (const bool pipelined : {false, true}) {
+    for (std::size_t i = 0; i <= grid.size(); ++i) {
+      const bool pipelined = i > 0;
       FenixSystem system(config, model, nullptr);
       std::unique_ptr<faults::FaultInjector> injector;
       if (schedule) {
         injector = std::make_unique<faults::FaultInjector>(*schedule, system);
       }
-      PipelineOptions opts;
-      opts.pipes = 4;
       const RunReport report =
           pipelined ? system.run_pipelined(trace, num_classes, injector.get(),
-                                           phases, opts)
+                                           phases, grid[i - 1])
                     : system.run(trace, num_classes, injector.get(), phases);
       EXPECT_EQ(hex(ReportDigest(report).value()), hex(expected))
-          << (pipelined ? "run_pipelined(pipes=4)" : "run()")
+          << (pipelined ? "run_pipelined(pipes=" +
+                              std::to_string(grid[i - 1].pipes) + ", batch=" +
+                              std::to_string(grid[i - 1].batch) + ")"
+                        : std::string("run()"))
           << " produced a different RunReport";
       if (!pipelined) serial = report;
     }
@@ -200,12 +214,14 @@ class GoldenReportTest : public ::testing::Test {
   static trafficgen::DatasetProfile* profile_;
   static nn::QuantizedCnn* primary_;
   static nn::QuantizedCnn* shadow_;
+  static nn::QuantizedRnn* rnn_shadow_;
   static net::Trace* trace_;
 };
 
 trafficgen::DatasetProfile* GoldenReportTest::profile_ = nullptr;
 nn::QuantizedCnn* GoldenReportTest::primary_ = nullptr;
 nn::QuantizedCnn* GoldenReportTest::shadow_ = nullptr;
+nn::QuantizedRnn* GoldenReportTest::rnn_shadow_ = nullptr;
 net::Trace* GoldenReportTest::trace_ = nullptr;
 
 TEST_F(GoldenReportTest, PlainTrace) {
@@ -267,6 +283,36 @@ TEST_F(GoldenReportTest, LifecyclePromoteThenRollback) {
                     nullptr, {}, 0x03f56e383a1e8164ULL);
   EXPECT_EQ(report.lifecycle_promotions, 1u);
   EXPECT_EQ(report.lifecycle_rollbacks, 1u);
+}
+
+TEST_F(GoldenReportTest, LifecycleRnnShadowDriftRollback) {
+  // An RNN shadow under the CNN primary: each model tokenizes its own window
+  // length (6 vs 9). The shadow is promoted a third of the way in, and the
+  // drift check (p99 check off) rolls it back once a window's disagreement
+  // rate passes 0.3. Identical at pipes {1, 4} x batch {1, 16}.
+  FenixSystemConfig config = base_config();
+  config.lifecycle.shadow_rnn = rnn_shadow_;
+  config.lifecycle.promote_at = trace_->duration() / 3;
+  config.lifecycle.swap_blackout = sim::milliseconds(2);
+  config.lifecycle.slo.max_drift_rate = 0.3;
+  config.lifecycle.slo.min_samples = 2;
+  std::vector<PipelineOptions> grid;
+  for (const std::size_t pipes : {1, 4}) {
+    for (const std::size_t batch : {1, 16}) {
+      PipelineOptions opts;
+      opts.pipes = pipes;
+      opts.batch = batch;
+      grid.push_back(opts);
+    }
+  }
+  const RunReport report =
+      expect_digest(config, primary_, *trace_, profile_->num_classes(),
+                    nullptr, {}, 0x4b407436e3d7f0f8ULL, grid);
+  EXPECT_EQ(report.lifecycle_promotions, 1u);
+  EXPECT_EQ(report.lifecycle_rollbacks, 1u);
+  EXPECT_EQ(report.lifecycle_slo_breaches, 1u);
+  EXPECT_EQ(report.lifecycle_shadow_evals, 55133u);
+  EXPECT_EQ(report.lifecycle_disagreements, 26209u);
 }
 
 TEST_F(GoldenReportTest, DdosFloodWithAdmissionLadder) {

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -247,12 +248,29 @@ TEST_F(LifecycleTest, LifecycleRunSatisfiesStandardInvariants) {
   }
 }
 
+TEST_F(LifecycleTest, RejectsTwoShadowModels) {
+  // A lifecycle run binds exactly one shadow model.
+  nn::RnnConfig rnn_config;
+  rnn_config.units = 8;
+  rnn_config.num_classes = profile_->num_classes();
+  const nn::RnnClassifier rnn(rnn_config, 29);
+  const nn::QuantizedRnn shadow_rnn(
+      rnn, trafficgen::make_packet_samples(*flows_, 9, 6, 3));
+  FenixSystemConfig config = shadow_only_config();
+  config.lifecycle.shadow_rnn = &shadow_rnn;
+  FenixSystem system(config, primary_, nullptr);
+  EXPECT_THROW(system.run(*trace_, profile_->num_classes()),
+               std::invalid_argument);
+}
+
 TEST_F(LifecycleTest, SerialPipelinedBitIdenticalThroughSwapAndRollback) {
   // The full lifecycle state machine — promote, SLO breach, rollback,
   // re-promote — racing a compound fault schedule (an FPGA stall and a
   // channel brownout straddling the promotion barrier), replayed at pipes
-  // {1, 2, 4, 8}: every RunReport field, lifecycle_* included, must match
-  // the serial replay bit-for-bit.
+  // {1, 2, 4, 8} x batch {1, 3, 16}: every RunReport field, lifecycle_*
+  // included, must match the serial replay bit-for-bit. Batch 3 leaves a
+  // partial batch open at most barriers, which the barrier-time flush must
+  // close without changing any count.
   const sim::SimTime horizon = trace_->duration();
   const auto make_config = [&] {
     FenixSystemConfig config = promote_config();
@@ -290,15 +308,18 @@ TEST_F(LifecycleTest, SerialPipelinedBitIdenticalThroughSwapAndRollback) {
 
   for (std::size_t pipes : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                             std::size_t{8}}) {
-    FenixSystem par_sys(make_config(), primary_, nullptr);
-    faults::FaultInjector par_inj(make_schedule(), par_sys);
-    PipelineOptions opts;
-    opts.pipes = pipes;
-    const RunReport parallel = par_sys.run_pipelined(
-        *trace_, profile_->num_classes(), &par_inj, {}, opts);
-    const auto div = first_divergence(serial, parallel);
-    EXPECT_EQ(div, std::nullopt)
-        << "pipes=" << pipes << ": " << div.value_or("");
+    for (std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{16}}) {
+      FenixSystem par_sys(make_config(), primary_, nullptr);
+      faults::FaultInjector par_inj(make_schedule(), par_sys);
+      PipelineOptions opts;
+      opts.pipes = pipes;
+      opts.batch = batch;
+      const RunReport parallel = par_sys.run_pipelined(
+          *trace_, profile_->num_classes(), &par_inj, {}, opts);
+      const auto div = first_divergence(serial, parallel);
+      EXPECT_EQ(div, std::nullopt) << "pipes=" << pipes << " batch=" << batch
+                                   << ": " << div.value_or("");
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // runtime::MpscQueue — the lock-free Model Engine fan-in of the
 // decentralized replay. Multi-producer stress, per-producer FIFO, the
 // drain-on-shutdown pattern the coordinator runs at epoch barriers, and the
-// full-ring / stats contracts the FanInInferenceStage relies on.
+// full-ring / stats contracts core::InferenceStage relies on.
 #include <gtest/gtest.h>
 
 #include <atomic>

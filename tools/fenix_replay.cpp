@@ -49,8 +49,12 @@
 //
 // Datasets: "vpn" (ISCXVPN2016 profile) or "tfc" (USTC-TFC profile).
 // Traces use the net::trace_io format; models the nn::serialize format.
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "baselines/bos.hpp"
@@ -96,6 +100,33 @@ int usage() {
          "scenario presets: heavy_tailed, flash_crowd, ddos_flood, diurnal\n";
   return 2;
 }
+
+/// Parses a whole flag value as a finite number in [0, max]. Anything else
+/// (trailing text, a negative or out-of-range value) is nullopt.
+std::optional<double> parse_non_negative(const char* text,
+                                         double max = HUGE_VAL) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value) || value < 0.0 ||
+      value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// The typed usage error of a bad flag value: one line naming the flag, the
+/// value and what it must be, then exit code 2.
+int invalid_flag(const std::string& flag, const char* value,
+                 const char* expected) {
+  std::cerr << "fenix_replay: invalid " << flag << " '" << value
+            << "': must be " << expected << "\n";
+  return 2;
+}
+
+/// The largest time flag, in seconds: half the sim::SimTime range, so the
+/// conversion to picoseconds never overflows.
+const double kMaxFlagSeconds =
+    sim::to_seconds(std::numeric_limits<sim::SimTime>::max()) / 2;
 
 trafficgen::DatasetProfile profile_by_name(const std::string& name) {
   if (name == "vpn") return trafficgen::DatasetProfile::iscx_vpn();
@@ -241,26 +272,31 @@ int cmd_run(int argc, char** argv) {
       shadow_path = argv[i];
     } else if (arg == "--promote-at") {
       if (++i >= argc) return usage();
-      config.lifecycle.promote_at = sim::from_seconds(std::atof(argv[i]));
+      const auto at = parse_non_negative(argv[i], kMaxFlagSeconds);
+      if (!at) return invalid_flag(arg, argv[i], "a replay time in seconds >= 0");
+      config.lifecycle.promote_at = sim::from_seconds(*at);
     } else if (arg == "--slo-drift") {
       if (++i >= argc) return usage();
-      config.lifecycle.slo.max_drift_rate = std::atof(argv[i]);
+      const auto rate = parse_non_negative(argv[i]);
+      if (!rate) return invalid_flag(arg, argv[i], "a disagreement rate >= 0");
+      config.lifecycle.slo.max_drift_rate = *rate;
     } else if (arg == "--slo-p99-us") {
       if (++i >= argc) return usage();
-      config.lifecycle.slo.max_verdict_p99 = sim::microseconds(std::atol(argv[i]));
+      const auto us = parse_non_negative(argv[i], kMaxFlagSeconds * 1e6);
+      if (!us) return invalid_flag(arg, argv[i], "a latency in microseconds >= 0");
+      config.lifecycle.slo.max_verdict_p99 = static_cast<sim::SimDuration>(
+          *us * static_cast<double>(sim::kMicrosecond));
     } else if (arg == "--slo-min-samples") {
       if (++i >= argc) return usage();
       config.lifecycle.slo.min_samples =
           static_cast<std::uint64_t>(std::max(1l, std::atol(argv[i])));
     } else if (arg == "--offered-load") {
       if (++i >= argc) return usage();
-      offered_pps = std::atof(argv[i]);
+      offered_pps = parse_non_negative(argv[i]).value_or(0.0);
       if (offered_pps <= 0.0) {
         // Same typed-error convention as --fault-schedule: name the bad
         // value, exit 2, never fall into the generic catch.
-        std::cerr << "fenix_replay: invalid offered load '" << argv[i]
-                  << "': must be a packet rate > 0\n";
-        return 2;
+        return invalid_flag("offered load", argv[i], "a packet rate > 0");
       }
     } else if (arg == "--admission") {
       config.admission.enabled = true;
@@ -377,7 +413,7 @@ int cmd_run(int argc, char** argv) {
 
   // The shadow candidate quantizes against the same trace-derived
   // calibration as the active model; the quantized weights must outlive the
-  // system (the lifecycle stage holds raw pointers).
+  // system (the inference stage holds raw pointers).
   std::unique_ptr<nn::CnnClassifier> shadow_cnn;
   std::unique_ptr<nn::RnnClassifier> shadow_rnn;
   std::unique_ptr<nn::QuantizedCnn> shadow_qcnn;
