@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: hashing,
 // probability lookups, token-bucket decisions, tree and INT8
-// model inference. These quantify the host-side simulation cost, not the
-// hardware latency (which the cycle models report); they gate how large a
-// Figure 10 sweep the harness can replay per second.
+// model inference, and the replay's per-epoch thread round trip. These
+// quantify the host-side simulation cost, not the hardware latency (which
+// the cycle models report); they gate how large a Figure 10 sweep the
+// harness can replay per second.
 //
 // After the google-benchmark suite, main() hand-times the blocked INT8
 // kernels against their scalar references and records ns/op + speedup in
@@ -11,6 +12,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <functional>
 
 #include "bench_common.hpp"
 #include "bench_json.hpp"
@@ -20,6 +22,8 @@
 #include "core/token_bucket.hpp"
 #include "net/hash.hpp"
 #include "nn/quantize.hpp"
+#include "runtime/thread_pool.hpp"
+#include "runtime/worker_fleet.hpp"
 #include "trafficgen/synthesizer.hpp"
 
 namespace {
@@ -284,6 +288,28 @@ void BM_SynthesizeFlow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SynthesizeFlow);
+
+// ------------------------------------------------ replay epoch round trips
+
+// One empty 4-item round on a WorkerFleet of four threads (three workers
+// plus the caller), whose workers idle between rounds, against the
+// ThreadPool(4) dispatch the replay used before it: 4 × submit + wait(), the
+// round perfbench's runtime.barrier_us times.
+void BM_FleetRound(benchmark::State& state) {
+  runtime::WorkerFleet fleet(4, [](std::size_t) { return false; });
+  const std::function<void(std::size_t)> body = [](std::size_t) {};
+  for (auto _ : state) fleet.run(4, body, [] { return false; });
+}
+BENCHMARK(BM_FleetRound)->UseRealTime();
+
+void BM_ThreadPoolRound(benchmark::State& state) {
+  runtime::ThreadPool pool(4);
+  for (auto _ : state) {
+    for (int p = 0; p < 4; ++p) pool.submit([] {});
+    pool.wait();
+  }
+}
+BENCHMARK(BM_ThreadPoolRound)->UseRealTime();
 
 // --------------------------------------------- hand-timed kernel speedups
 

@@ -5,10 +5,10 @@
 // CNN — first `serial`, which is run(): the same driver with one pipe, run
 // inline on the calling thread with the default predict batch — then the
 // decentralized replay swept across 1, 2, 4, 8 and 16 pipe shards at batch
-// 16 on the worker pool. Every sharded replay's RunReport is asserted
-// bit-identical to the serial one before its throughput number is accepted:
-// a packets/sec figure from a replay that diverged from the reference
-// semantics is meaningless.
+// 16 on the replay's worker fleet. Every sharded replay's RunReport is
+// asserted bit-identical to the serial one before its throughput number is
+// accepted: a packets/sec figure from a replay that diverged from the
+// reference semantics is meaningless.
 //
 // Headline metrics (BENCH_PR6.json § pipeline_throughput): packets/sec for
 // each configuration, the speedup over serial, and the scaling efficiency

@@ -99,7 +99,8 @@ struct PipelineOptions {
   std::size_t pipes = 4;
   /// Inferences per batched Model Engine submission (predict_batch frame).
   std::size_t batch = 16;
-  /// Worker threads for the pipe workers + inference workers; 0 picks
+  /// Threads that run the pipes and DNN batches, the calling coordinator
+  /// included (the fleet starts threads − 1 workers); 0 picks
   /// runtime::ThreadPool::default_thread_count().
   std::size_t threads = 0;
 };

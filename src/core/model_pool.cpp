@@ -51,7 +51,9 @@ InferenceBatcher::InferenceBatcher(const nn::QuantizedCnn* cnn,
     : models_{ModelRef{cnn, rnn}, shadow},
       seq_len_{seq_len_of(models_[0]), seq_len_of(shadow)},
       model_count_(shadow.cnn || shadow.rnn ? 2 : 1),
-      batch_size_(std::max<std::size_t>(1, batch_size)) {
+      batch_size_(std::max<std::size_t>(1, batch_size)),
+      scratch_(workers + 1),
+      fleet_(workers + 1, [this](std::size_t t) { return compute_next(t); }) {
   if ((cnn == nullptr) == (rnn == nullptr)) {
     throw std::invalid_argument("InferenceBatcher: exactly one model must be bound");
   }
@@ -59,32 +61,6 @@ InferenceBatcher::InferenceBatcher(const nn::QuantizedCnn* cnn,
     throw std::invalid_argument(
         "InferenceBatcher: exactly one shadow model required");
   }
-  if (workers > 0) {
-    pool_ = std::make_unique<runtime::ThreadPool>(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      workers_.push_back(std::make_unique<Worker>());
-    }
-    for (std::size_t w = 0; w < workers; ++w) {
-      Worker* worker = workers_[w].get();
-      pool_->submit([this, worker] {
-        for (;;) {
-          if (auto batch = worker->queue.try_pop()) {
-            compute(**batch, worker->scratch);
-          } else if (stop_.load(std::memory_order_acquire) &&
-                     worker->queue.empty()) {
-            break;
-          } else {
-            std::this_thread::yield();
-          }
-        }
-      });
-    }
-  }
-}
-
-InferenceBatcher::~InferenceBatcher() {
-  stop_.store(true, std::memory_order_release);
-  if (pool_) pool_->wait();
 }
 
 void InferenceBatcher::compute(Batch& batch, nn::Scratch& scratch) {
@@ -97,17 +73,34 @@ void InferenceBatcher::compute(Batch& batch, nn::Scratch& scratch) {
       models_[m].rnn->predict_batch(tokens, batch.count, scratch, out);
     }
   }
-  batch.done.store(true, std::memory_order_release);
+  computed_.fetch_add(1, std::memory_order_release);
+  fleet_.notify();  // the owner may be parked in flush()
 }
 
-void InferenceBatcher::dispatch(Batch* batch) {
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    Worker& w = *workers_[round_robin_];
-    round_robin_ = (round_robin_ + 1) % workers_.size();
-    if (w.queue.try_push(batch)) return;
+void InferenceBatcher::dispatch(Batch& batch) {
+  const std::size_t head = ring_head_.load(std::memory_order_relaxed);
+  if (head - ring_tail_.load(std::memory_order_acquire) == ring_.size()) {
+    compute(batch, scratch_[0]);  // the ring is full
+    return;
   }
-  // No workers (or all rings full): compute on the producer thread.
-  compute(*batch, scratch_);
+  ring_[head % ring_.size()].store(&batch, std::memory_order_relaxed);
+  ring_head_.store(head + 1, std::memory_order_release);
+  fleet_.notify();
+}
+
+bool InferenceBatcher::compute_next(std::size_t t) {
+  // A slot read under a stale tail fails the CAS; the release orders the
+  // read before dispatch() may reuse the slot.
+  std::size_t tail = ring_tail_.load(std::memory_order_relaxed);
+  Batch* batch = nullptr;
+  do {
+    if (tail == ring_head_.load(std::memory_order_acquire)) return false;
+    batch = ring_[tail % ring_.size()].load(std::memory_order_relaxed);
+  } while (!ring_tail_.compare_exchange_weak(tail, tail + 1,
+                                             std::memory_order_release,
+                                             std::memory_order_relaxed));
+  compute(*batch, scratch_[t]);
+  return true;
 }
 
 InferenceBatcher::Batch& InferenceBatcher::open_batch() {
@@ -132,33 +125,23 @@ InferenceBatcher::Ticket InferenceBatcher::enqueue(
   }
   batch.count = offset + 1;
   const Ticket ticket = next_ticket_++;
-  if (batch.count == batch_size_) dispatch(&batch);
+  if (batch.count == batch_size_) dispatch(batch);
   return ticket;
 }
 
 InferenceBatcher::Ticket InferenceBatcher::flush() {
   const std::size_t offset = static_cast<std::size_t>(next_ticket_ % batch_size_);
   if (offset != 0) {
-    dispatch(&batches_.back());
+    dispatch(batches_.back());
     next_ticket_ += batch_size_ - offset;
   }
-  for (; settled_ < batches_.size(); ++settled_) {
-    while (!batches_[settled_].done.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-  }
+  // Every batch is dispatched now; compute them while the fleet finishes.
+  fleet_.wait_until(
+      [this] {
+        return computed_.load(std::memory_order_acquire) == batches_.size();
+      },
+      [this] { return compute_next(0); });
   return next_ticket_;
-}
-
-void InferenceBatcher::finish() {
-  if (next_ticket_ % batch_size_ != 0) dispatch(&batches_.back());
-  stop_.store(true, std::memory_order_release);
-  if (pool_) {
-    pool_->wait();
-    pool_.reset();
-  }
-  // Every dispatched batch is now done (workers drained their rings before
-  // exiting; inline computes finished synchronously).
 }
 
 // ------------------------------------------------------------ InferenceStage
@@ -188,20 +171,21 @@ std::optional<net::InferenceResult> InferenceStage::submit(
   FanInItem item;
   item.symbol = symbol;
   item.sequence = vec.sequence;
-  while (!queue_.try_push(item)) {
-    // Full ring: the coordinator drains itself (barrier-time retransmit
-    // pumps run on the consumer thread); workers wait for the consumer.
-    if (std::this_thread::get_id() == consumer_) {
-      drain();
-    } else {
-      std::this_thread::yield();
-    }
+  // Full ring: the coordinator (it runs pipes and barrier-time retransmit
+  // pumps) drains it; a worker wakes it and parks until a drain makes room.
+  if (!queue_.try_push(item)) {
+    const bool coordinator = std::this_thread::get_id() == consumer_;
+    fleet().notify();
+    fleet().wait_until([&] { return queue_.try_push(item); },
+                       [&] { return coordinator && drain(); });
   }
   return result;
 }
 
-void InferenceStage::drain() {
+bool InferenceStage::drain() {
+  bool drained = false;
   while (auto item = queue_.try_pop()) {
+    drained = true;
     const auto [lane, seq] =
         lane_and_seq(static_cast<std::uint64_t>(item->symbol));
     auto& slots = tickets_[lane];
@@ -209,6 +193,8 @@ void InferenceStage::drain() {
     slots[seq] = batcher_.enqueue(item->sequence);
     window_end_ = slots[seq] + 1;
   }
+  if (drained) fleet().notify();  // a worker may be parked on a full ring
+  return drained;
 }
 
 ShadowTally InferenceStage::close_window() {

@@ -29,8 +29,7 @@
 #include "core/model_engine.hpp"
 #include "nn/featurizer.hpp"
 #include "runtime/mpsc_queue.hpp"
-#include "runtime/spsc_queue.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/worker_fleet.hpp"
 
 namespace fenix::core {
 
@@ -127,30 +126,32 @@ struct ModelRef {
 /// The replay admits mirrors through ModelEngine::submit_timed_lane (pure
 /// timing/FIFO effects) and routes the functional forward passes here: each
 /// enqueue() tokenizes one feature sequence into the open batch; full batches
-/// are dispatched to inference workers (or computed inline when none are
-/// configured) through bounded SPSC rings; the predicted class is read back
-/// by ticket once the batch completes. This is the software analogue of the
-/// FPGA's async input FIFO feeding the systolic array back-to-back frames:
-/// per-frame dispatch overhead amortizes across the batch while the
-/// arithmetic — nn::predict_batch is bit-identical to per-window predict() —
-/// is unchanged. With a shadow model bound, every batch is computed by both
-/// models, each over its own seq_len tokenization of the same sequences.
+/// go into a fixed claim ring that any idle thread of the batcher's
+/// WorkerFleet computes them from (the owner, when the ring is full); the
+/// predicted class is read back by ticket once the batch completes. This is
+/// the software analogue of the FPGA's async input FIFO feeding the systolic
+/// array back-to-back frames: per-frame dispatch overhead amortizes across
+/// the batch while the arithmetic — nn::predict_batch is bit-identical to
+/// per-window predict() — is unchanged. With a shadow model bound, every
+/// batch is computed by both models, each over its own seq_len tokenization
+/// of the same sequences.
 ///
-/// Threading contract: exactly one producer thread calls enqueue()/flush()/
-/// finish(); result() is valid for tickets below the last flush() and after
-/// finish(). Batches live until destruction, so tickets never dangle.
+/// Threading contract: only the owner (the constructing thread) calls the
+/// members; other fleet threads touch only the claim ring and its batches,
+/// each with its own nn::Scratch. result() is valid for tickets below the
+/// last flush() and after finish(). Batches live until destruction, so
+/// tickets never dangle.
 class InferenceBatcher {
  public:
   using Ticket = std::uint64_t;
 
   /// Exactly one of `cnn` / `rnn` non-null (the model the bound engine
   /// executes, model 0); `shadow` (model 1) is optional. `batch_size`
-  /// inferences per dispatched frame; `workers` background inference workers
-  /// (0 = compute on the producer thread).
+  /// inferences per dispatched frame; `workers` fleet threads besides the
+  /// owner (0 = compute on the owner).
   InferenceBatcher(const nn::QuantizedCnn* cnn, const nn::QuantizedRnn* rnn,
                    std::size_t batch_size, std::size_t workers,
                    ModelRef shadow = {});
-  ~InferenceBatcher();
 
   InferenceBatcher(const InferenceBatcher&) = delete;
   InferenceBatcher& operator=(const InferenceBatcher&) = delete;
@@ -161,13 +162,12 @@ class InferenceBatcher {
 
   /// Dispatches the open partial batch, moves the ticket counter up to the
   /// next batch boundary (so no later enqueue lands in a dispatched batch),
-  /// and waits until every dispatched batch has completed. Returns the next
-  /// ticket enqueue() will hand out; every earlier ticket is readable.
+  /// and computes batches until every dispatched one is done. Returns the
+  /// next ticket enqueue() will hand out; every earlier ticket is readable.
   Ticket flush();
 
-  /// Dispatch-and-complete everything outstanding (including a partial final
-  /// batch) and stop the workers. Terminal: call once, before result().
-  void finish();
+  /// Completes everything outstanding, including a partial final batch.
+  void finish() { flush(); }
 
   /// Class `model` (0 = primary, 1 = shadow) predicted for `ticket`.
   std::int16_t result(Ticket ticket, std::size_t model = 0) const {
@@ -177,6 +177,8 @@ class InferenceBatcher {
 
   const ModelRef& model(std::size_t i) const { return models_[i]; }
 
+  runtime::WorkerFleet& fleet() { return fleet_; }
+
  private:
   struct Batch {
     /// Per model, model 0 first: batch_size * that model's seq_len tokens,
@@ -185,15 +187,12 @@ class InferenceBatcher {
     /// Per model, model 0 first: one predicted class per inference.
     std::vector<std::int16_t> out;
     std::size_t count = 0;
-    std::atomic<bool> done{false};
-  };
-  struct Worker {
-    runtime::SpscQueue<Batch*> queue{256};
-    nn::Scratch scratch;
   };
 
   void compute(Batch& batch, nn::Scratch& scratch);
-  void dispatch(Batch* batch);
+  void dispatch(Batch& batch);
+  /// Claims and computes one dispatched batch on thread `t`; false if none.
+  bool compute_next(std::size_t t);
   Batch& open_batch();
   /// Offset of model `m`'s tokens in Batch::tokens.
   std::size_t token_base(std::size_t m) const {
@@ -205,16 +204,17 @@ class InferenceBatcher {
   std::size_t model_count_;  ///< 1, or 2 with a shadow bound.
   std::size_t batch_size_;
 
-  std::deque<Batch> batches_;  ///< Stable addresses; grows only.
+  std::deque<Batch> batches_;  ///< Stable addresses; grows only; owner only.
   Ticket next_ticket_ = 0;
-  std::size_t settled_ = 0;    ///< Batches below this index are done.
+  std::atomic<std::size_t> computed_{0};  ///< Batches whose classes are out.
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::unique_ptr<runtime::ThreadPool> pool_;
-  std::atomic<bool> stop_{false};
-  std::size_t round_robin_ = 0;
-  nn::Scratch scratch_;                ///< Producer-side compute scratch.
+  /// Dispatched batches: the owner publishes at head, threads claim by CAS.
+  std::array<std::atomic<Batch*>, 256> ring_{};
+  alignas(64) std::atomic<std::size_t> ring_head_{0};
+  alignas(64) std::atomic<std::size_t> ring_tail_{0};
+  std::vector<nn::Scratch> scratch_;   ///< One per fleet thread.
   std::vector<nn::Token> tmp_tokens_;  ///< tokenize_into staging.
+  runtime::WorkerFleet fleet_;  ///< Last: joins before the state it reads goes.
 };
 
 /// VerdictSymbol layout of the InferenceStage:
@@ -242,13 +242,14 @@ struct ShadowTally {
 /// also computes the shadow, and close_window() counts the window's
 /// disagreements at each barrier.
 ///
-/// submit() may run concurrently on distinct lanes, never on the same lane;
-/// every other member runs on the coordinator (the constructing thread).
-/// The generation flips only at barriers, while the workers are quiescent.
+/// Its batcher's fleet is the replay's one pool: the coordinator runs the
+/// pipe rounds on it. submit() may run concurrently on distinct lanes,
+/// never on the same lane; every other member runs on the coordinator (the
+/// constructing thread). The generation flips only between rounds.
 class InferenceStage {
  public:
   /// Binds the engine's current model as model 0 and `shadow` (none in plain
-  /// runs) as model 1; the batcher runs `workers` compute threads.
+  /// runs) as model 1; the fleet adds `workers` threads to the coordinator.
   InferenceStage(ModelEngine& engine, ModelRef shadow, std::size_t batch_size,
                  std::size_t workers);
 
@@ -261,19 +262,20 @@ class InferenceStage {
                                              std::size_t lane,
                                              VerdictSymbol& symbol);
 
-  /// Feeds everything queued into the batcher. Per-producer FIFO holds, so
-  /// each lane's items arrive in sequence order; batch composition across
-  /// lanes is racy but per-item results are composition-independent.
-  void drain();
+  /// Feeds everything queued into the batcher; false if it was empty. Per-
+  /// producer FIFO holds, so each lane's items arrive in sequence order;
+  /// batch composition across lanes is racy, per-item results are not.
+  bool drain();
 
   /// Barrier-only (lifecycle runs): drains the fan-in, flushes the batcher
   /// and waits for it, then tallies the window's mirrors since the previous
   /// call and their primary-vs-shadow disagreements.
   ShadowTally close_window();
 
-  /// Completes every batch and stops the batcher's workers; resolve() is
-  /// valid afterwards.
+  /// Completes every batch; resolve() is valid afterwards.
   void finish() { batcher_.finish(); }
+
+  runtime::WorkerFleet& fleet() { return batcher_.fleet(); }
 
   /// The class a symbol's serving model predicted.
   std::int16_t resolve(VerdictSymbol symbol) const {

@@ -1,29 +1,32 @@
 // The replay driver on the decentralized coordinator (DESIGN.md §4.9).
 //
 // FenixSystem::run_pipelined() replays a trace through the one Data Engine,
-// driven by a fleet of pipe workers; run() is the same driver with one pipe
-// on one thread. There is no global packet-order drain and no
-// coordinator-owned token bucket, watchdog or Model Engine admission:
+// driven by one runtime::WorkerFleet of `threads` threads, the coordinator
+// included; run() is the same driver with one pipe on one thread. There is
+// no global packet-order drain and no coordinator-owned token bucket,
+// watchdog or Model Engine admission:
 //
 //  * Every coordination lane (core/lane_coordination.hpp; lane = flow-table
 //    slot mod kCoordinationLanes) owns a full vertical slice of the
 //    per-packet dataflow: its slots of the Data Engine's registers, its
 //    share of the sharded token bucket, its own PCB link pair, its Model
 //    Engine lane port, and its ReplayCore lane (deadline heaps, retransmit
-//    pacer, deferred accounting). A pipe worker owns the lanes with
-//    lane % pipes == pipe and runs DataEngine::on_packet for their packets
-//    in trace order, start to finish — admission decision included.
-//  * The coordinator's only job is the epoch barrier, every
-//    FenixSystemConfig::reconcile_quantum of trace time: fire fault hooks,
-//    fold the lane-buffered watchdog events (publishing the degraded flag),
-//    rebalance the token sub-budgets, and run the control-plane window tick.
-//    Between barriers it drains the inference fan-in.
+//    pacer, deferred accounting). Pipe p holds the lanes with
+//    lane % pipes == p; each epoch, the fleet thread that claims pipe p runs
+//    DataEngine::on_packet for its packets in trace order, start to finish —
+//    admission decision included.
+//  * The coordinator stages each epoch, claims pipes too, and runs the
+//    epoch barrier every FenixSystemConfig::reconcile_quantum of trace time:
+//    fire fault hooks, fold the lane-buffered watchdog events (publishing
+//    the degraded flag), rebalance the token sub-budgets, and run the
+//    control-plane window tick. It drains the inference fan-in meanwhile.
 //  * DNN forward passes are batched by the one InferenceStage
-//    (core/model_pool.hpp): workers admit mirrors with
+//    (core/model_pool.hpp): pipes admit mirrors with
 //    ModelEngine::submit_timed_lane (pure timing/FIFO effects against the
 //    lane port) and push the feature windows through a lock-free MPSC queue
 //    — the software mirror of the Model Engine's shared input arbiter — to
-//    the coordinator, which feeds an InferenceBatcher. Verdicts flow through
+//    the coordinator, which feeds an InferenceBatcher; any fleet thread with
+//    no pipe to claim computes its batches. Verdicts flow through
 //    the accounting as (generation, lane, sequence) symbols and resolve to
 //    classes after the batches complete; a predicted class is pure data
 //    (nn::predict_batch is bit-identical to scalar predict), so the racy
@@ -37,10 +40,9 @@
 // lane-order merge in ReplayCore::resolve() yields bit-identical RunReports
 // at every pipes/batch/threads setting.
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "core/fenix_system.hpp"
@@ -71,16 +73,18 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   // workload. That bound, not the trace length, is the replay's memory
   // footprint.
 
-  // ---- Worker fleet, the one inference stage, and the shared lane-granular
-  // core. Lifecycle runs bind the shadow as the stage's second model, so the
+  // ---- The one inference stage, whose fleet (this thread + threads − 1
+  // workers) runs pipes and DNN batches, and the lane-granular core.
+  // Lifecycle runs bind the shadow as the stage's second model, so the
   // batcher scores both, and attach the manager that collects the window's
   // disagreements at every barrier.
-  runtime::ThreadPool pool(opts.threads);
-  const std::size_t threads = pool.size();
+  const std::size_t threads = opts.threads > 0
+                                  ? opts.threads
+                                  : runtime::ThreadPool::default_thread_count();
   InferenceStage inference(
       model_engine_,
       ModelRef{config_.lifecycle.shadow_cnn, config_.lifecycle.shadow_rnn},
-      std::max<std::size_t>(1, opts.batch), threads > 1 ? threads - 1 : 0);
+      std::max<std::size_t>(1, opts.batch), threads - 1);
   ReplayCoreConfig core_config;
   core_config.recovery = config_.recovery;
   core_config.transit_latency = data_engine_.timing().transit_latency();
@@ -105,7 +109,7 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   std::vector<std::vector<std::uint32_t>> pipe_idxs(pipes);
 
   // Full per-packet work for one packet, on its lane's state only.
-  const auto run_pipe = [&](std::size_t pipe) {
+  const std::function<void(std::size_t)> run_pipe = [&](std::size_t pipe) {
     for (const std::uint32_t k : pipe_idxs[pipe]) {
       const net::PacketRecord& packet = epoch_pkts[k];
       const std::uint32_t slot = epoch_slots[k];
@@ -120,46 +124,19 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
     }
   };
 
-  // Single-worker pools gain nothing from a thread handoff: the coordinator
-  // runs the pipe tasks inline (valid at any pipe count — lanes are
-  // disjoint, so sequential pipe execution is just another interleaving).
-  const bool inline_exec = threads <= 1;
   std::vector<std::uint64_t> pipe_peaks(pipes, 0);
 
-  // Replays the buffered epoch over the pipe fleet, then clears the staging
-  // buffers. Everything on_packet reads between barriers is republished only
-  // after the fleet (and its release barrier) has finished.
+  // Replays the buffered epoch as one fleet round (lanes are disjoint, so
+  // any claim order is another interleaving), then clears the staging
+  // buffers. The coordinator claims pipes too and drains the fan-in while it
+  // waits. What on_packet reads is republished only after the round.
   const auto flush_epoch = [&] {
     for (std::size_t p = 0; p < pipes; ++p) {
       pipe_peaks[p] = std::max<std::uint64_t>(pipe_peaks[p],
                                               pipe_idxs[p].size());
     }
-    if (inline_exec) {
-      for (std::size_t p = 0; p < pipes; ++p) run_pipe(p);
-      inference.drain();
-    } else {
-      std::atomic<std::size_t> pending{0};
-      for (std::size_t p = 0; p < pipes; ++p) {
-        if (pipe_idxs[p].empty()) continue;
-        pending.fetch_add(1, std::memory_order_relaxed);
-        pool.submit([&run_pipe, &pending, p] {
-          // Decrement on scope exit so a throwing task still releases the
-          // barrier (the pool re-raises the exception at wait()).
-          struct Release {
-            std::atomic<std::size_t>& counter;
-            ~Release() { counter.fetch_sub(1, std::memory_order_release); }
-          } release{pending};
-          run_pipe(p);
-        });
-      }
-      // The coordinator is the fan-in consumer: drain while the fleet works
-      // so producers never wedge on a full ring.
-      while (pending.load(std::memory_order_acquire) != 0) {
-        inference.drain();
-        std::this_thread::yield();
-      }
-      inference.drain();
-    }
+    inference.fleet().run(pipes, run_pipe, [&] { return inference.drain(); });
+    inference.drain();
     epoch_pkts.clear();
     epoch_slots.clear();
     for (auto& idxs : pipe_idxs) idxs.clear();
@@ -211,7 +188,6 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   data_engine_.epoch_reconcile(duration);
   core.drain(duration);
   inference.drain();
-  pool.wait();
   inference.finish();
   core.resolve();
 

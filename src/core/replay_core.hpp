@@ -23,7 +23,7 @@
 // (confusion increments commute).
 //
 // FenixSystem::run_pipelined() is the one driver: it spreads the lanes over
-// pipe workers and calls the one InferenceStage (core/model_pool.hpp), which
+// fleet's pipes and calls the one InferenceStage (core/model_pool.hpp), which
 // feeds the mirrors through a lock-free MPSC fan-in into an InferenceBatcher;
 // run() is its one-pipe, one-thread instantiation. The
 // first_divergence() diagnostic pinpoints the first field where two reports
@@ -335,7 +335,7 @@ using LaneLinks = std::array<net::ReliableLink*, kCoordinationLanes>;
 ///   emit_mirror(vec, ts, lane)          // granted mirrors only
 ///
 /// then a final reconcile(trace_end), `drain(trace_end)`, the compute
-/// barrier (thread-pool wait, InferenceStage::finish), and `resolve()` to
+/// barrier (InferenceStage::finish), and `resolve()` to
 /// merge the lanes and materialize symbolic verdicts into the final
 /// RunReport.
 class ReplayCore {

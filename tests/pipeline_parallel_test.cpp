@@ -1,18 +1,25 @@
 // Multi-pipe sharded replay parity: run_pipelined() must produce a
 // bit-identical RunReport to run() at every shard/thread/batch count,
 // including under fault schedules (deadline misses, watchdog degradation,
-// channel brownouts) and with per-phase accounting enabled.
+// channel brownouts), with per-phase accounting enabled, and with the
+// fan-in overfilled inside one epoch. A pipes-4 replay at threads 4 runs on
+// one fleet of three workers plus the caller.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/fenix_system.hpp"
 #include "core/model_pool.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/fault_schedule.hpp"
+#include "runtime/thread_pool.hpp"
 #include "trafficgen/synthesizer.hpp"
 
 namespace fenix::core {
@@ -124,7 +131,8 @@ TEST_F(PipelineParallelTest, BitIdenticalAcrossShardAndThreadCounts) {
   const std::size_t hw = runtime::ThreadPool::default_thread_count();
   for (std::size_t pipes : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                             std::size_t{8}, std::size_t{16}}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2}, hw}) {
+    // 2 × hw oversubscribes the host, so workers park and wake mid-replay.
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2}, hw, 2 * hw}) {
       PipelineOptions opts;
       opts.pipes = pipes;
       opts.batch = 16;
@@ -290,7 +298,6 @@ TEST_F(PipelineParallelTest, PhaseReportParityUnderFaultSchedule) {
 }
 
 TEST_F(PipelineParallelTest, InferenceBatcherMatchesScalarPredict) {
-  InferenceBatcher batcher(quantized_, nullptr, 16, 0);
   std::vector<std::vector<net::PacketFeature>> sequences;
   for (const net::PacketRecord& p : trace_->packets) {
     if (sequences.size() == 100) break;
@@ -303,16 +310,94 @@ TEST_F(PipelineParallelTest, InferenceBatcherMatchesScalarPredict) {
     }
     sequences.push_back(std::move(seq));
   }
-  std::vector<InferenceBatcher::Ticket> tickets;
-  for (const auto& seq : sequences) tickets.push_back(batcher.enqueue(seq));
-  batcher.finish();
 
   nn::Scratch scratch;
   std::vector<nn::Token> tokens;
-  for (std::size_t i = 0; i < sequences.size(); ++i) {
-    nn::tokenize_into(sequences[i], quantized_->config().seq_len, tokens);
-    EXPECT_EQ(batcher.result(tickets[i]), quantized_->predict(tokens, scratch))
-        << "sequence " << i;
+  for (std::size_t workers : {std::size_t{0}, std::size_t{3}}) {
+    InferenceBatcher batcher(quantized_, nullptr, 16, workers);
+    std::vector<InferenceBatcher::Ticket> tickets;
+    for (const auto& seq : sequences) tickets.push_back(batcher.enqueue(seq));
+    batcher.finish();
+    for (std::size_t i = 0; i < sequences.size(); ++i) {
+      nn::tokenize_into(sequences[i], quantized_->config().seq_len, tokens);
+      EXPECT_EQ(batcher.result(tickets[i]), quantized_->predict(tokens, scratch))
+          << "workers " << workers << " sequence " << i;
+    }
+  }
+}
+
+/// Threads of this process, from /proc/self/task.
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+/// Samples the process's thread count at every epoch barrier (the hooks run
+/// on the coordinator).
+struct ThreadCountProbe : RunHooks {
+  std::size_t peak = 0;
+  void at_time(sim::SimTime) override { peak = std::max(peak, live_threads()); }
+};
+
+TEST_F(PipelineParallelTest, ReplayRunsOnOneFleetOfThreadsMinusOneWorkers) {
+  // ThreadSanitizer starts a helper thread along with the process's first
+  // thread; start it before the count is taken.
+  std::thread([] {}).join();
+  const std::size_t before = live_threads();
+  ThreadCountProbe probe;
+  FenixSystem system(default_config(), quantized_, nullptr);
+  PipelineOptions opts;
+  opts.pipes = 4;
+  opts.threads = 4;
+  system.run_pipelined(*trace_, profile_->num_classes(), &probe, {}, opts);
+  ASSERT_GT(probe.peak, 0u);
+  EXPECT_LE(probe.peak, before + 3) << "threads before the replay: " << before;
+}
+
+TEST_F(PipelineParallelTest, OneEpochOverfilledFanInMatchesSerial) {
+  // One reconcile quantum covers the whole trace, so every mirror crosses
+  // the 16,384-slot fan-in within one round, while the coordinator also runs
+  // pipes: workers fill the ring and park until it drains.
+  trafficgen::SynthesisConfig synth;
+  synth.total_flows = 1500;
+  synth.seed = 17;
+  synth.max_pkts_per_flow = 48;
+  trafficgen::TraceConfig trace_config;
+  trace_config.flow_arrival_rate_hz = 2500;
+  const net::Trace trace = trafficgen::assemble_trace(
+      trafficgen::synthesize_flows(*profile_, synth), trace_config);
+  FenixSystemConfig config = default_config();
+  config.data_engine.tracker.index_bits = 14;
+  config.reconcile_quantum = sim::seconds(1000);
+
+  FenixSystem serial_sys(config, quantized_, nullptr);
+  const RunReport serial = serial_sys.run(trace, profile_->num_classes());
+  ASSERT_GT(serial.mirrors, std::uint64_t{1} << 14);
+  std::printf("one epoch: %zu packets, %llu mirrors\n", trace.packets.size(),
+              static_cast<unsigned long long>(serial.mirrors));
+  for (std::size_t pipes : {std::size_t{1}, std::size_t{4}}) {
+    for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+      FenixSystem par_sys(config, quantized_, nullptr);
+      PipelineOptions opts;
+      opts.pipes = pipes;
+      opts.threads = threads;
+      const RunReport parallel =
+          par_sys.run_pipelined(trace, profile_->num_classes(), nullptr, {}, opts);
+      ASSERT_EQ(par_sys.pipeline_telemetry().epochs, 1u);
+      const auto div = first_divergence(serial, parallel);
+      EXPECT_EQ(div, std::nullopt) << "pipes=" << pipes << " threads=" << threads
+                                   << ": " << div.value_or("");
+      // Scheduling decides how often the ring fills, so this is only shown.
+      std::printf("pipes=%zu threads=%zu fanin.full_stalls=%llu\n", pipes,
+                  threads,
+                  static_cast<unsigned long long>(
+                      par_sys.pipeline_telemetry().fanin.full_stalls));
+    }
   }
 }
 

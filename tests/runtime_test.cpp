@@ -1,17 +1,14 @@
 // Tests for the host-side execution runtime: ThreadPool task draining and
-// exception propagation, parallel_for coverage, the SweepRunner determinism
-// contract (bit-identical results at any thread count), and the bounded
-// SPSC queue the pipe shards stream PrePackets through.
+// exception propagation, parallel_for coverage, and the SweepRunner
+// determinism contract (bit-identical results at any thread count).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
-#include "runtime/spsc_queue.hpp"
 #include "runtime/sweep_runner.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/random.hpp"
@@ -147,64 +144,6 @@ TEST(SweepRunner, RunRethrowsJobException) {
                             return static_cast<int>(i);
                           }),
                std::runtime_error);
-}
-
-// ---------------------------------------------------------------- SpscQueue
-
-TEST(SpscQueue, PushPopRoundTripsInOrder) {
-  SpscQueue<int> q(8);
-  EXPECT_TRUE(q.empty());
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.try_push(i));
-  EXPECT_EQ(q.size(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    auto v = q.try_pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(SpscQueue, RejectsPushWhenFullAndRecovers) {
-  SpscQueue<int> q(4);
-  EXPECT_GE(q.capacity(), 4u);
-  std::size_t pushed = 0;
-  while (q.try_push(static_cast<int>(pushed))) ++pushed;
-  EXPECT_EQ(pushed, q.capacity());
-  ASSERT_TRUE(q.try_pop().has_value());
-  EXPECT_TRUE(q.try_push(99));  // one slot freed
-}
-
-TEST(SpscQueue, RoundsCapacityToPowerOfTwo) {
-  SpscQueue<int> q(5);
-  EXPECT_EQ(q.capacity(), 8u);
-  SpscQueue<int> q1(0);
-  EXPECT_GE(q1.capacity(), 2u);
-}
-
-TEST(SpscQueue, CrossThreadStreamPreservesOrderAndValues) {
-  SpscQueue<std::uint64_t> q(64);
-  constexpr std::uint64_t kCount = 20000;
-  ThreadPool pool(1);
-  pool.submit([&q] {
-    for (std::uint64_t i = 0; i < kCount;) {
-      if (q.try_push(i)) {
-        ++i;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  std::uint64_t expected = 0;
-  while (expected < kCount) {
-    if (auto v = q.try_pop()) {
-      ASSERT_EQ(*v, expected);
-      ++expected;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  pool.wait();
-  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace
