@@ -6,9 +6,9 @@
 // serial replay — offered load is a parameter of the generator, so overload
 // surfaces as queueing and attributed drops, never as a slower generator.
 // Nothing is ever materialized: the workload reaches the replay through the
-// net::PacketSource seam, and the --rss-check mode proves it by streaming a
-// 10M-flow preset (a multi-GB packet vector if materialized) under a hard
-// peak-RSS ceiling.
+// net::PacketSource seam, and the --rss-check mode proves the replay's
+// memory bound by replaying a 10M-flow preset (a multi-GB packet vector if
+// materialized) at pipes 4 under a hard peak-RSS ceiling.
 //
 // Headline metrics (BENCH_PR9.json § scenarios): per-preset verdict-latency
 // p50/p99/p999 (sim-time, so deterministic across machines), per-reason drop
@@ -21,19 +21,19 @@
 // itself.
 //
 // Usage: bench_scenarios [--rss-check]
-//   --rss-check   stream the 10M-flow heavy_tailed preset through a counting
-//                 consumer and fail if peak RSS exceeds
-//                 $FENIX_RSS_CEILING_MB (default 512) — the proof that the
-//                 streaming engine never materializes the workload.
+//   --rss-check   replay the 10M-flow heavy_tailed preset through
+//                 run_pipelined at pipes 4 (a smoke-scale model: host cost
+//                 does not depend on accuracy) and fail on an unattributed
+//                 drop or if peak RSS exceeds $FENIX_RSS_CEILING_MB
+//                 (default 256) — the proof that neither the workload nor
+//                 the replay's records grow with the packet count.
 #include <sys/resource.h>
 
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "bench_json.hpp"
@@ -70,11 +70,21 @@ double peak_rss_mb() {
 }
 
 int run_rss_check() {
-  double ceiling_mb = 512.0;
+  double ceiling_mb = 256.0;
   if (const char* env = std::getenv("FENIX_RSS_CEILING_MB")) {
     const double v = std::atof(env);
     if (v > 0.0) ceiling_mb = v;
   }
+
+  bench::BenchScale scale;
+  scale.train_flows = 80;
+  scale.test_flows = 40;
+  scale.epochs = 1;
+  scale.smoke = true;
+  const auto dataset =
+      bench::make_dataset(trafficgen::DatasetProfile::iscx_vpn(), scale, 0x5ce);
+  const auto models = bench::train_fenix_models(dataset, scale, 0x5ce);
+  const std::size_t classes = dataset.num_classes();
 
   trafficgen::ScenarioConfig config = trafficgen::scenario_preset("heavy_tailed");
   config.flows = 10'000'000;
@@ -83,48 +93,53 @@ int run_rss_check() {
   // per-flow state) in the hundreds of thousands at a 5M flows/sec arrival
   // rate.
   config.flow_lifetime = sim::milliseconds(50);
+  config.num_classes = static_cast<std::uint16_t>(classes);
   trafficgen::ScenarioSource source(config);
 
-  std::cout << "rss-check: streaming " << config.flows << " flows (~"
-            << source.packet_hint() << " packets) open-loop...\n";
+  std::cout << "rss-check: replaying " << config.flows << " flows (~"
+            << source.packet_hint() << " packets) open-loop at pipes 4...\n";
+  core::PipelineOptions opts;
+  opts.pipes = 4;
   const auto start = std::chrono::steady_clock::now();
-  std::vector<net::PacketRecord> chunk(4096);
-  std::uint64_t packets = 0;
-  std::uint64_t ts_xor = 0;  // consume the stream so it cannot be elided
-  for (;;) {
-    const std::size_t n = source.next_chunk(std::span(chunk));
-    if (n == 0) break;
-    packets += n;
-    for (std::size_t i = 0; i < n; ++i) ts_xor ^= chunk[i].timestamp;
-  }
+  core::FenixSystem system(make_config(), models.qcnn.get(), nullptr);
+  const core::RunReport report =
+      system.run_pipelined(source, classes, nullptr, {}, opts);
   const double wall_s = seconds_since(start);
   const double rss_mb = peak_rss_mb();
-  const double materialized_mb = static_cast<double>(packets) *
+  const double materialized_mb = static_cast<double>(report.packets) *
                                  sizeof(net::PacketRecord) / (1024.0 * 1024.0);
+  const std::uint64_t unattributed = report.drop_unattributed();
 
-  std::cout << "streamed " << packets << " packets in "
-            << telemetry::TextTable::num(wall_s, 1) << " s (ts_xor " << ts_xor
-            << ")\n"
+  std::cout << "replayed " << report.packets << " packets (" << report.mirrors
+            << " mirrors) in " << telemetry::TextTable::num(wall_s, 1)
+            << " s\n"
             << "peak active flows: " << source.peak_active_flows() << "\n"
+            << "unattributed drops: " << unattributed << "\n"
             << "peak RSS: " << telemetry::TextTable::num(rss_mb, 1)
             << " MB (ceiling " << ceiling_mb << " MB; materialized would be "
             << telemetry::TextTable::num(materialized_mb, 0) << " MB)\n";
 
   bench::JsonSection rss;
   rss.put("flows", static_cast<std::int64_t>(config.flows));
-  rss.put("packets", static_cast<std::int64_t>(packets));
+  rss.put("packets", static_cast<std::int64_t>(report.packets));
+  rss.put("mirrors", static_cast<std::int64_t>(report.mirrors));
   rss.put("peak_active_flows",
           static_cast<std::int64_t>(source.peak_active_flows()));
   rss.put("peak_rss_mb", rss_mb);
+  rss.put("replay_wall_s", wall_s);
   rss.put("materialized_would_be_mb", materialized_mb);
   bench::write_bench_json("scenario_rss", rss, "BENCH_PR9.json");
 
-  if (rss_mb > ceiling_mb) {
-    std::cerr << "FAIL: peak RSS " << rss_mb << " MB exceeds the " << ceiling_mb
-              << " MB ceiling — the streaming engine materialized something\n";
+  if (unattributed != 0) {
+    std::cerr << "FAIL: " << unattributed << " unattributed drops\n";
     return 1;
   }
-  std::cout << "PASS: 10M-flow preset streamed within the RSS ceiling\n";
+  if (rss_mb > ceiling_mb) {
+    std::cerr << "FAIL: peak RSS " << rss_mb << " MB exceeds the " << ceiling_mb
+              << " MB ceiling — the replay held something per packet\n";
+    return 1;
+  }
+  std::cout << "PASS: 10M-flow preset replayed within the RSS ceiling\n";
   return 0;
 }
 

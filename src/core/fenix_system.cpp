@@ -170,7 +170,7 @@ telemetry::MetricRegistry FenixSystem::health_metrics(const RunReport& report) c
   reg.set_counter("device_stalls", device.stalls);
   reg.set_counter("device_resets", device.resets);
   // Decentralized-coordination health: how often the epoch reconcilers ran,
-  // and the fan-in contention and per-pipe backlog peaks of the worker fleet.
+  // the fleet's fan-in contention and backlog peaks, and the memory peaks.
   reg.set_counter("watchdog_reconciles", data_engine_.watchdog().reconciles());
   reg.set_counter("bucket_reconciles", data_engine_.bucket().reconciles());
   reg.set_counter("pipeline_epochs", pipeline_telemetry_.epochs);
@@ -178,6 +178,8 @@ telemetry::MetricRegistry FenixSystem::health_metrics(const RunReport& report) c
   reg.set_counter("fanin_cas_retries", pipeline_telemetry_.fanin.cas_retries);
   reg.set_counter("fanin_full_stalls", pipeline_telemetry_.fanin.full_stalls);
   reg.set_counter("fanin_peak_size", pipeline_telemetry_.fanin.peak_size);
+  reg.set_counter("peak_live_batches", pipeline_telemetry_.peak_live_batches);
+  reg.set_counter("peak_open_records", pipeline_telemetry_.peak_open_records);
   for (std::size_t pipe = 0; pipe < pipeline_telemetry_.pipe_queue_peaks.size();
        ++pipe) {
     reg.set_counter("pipe" + std::to_string(pipe) + "_queue_peak",

@@ -115,6 +115,10 @@ struct PipelineTelemetry {
   std::vector<std::uint64_t> pipe_queue_peaks;
   /// Model Engine fan-in queue contention/occupancy counters.
   runtime::MpscQueueStats fanin;
+  /// Most inference batches alive at any barrier (before retiring).
+  std::uint64_t peak_live_batches = 0;
+  /// Most unfolded outcome and applied-verdict records at any barrier.
+  std::uint64_t peak_open_records = 0;
 };
 
 class FenixSystem {
@@ -125,8 +129,10 @@ class FenixSystem {
 
   /// Replays a packet stream through the full system, pulling chunks from
   /// `source` as simulated time advances — the workload never materializes
-  /// beyond one epoch, so multi-GB open-loop scenarios replay in bounded
-  /// RSS. `hooks` (optional) observes simulated time for fault injection
+  /// beyond one epoch, and per-packet and per-mirror records are folded and
+  /// freed two barriers later, so RSS grows only with the flow count, the
+  /// epoch size, two bytes per mirror and the latency reservoirs (at most
+  /// 2^20 samples each). `hooks` (optional) observes simulated time for fault injection
   /// (fired at epoch boundaries); `phases` (optional, sorted, disjoint)
   /// requests per-phase forwarding accuracy accounting. This is
   /// run_pipelined() with one pipe on one thread: the packets run inline on

@@ -73,8 +73,8 @@ void InferenceBatcher::compute(Batch& batch, nn::Scratch& scratch) {
       models_[m].rnn->predict_batch(tokens, batch.count, scratch, out);
     }
   }
-  computed_.fetch_add(1, std::memory_order_release);
-  fleet_.notify();  // the owner may be parked in flush()
+  batch.done.store(true, std::memory_order_release);  // last touch of `batch`
+  fleet_.notify();  // the owner may be parked in seal()
 }
 
 void InferenceBatcher::dispatch(Batch& batch) {
@@ -104,14 +104,18 @@ bool InferenceBatcher::compute_next(std::size_t t) {
 }
 
 InferenceBatcher::Batch& InferenceBatcher::open_batch() {
-  const std::size_t offset = static_cast<std::size_t>(next_ticket_ % batch_size_);
-  if (offset == 0) {
-    Batch& b = batches_.emplace_back();
-    b.tokens.resize(batch_size_ * (seq_len_[0] + seq_len_[1]));
-    b.out.assign(batch_size_ * model_count_, -1);
-    return b;
+  if (next_ticket_ % batch_size_ != 0) return *live_.back();
+  if (spare_.empty()) {
+    auto fresh = std::make_unique<Batch>();
+    fresh->tokens.resize(batch_size_ * (seq_len_[0] + seq_len_[1]));
+    fresh->out.resize(batch_size_ * model_count_);
+    spare_.push_back(std::move(fresh));
   }
-  return batches_.back();
+  live_.push_back(std::move(spare_.back()));
+  spare_.pop_back();
+  Batch& b = *live_.back();
+  b.done.store(false, std::memory_order_relaxed);
+  return b;
 }
 
 InferenceBatcher::Ticket InferenceBatcher::enqueue(
@@ -129,19 +133,34 @@ InferenceBatcher::Ticket InferenceBatcher::enqueue(
   return ticket;
 }
 
-InferenceBatcher::Ticket InferenceBatcher::flush() {
+InferenceBatcher::Ticket InferenceBatcher::seal(Ticket ticket) {
   const std::size_t offset = static_cast<std::size_t>(next_ticket_ % batch_size_);
-  if (offset != 0) {
-    dispatch(batches_.back());
+  if (offset != 0 && next_ticket_ - offset < ticket) {
+    dispatch(*live_.back());
     next_ticket_ += batch_size_ - offset;
   }
-  // Every batch is dispatched now; compute them while the fleet finishes.
+  // Every batch below `need` is dispatched now; compute them while the
+  // fleet finishes, observing completions in batch order.
+  const std::uint64_t need = (ticket + batch_size_ - 1) / batch_size_;
   fleet_.wait_until(
-      [this] {
-        return computed_.load(std::memory_order_acquire) == batches_.size();
+      [&] {
+        while (observed_ < need &&
+               live_[observed_ - first_batch_]->done.load(
+                   std::memory_order_acquire)) {
+          ++observed_;
+        }
+        return observed_ >= need;
       },
       [this] { return compute_next(0); });
   return next_ticket_;
+}
+
+void InferenceBatcher::retire(Ticket ticket) {
+  const std::uint64_t end = std::min<std::uint64_t>(ticket / batch_size_, observed_);
+  for (; first_batch_ < end; ++first_batch_) {
+    spare_.push_back(std::move(live_.front()));
+    live_.pop_front();
+  }
 }
 
 // ------------------------------------------------------------ InferenceStage
@@ -186,12 +205,14 @@ bool InferenceStage::drain() {
   bool drained = false;
   while (auto item = queue_.try_pop()) {
     drained = true;
-    const auto [lane, seq] =
-        lane_and_seq(static_cast<std::uint64_t>(item->symbol));
-    auto& slots = tickets_[lane];
-    if (seq >= slots.size()) slots.resize(seq + 1);
-    slots[seq] = batcher_.enqueue(item->sequence);
-    window_end_ = slots[seq] + 1;
+    const auto bits = static_cast<std::uint64_t>(item->symbol);
+    const auto [lane, seq] = lane_and_seq(bits);
+    auto& issued = issued_[lane];
+    const std::size_t i = seq - classes_[lane].size();
+    if (i >= issued.size()) issued.resize(i + 1);
+    issued[i] = {batcher_.enqueue(item->sequence),
+                 static_cast<std::size_t>((bits >> kSymbolGenerationShift) & 1)};
+    window_end_ = issued[i].ticket + 1;
   }
   if (drained) fleet().notify();  // a worker may be parked on a full ring
   return drained;
@@ -207,6 +228,36 @@ ShadowTally InferenceStage::close_window() {
   }
   window_begin_ = window_end_ = next;
   return tally;
+}
+
+InferenceStage::Mark InferenceStage::drained() const {
+  Mark mark{{}, batcher_.next_ticket()};
+  for (std::size_t lane = 0; lane < kCoordinationLanes; ++lane) {
+    mark.seq[lane] = classes_[lane].size() + issued_[lane].size();
+  }
+  return mark;
+}
+
+void InferenceStage::settle(const Mark& mark) {
+  batcher_.seal(mark.ticket);
+  for (std::size_t lane = 0; lane < kCoordinationLanes; ++lane) {
+    auto& classes = classes_[lane];
+    auto& issued = issued_[lane];
+    const std::size_t n = mark.seq[lane] - classes.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      classes.push_back(batcher_.result(issued[i].ticket, issued[i].model));
+    }
+    issued.erase(issued.begin(), issued.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+  batcher_.retire(mark.ticket);
+}
+
+void InferenceStage::close_epoch() {
+  peak_live_batches_ = std::max(peak_live_batches_, batcher_.live_batches());
+  settle(marks_[1]);
+  drain();  // the barrier's retransmits
+  marks_[1] = marks_[0];
+  marks_[0] = drained();
 }
 
 }  // namespace fenix::core

@@ -137,10 +137,11 @@ struct ModelRef {
 /// of the same sequences.
 ///
 /// Threading contract: only the owner (the constructing thread) calls the
-/// members; other fleet threads touch only the claim ring and its batches,
-/// each with its own nn::Scratch. result() is valid for tickets below the
-/// last flush() and after finish(). Batches live until destruction, so
-/// tickets never dangle.
+/// members; other fleet threads touch only the claim ring and the batches in
+/// it, each with its own nn::Scratch. result() is valid for a ticket below
+/// the last seal() (or flush(), or finish()) until retire() drops its batch.
+/// retire() drops only batches a seal() has seen done, which no other thread
+/// touches again, and later batches reuse their buffers.
 class InferenceBatcher {
  public:
   using Ticket = std::uint64_t;
@@ -160,20 +161,34 @@ class InferenceBatcher {
   /// predicted class will be readable under. Dispatches the batch when full.
   Ticket enqueue(const std::vector<net::PacketFeature>& sequence);
 
-  /// Dispatches the open partial batch, moves the ticket counter up to the
-  /// next batch boundary (so no later enqueue lands in a dispatched batch),
-  /// and computes batches until every dispatched one is done. Returns the
-  /// next ticket enqueue() will hand out; every earlier ticket is readable.
-  Ticket flush();
+  /// Makes every ticket below `ticket` (at most next_ticket()) readable. The
+  /// open partial batch is dispatched only if it holds such a ticket; the
+  /// ticket counter then moves up to the next batch boundary, so no later
+  /// enqueue lands in a dispatched batch. Computes batches until every batch
+  /// holding such a ticket is done. Returns next_ticket().
+  Ticket seal(Ticket ticket);
+
+  /// seal() of every ticket handed out so far.
+  Ticket flush() { return seal(next_ticket_); }
 
   /// Completes everything outstanding, including a partial final batch.
   void finish() { flush(); }
 
+  /// Drops the batches that hold only tickets below `ticket` and that a
+  /// seal() has seen done.
+  void retire(Ticket ticket);
+
   /// Class `model` (0 = primary, 1 = shadow) predicted for `ticket`.
   std::int16_t result(Ticket ticket, std::size_t model = 0) const {
-    const Batch& b = batches_[ticket / batch_size_];
+    const Batch& b = *live_[ticket / batch_size_ - first_batch_];
     return b.out[model * batch_size_ + ticket % batch_size_];
   }
+
+  /// The ticket the next enqueue() hands out.
+  Ticket next_ticket() const { return next_ticket_; }
+
+  /// Batches created and not yet retired.
+  std::size_t live_batches() const { return live_.size(); }
 
   const ModelRef& model(std::size_t i) const { return models_[i]; }
 
@@ -187,6 +202,7 @@ class InferenceBatcher {
     /// Per model, model 0 first: one predicted class per inference.
     std::vector<std::int16_t> out;
     std::size_t count = 0;
+    std::atomic<bool> done{false};  ///< Released once `out` is written.
   };
 
   void compute(Batch& batch, nn::Scratch& scratch);
@@ -204,9 +220,13 @@ class InferenceBatcher {
   std::size_t model_count_;  ///< 1, or 2 with a shadow bound.
   std::size_t batch_size_;
 
-  std::deque<Batch> batches_;  ///< Stable addresses; grows only; owner only.
+  /// Batch first_batch_ + i, holding tickets from (first_batch_ + i) *
+  /// batch_size_; unique_ptr keeps addresses stable. Owner only.
+  std::deque<std::unique_ptr<Batch>> live_;
+  std::vector<std::unique_ptr<Batch>> spare_;  ///< Retired, buffers kept.
+  std::uint64_t first_batch_ = 0;
+  std::uint64_t observed_ = 0;  ///< Batches below this were seen done.
   Ticket next_ticket_ = 0;
-  std::atomic<std::size_t> computed_{0};  ///< Batches whose classes are out.
 
   /// Dispatched batches: the owner publishes at head, threads claim by CAS.
   std::array<std::atomic<Batch*>, 256> ring_{};
@@ -236,11 +256,13 @@ struct ShadowTally {
 /// (ModelEngine::submit_timed_lane) and pushes the feature window through a
 /// lock-free MPSC fan-in — the software mirror of the Model Engine's shared
 /// input arbiter — to the coordinator, which drains it into the
-/// InferenceBatcher. Symbols carry (generation, lane, sequence); resolve()
-/// maps them to batcher tickets and returns the class of model
-/// `generation & 1` once the batches are done. In lifecycle runs the batcher
-/// also computes the shadow, and close_window() counts the window's
-/// disagreements at each barrier.
+/// InferenceBatcher. Symbols carry (generation, lane, sequence). At every
+/// epoch barrier close_epoch() settles the symbols issued up to the barrier
+/// two back: it reads the class of each symbol's serving model (model
+/// `generation & 1`) into a per-lane class table, which resolve() reads, and
+/// retires their tickets and batches. In lifecycle runs the batcher also
+/// computes the shadow, and close_window() counts the window's disagreements
+/// at each barrier.
 ///
 /// Its batcher's fleet is the replay's one pool: the coordinator runs the
 /// pipe rounds on it. submit() may run concurrently on distinct lanes,
@@ -269,20 +291,27 @@ class InferenceStage {
 
   /// Barrier-only (lifecycle runs): drains the fan-in, flushes the batcher
   /// and waits for it, then tallies the window's mirrors since the previous
-  /// call and their primary-vs-shadow disagreements.
+  /// call and their primary-vs-shadow disagreements. It runs before the
+  /// barrier's close_epoch(), whose seal therefore never splits a window.
   ShadowTally close_window();
 
-  /// Completes every batch; resolve() is valid afterwards.
-  void finish() { batcher_.finish(); }
+  /// Barrier-only, after the barrier's last submit: makes every symbol
+  /// drained up to the mark of two barriers back resolvable, retires its
+  /// ticket and batch, then drains the fan-in and marks what it drained.
+  void close_epoch();
+
+  /// Completes every batch and makes every symbol resolvable.
+  void finish() {
+    drain();
+    settle(drained());
+  }
 
   runtime::WorkerFleet& fleet() { return batcher_.fleet(); }
 
-  /// The class a symbol's serving model predicted.
+  /// The class a settled symbol's serving model predicted.
   std::int16_t resolve(VerdictSymbol symbol) const {
-    const auto bits = static_cast<std::uint64_t>(symbol);
-    const auto [lane, seq] = lane_and_seq(bits);
-    return batcher_.result(tickets_[lane][seq],
-                           (bits >> kSymbolGenerationShift) & 1);
+    const auto [lane, seq] = lane_and_seq(static_cast<std::uint64_t>(symbol));
+    return classes_[lane].at(seq);
   }
 
   /// Serving generation: even generations serve model(0) (the original
@@ -296,12 +325,25 @@ class InferenceStage {
 
   runtime::MpscQueueStats fanin_stats() const { return queue_.stats(); }
 
+  /// Most batches alive at any close_epoch(), before it retires.
+  std::size_t peak_live_batches() const { return peak_live_batches_; }
+
  private:
   /// One admitted mirror crossing the fan-in: the symbol its verdict will be
   /// published under, plus the feature window the batcher will tokenize.
   struct FanInItem {
     VerdictSymbol symbol = kNoVerdict;
     std::vector<net::PacketFeature> sequence;
+  };
+
+  /// A drained symbol awaiting its class: its ticket and serving model.
+  struct Issued { InferenceBatcher::Ticket ticket; std::size_t model; };
+
+  /// Per-lane sequences drained into the batcher up to one barrier, and
+  /// the batcher's next ticket then: every lower ticket is a marked one.
+  struct Mark {
+    std::array<std::uint64_t, kCoordinationLanes> seq{};
+    InferenceBatcher::Ticket ticket = 0;
   };
 
   /// A symbol's (lane, per-lane sequence) fields.
@@ -312,13 +354,26 @@ class InferenceStage {
             bits & ((std::uint64_t{1} << kSymbolSeqBits) - 1)};
   }
 
+  /// The mark of everything drain() has fed the batcher so far.
+  Mark drained() const;
+  /// Seals the batcher to `mark`, moves the classes of every sequence below
+  /// it into classes_, drops their tickets and retires their batches.
+  void settle(const Mark& mark);
+
   ModelEngine& engine_;
   InferenceBatcher batcher_;
   runtime::MpscQueue<FanInItem> queue_;
   std::thread::id consumer_;
   std::uint64_t generation_ = 0;  ///< Written at barriers only.
   std::array<std::uint64_t, kCoordinationLanes> lane_seq_{};
-  std::array<std::vector<InferenceBatcher::Ticket>, kCoordinationLanes> tickets_;
+  /// Per lane, by sequence: each settled symbol's class, kept for the run (a
+  /// flow may forward on a cached verdict for as long as it lives).
+  std::array<std::vector<std::int16_t>, kCoordinationLanes> classes_;
+  /// Per lane: the drained symbols from sequence classes_[lane].size() on.
+  std::array<std::vector<Issued>, kCoordinationLanes> issued_;
+  /// marks_[0] is the last barrier's mark, marks_[1] the one before.
+  std::array<Mark, 2> marks_{};
+  std::size_t peak_live_batches_ = 0;
   /// Tickets of the open lifecycle window: [window_begin_, window_end_).
   InferenceBatcher::Ticket window_begin_ = 0;
   InferenceBatcher::Ticket window_end_ = 0;

@@ -15,11 +15,12 @@
 //    lane % pipes == p; each epoch, the fleet thread that claims pipe p runs
 //    DataEngine::on_packet for its packets in trace order, start to finish —
 //    admission decision included.
-//  * The coordinator stages each epoch, claims pipes too, and runs the
-//    epoch barrier every FenixSystemConfig::reconcile_quantum of trace time:
-//    fire fault hooks, fold the lane-buffered watchdog events (publishing
-//    the degraded flag), rebalance the token sub-budgets, and run the
-//    control-plane window tick. It drains the inference fan-in meanwhile.
+//  * The coordinator stages each epoch, runs pipe 0 and claims others too,
+//    and runs the epoch barrier every FenixSystemConfig::reconcile_quantum
+//    of trace time: fire fault hooks, fold the lane-buffered watchdog events
+//    (publishing the degraded flag), rebalance the token sub-budgets, and
+//    run the control-plane window tick. It drains the inference fan-in
+//    meanwhile.
 //  * DNN forward passes are batched by the one InferenceStage
 //    (core/model_pool.hpp): pipes admit mirrors with
 //    ModelEngine::submit_timed_lane (pure timing/FIFO effects against the
@@ -28,17 +29,17 @@
 //    the coordinator, which feeds an InferenceBatcher; any fleet thread with
 //    no pipe to claim computes its batches. Verdicts flow through
 //    the accounting as (generation, lane, sequence) symbols and resolve to
-//    classes after the batches complete; a predicted class is pure data
-//    (nn::predict_batch is bit-identical to scalar predict), so the racy
-//    drain order never leaks into the replay. Lifecycle runs batch the
-//    shadow model too and wait for the batches only at epoch barriers.
+//    classes two barriers later (ReplayCore::close_epoch); a predicted
+//    class is pure data (nn::predict_batch is bit-identical to scalar
+//    predict), so the racy drain order never leaks into the replay.
+//    Lifecycle runs batch the shadow model too and flush at every barrier.
 //
 // Determinism: a lane's state is touched only by its owner between barriers,
 // every packet of a flow hashes to one lane, and the barrier schedule is a
 // pure function of the trace — so per-lane state evolves identically whether
 // the lanes run interleaved on one thread or spread over N workers, and the
-// lane-order merge in ReplayCore::resolve() yields bit-identical RunReports
-// at every pipes/batch/threads setting.
+// folds (confusion increments commute) yield bit-identical RunReports at
+// every pipes/batch/threads setting.
 #include <algorithm>
 #include <cstdint>
 #include <functional>
@@ -68,10 +69,11 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   // The epoch schedule (reconcile barriers, control-plane ticks, window
   // epochs) is a pure function of the packet timestamps, so it is evaluated
   // incrementally as packets stream in: the coordinator buffers exactly one
-  // epoch's packets (partitioned per pipe), flushes the fleet at each
-  // boundary, and never holds more than a reconcile quantum's worth of the
-  // workload. That bound, not the trace length, is the replay's memory
-  // footprint.
+  // epoch's packets (partitioned per pipe) and flushes the fleet at each
+  // boundary, and close_epoch() retires each epoch's outcome records,
+  // tickets and batches two barriers later. What still grows with the run
+  // is four bytes per flow, two per mirror (the settled class table) and
+  // the latency reservoirs, capped at 2^20 samples each.
 
   // ---- The one inference stage, whose fleet (this thread + threads − 1
   // workers) runs pipes and DNN batches, and the lane-granular core.
@@ -128,8 +130,9 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
 
   // Replays the buffered epoch as one fleet round (lanes are disjoint, so
   // any claim order is another interleaving), then clears the staging
-  // buffers. The coordinator claims pipes too and drains the fan-in while it
-  // waits. What on_packet reads is republished only after the round.
+  // buffers. The coordinator runs pipe 0, claims others too and drains the
+  // fan-in while it waits. What on_packet reads is republished only after
+  // the round.
   const auto flush_epoch = [&] {
     for (std::size_t p = 0; p < pipes; ++p) {
       pipe_peaks[p] = std::max<std::uint64_t>(pipe_peaks[p],
@@ -144,8 +147,8 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
 
   // ---- Stream loop. At each boundary: flush the buffered epoch, then the
   // coordinator barrier work in order — fault hooks + all-lane pump,
-  // watchdog fold (publishes degraded), token rebalance, then the
-  // control-plane window tick.
+  // watchdog fold (publishes degraded), token rebalance, the control-plane
+  // window tick, then the fold of the epoch two barriers back.
   std::uint64_t epochs = 0;
   sim::SimTime last_epoch = 0;
   sim::SimTime first_ts = 0;
@@ -164,6 +167,7 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
         core.reconcile(ts);
         data_engine_.epoch_reconcile(ts);
         data_engine_.control_plane_tick(ts);
+        core.close_epoch();
         last_epoch = ts;
         if (first) first_ts = ts;
         first = false;
@@ -187,7 +191,6 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   core.reconcile(duration);
   data_engine_.epoch_reconcile(duration);
   core.drain(duration);
-  inference.drain();
   inference.finish();
   core.resolve();
 
@@ -200,6 +203,8 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   pipeline_telemetry_.epochs = epochs;
   pipeline_telemetry_.pipe_queue_peaks = std::move(pipe_peaks);
   pipeline_telemetry_.fanin = inference.fanin_stats();
+  pipeline_telemetry_.peak_live_batches = inference.peak_live_batches();
+  pipeline_telemetry_.peak_open_records = core.peak_open_records();
   return core.take_report();
 }
 

@@ -1,6 +1,7 @@
 #include "core/replay_core.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string_view>
@@ -13,6 +14,26 @@ namespace fenix::core {
 
 // ---------------------------------------------------------------------------
 // ReplayCore.
+
+namespace {
+
+// The lane event heaps: the pop order is exactly std::priority_queue's, but
+// pop_heap() moves the top out instead of copying it.
+template <typename T>
+void heap_push(std::vector<T>& heap, T item) {
+  heap.push_back(std::move(item));
+  std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+}
+
+template <typename T>
+T heap_pop(std::vector<T>& heap) {
+  std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+  T top = std::move(heap.back());
+  heap.pop_back();
+  return top;
+}
+
+}  // namespace
 
 ReplayCore::LaneState::LaneState(net::ReliableLink* to, net::ReliableLink* from,
                                  double rtx_rate_hz, double rtx_burst)
@@ -27,7 +48,7 @@ ReplayCore::ReplayCore(const net::PacketSource& source, std::size_t num_classes,
     : config_(config), admission_(config.admission), data_engine_(data_engine),
       inference_(inference), hooks_(hooks), report_(num_classes),
       flow_labels_(source.flow_count(), net::kUnlabeled),
-      flow_verdict_symbol_(source.flow_count(), kNoVerdict) {
+      flow_class_(source.flow_count(), -1) {
   // A hint, not a measurement: streaming drivers overwrite it with the
   // measured span via set_trace_duration() once the stream is exhausted.
   report_.trace_duration = source.duration_hint();
@@ -83,7 +104,8 @@ void ReplayCore::send_vector(const net::FeatureVector& vec, sim::SimTime emitted
   LaneState& L = lanes_[lane];
   const sim::SimDuration deadline = config_.recovery.result_deadline;
   const auto schedule_miss = [&] {
-    L.misses.push(MissEvent{emitted + deadline, L.miss_seq++, vec, retries_left});
+    heap_push(L.misses,
+              MissEvent{emitted + deadline, L.miss_seq++, vec, retries_left});
   };
   const net::SendOutcome fwd = L.to_fpga->send(emitted, vec.wire_bytes());
   if (!fwd.delivered_at) {
@@ -124,13 +146,12 @@ void ReplayCore::send_vector(const net::FeatureVector& vec, sim::SimTime emitted
   // A verdict landing after its own deadline still gets applied, but the
   // switch has already declared the miss by then.
   if (p.delivered_at > emitted + deadline) schedule_miss();
-  L.pending.push(std::move(p));
+  heap_push(L.pending, std::move(p));
 }
 
 void ReplayCore::deliver_one(std::size_t lane) {
   LaneState& L = lanes_[lane];
-  const PendingResult p = L.pending.top();
-  L.pending.pop();
+  PendingResult p = heap_pop(L.pending);
   if (L.from_fpga->stale(p.epoch, p.delivered_at)) {
     // The FPGA rebooted after this verdict's frame was stamped: the switch
     // discards it rather than install pre-reboot flow state. If the verdict
@@ -141,7 +162,8 @@ void ReplayCore::deliver_one(std::size_t lane) {
     const sim::SimTime deadline_at =
         p.mirror_emitted + config_.recovery.result_deadline;
     if (p.delivered_at <= deadline_at) {
-      L.misses.push(MissEvent{deadline_at, L.miss_seq++, p.vec, p.retries_left});
+      heap_push(L.misses, MissEvent{deadline_at, L.miss_seq++, std::move(p.vec),
+                                    p.retries_left});
     }
     return;
   }
@@ -151,15 +173,13 @@ void ReplayCore::deliver_one(std::size_t lane) {
     lifecycle_->on_apply(lane, p.symbol, p.delivered_at - p.mirror_emitted);
   }
   if (p.result.flow_id < flow_labels_.size()) {
-    L.deferred_inference.push_back({flow_labels_[p.result.flow_id], p.symbol});
-    flow_verdict_symbol_[p.result.flow_id] = p.symbol;
+    L.records[open_].applied.push_back({p.result.flow_id, p.symbol});
   }
 }
 
 void ReplayCore::miss_one(std::size_t lane) {
   LaneState& L = lanes_[lane];
-  MissEvent ev = L.misses.top();
-  L.misses.pop();
+  const MissEvent ev = heap_pop(L.misses);
   ++L.deadline_misses;
   data_engine_.watchdog().buffer_miss(lane, ev.at);
   if (ev.retries_left == 0) {
@@ -183,12 +203,12 @@ void ReplayCore::pump(sim::SimTime now, bool everything, std::size_t lane) {
   LaneState& L = lanes_[lane];
   for (;;) {
     const bool have_result =
-        !L.pending.empty() && (everything || L.pending.top().delivered_at <= now);
+        !L.pending.empty() && (everything || L.pending.front().delivered_at <= now);
     const bool have_miss =
-        !L.misses.empty() && (everything || L.misses.top().at <= now);
+        !L.misses.empty() && (everything || L.misses.front().at <= now);
     if (!have_result && !have_miss) break;
     if (have_result &&
-        (!have_miss || L.pending.top().delivered_at <= L.misses.top().at)) {
+        (!have_miss || L.pending.front().delivered_at <= L.misses.front().at)) {
       deliver_one(lane);
     } else {
       miss_one(lane);
@@ -238,7 +258,7 @@ void ReplayCore::account_packet(sim::SimTime now, net::ClassLabel truth,
   }
   const bool in_phase = L.phase_idx < report_.phases.size() &&
                         now >= report_.phases[L.phase_idx].start;
-  L.outcomes.push_back(
+  L.records[open_].outcomes.push_back(
       {truth, forward_class, engine_symbol,
        in_phase ? static_cast<std::int32_t>(L.phase_idx) : -1, from_engine,
        from_tree});
@@ -254,6 +274,48 @@ void ReplayCore::emit_mirror(const net::FeatureVector& vec,
   // Mirror leaves the deparser after the full switch transit.
   send_vector(vec, packet_ts + config_.transit_latency,
               config_.recovery.max_retransmits, lane);
+}
+
+void ReplayCore::fold(EpochRecords& records) {
+  for (const PacketOutcome& o : records.outcomes) {
+    const std::int16_t cls =
+        o.from_engine ? inference_.resolve(o.symbol) : o.forward_class;
+    report_.packet_confusion.add(o.label, cls);
+    if (o.phase >= 0) {
+      PhaseReport& phase = report_.phases[static_cast<std::size_t>(o.phase)];
+      phase.packet_confusion.add(o.label, cls);
+      ++phase.packets;
+      if (o.from_engine) {
+        ++phase.dnn_verdicts;
+      } else if (o.from_tree) {
+        ++phase.tree_verdicts;
+      } else {
+        ++phase.unclassified;
+      }
+    }
+  }
+  // In apply order per flow (a flow's verdicts all land on one lane), so the
+  // flow keeps the class of its last verdict.
+  for (const AppliedVerdict& a : records.applied) {
+    const std::int16_t cls = inference_.resolve(a.symbol);
+    report_.inference_confusion.add(flow_labels_[a.flow], cls);
+    flow_class_[a.flow] = cls;
+  }
+  records.outcomes.clear();
+  records.applied.clear();
+}
+
+void ReplayCore::close_epoch() {
+  std::size_t held = 0;
+  for (const LaneState& L : lanes_) {
+    for (const EpochRecords& r : L.records) held += r.outcomes.size() + r.applied.size();
+  }
+  peak_open_records_ = std::max(peak_open_records_, held);
+  inference_.close_epoch();
+  // records[open_ + 1] was sealed two barriers back; folded, it is the next
+  // epoch's buffer.
+  open_ = (open_ + 1) % 3;
+  for (LaneState& L : lanes_) fold(L.records[open_]);
 }
 
 void ReplayCore::drain(sim::SimTime trace_end) {
@@ -281,26 +343,8 @@ void ReplayCore::resolve() {
     report_.retransmits_suppressed += L.retransmits_suppressed;
     report_.retransmits_exhausted += L.retransmits_exhausted;
 
-    for (const PacketOutcome& o : L.outcomes) {
-      const std::int16_t cls =
-          o.from_engine ? inference_.resolve(o.symbol) : o.forward_class;
-      report_.packet_confusion.add(o.label, cls);
-      if (o.phase >= 0) {
-        PhaseReport& phase = report_.phases[static_cast<std::size_t>(o.phase)];
-        phase.packet_confusion.add(o.label, cls);
-        ++phase.packets;
-        if (o.from_engine) {
-          ++phase.dnn_verdicts;
-        } else if (o.from_tree) {
-          ++phase.tree_verdicts;
-        } else {
-          ++phase.unclassified;
-        }
-      }
-    }
-    for (const DeferredInference& d : L.deferred_inference) {
-      report_.inference_confusion.add(d.label, inference_.resolve(d.symbol));
-    }
+    // Oldest first: the two sealed epochs, then the tail since.
+    for (std::size_t k = 1; k <= 3; ++k) fold(L.records[(open_ + k) % 3]);
 
     report_.internal_tx.absorb(L.internal_tx);
     report_.queueing.absorb(L.queueing);
@@ -324,10 +368,7 @@ void ReplayCore::resolve() {
   report_.link_resyncs = links.resyncs;
 
   for (std::size_t f = 0; f < flow_labels_.size(); ++f) {
-    const VerdictSymbol s = flow_verdict_symbol_[f];
-    report_.flow_confusion.add(
-        flow_labels_[f],
-        s == kNoVerdict ? std::int16_t{-1} : inference_.resolve(s));
+    report_.flow_confusion.add(flow_labels_[f], flow_class_[f]);
   }
   report_.results_applied = data_engine_.results_applied();
   report_.results_stale = data_engine_.results_stale();

@@ -15,12 +15,11 @@
 // same per-lane state machines and merge to bit-identical RunReports.
 //
 // The coordinator's only jobs are the epoch boundaries (reconcile(): fault
-// hooks + an all-lane pump) and the final merge (resolve(): deferred
-// outcomes replayed lane 0..N-1, latency recorders absorbed, link deltas
-// summed). Verdicts flow through the accounting as opaque symbols — a
-// predicted class is pure data that never feeds back into replay timing or
-// RNG state — and every confusion cell is resolved once inference completes
-// (confusion increments commute).
+// hooks + an all-lane pump; close_epoch(): fold the records of two barriers
+// back) and the final merge (resolve()). Verdicts flow through the
+// accounting as opaque symbols — a predicted class is pure data that never
+// feeds back into replay timing or RNG state — and resolve to classes two
+// barriers after they were issued (confusion increments commute).
 //
 // FenixSystem::run_pipelined() is the one driver: it spreads the lanes over
 // fleet's pipes and calls the one InferenceStage (core/model_pool.hpp), which
@@ -33,7 +32,6 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -329,6 +327,7 @@ using LaneLinks = std::array<net::ReliableLink*, kCoordinationLanes>;
 /// between reconcile() calls):
 ///
 ///   reconcile(ts)                       // at epoch boundaries: hooks + all-lane pump
+///   close_epoch()                       // after the barrier's other work
 ///   begin_packet(ts, lane)              // lane event pump
 ///   DataEngine::on_packet(packet, slot) // flow tracking / admission
 ///   account_packet(ts, truth, ..., lane)// deferred outcome capture
@@ -365,8 +364,8 @@ class ReplayCore {
   void begin_packet(sim::SimTime now, std::size_t lane);
 
   /// Books one forwarded packet on `lane`: the outcome (truth, verdict
-  /// source, phase slice) is captured per lane and replayed into the
-  /// confusion matrices at resolve(), so accounting never contends.
+  /// source, phase slice) is captured per lane and folded into the
+  /// confusion matrices two barriers later, so accounting never contends.
   void account_packet(sim::SimTime now, net::ClassLabel truth,
                       std::int16_t forward_class, bool from_engine,
                       VerdictSymbol engine_symbol, bool from_tree,
@@ -377,17 +376,25 @@ class ReplayCore {
   void emit_mirror(const net::FeatureVector& vec, sim::SimTime packet_ts,
                    std::size_t lane);
 
+  /// Epoch barrier (coordinator only), after reconcile() and the Data
+  /// Engine's barrier work: seals the records since the last call, settles
+  /// the symbols of two barriers back (InferenceStage::close_epoch) and
+  /// folds the records sealed then, reusing their buffers.
+  void close_epoch();
+
   /// End of trace: drains the remaining events of every lane (late verdicts
   /// still count; final misses reach the watchdog) and closes the watchdog
   /// accounting.
   void drain(sim::SimTime trace_end);
 
-  /// Merges the lanes in lane order — deferred outcomes into the confusion
-  /// matrices and phase tallies, latency recorders absorbed, counters and
-  /// link deltas summed — and copies the Data Engine's result, degraded-mode
-  /// and watchdog counters into the report. Call after the driver's compute
-  /// barrier.
+  /// Folds the records of the last two epochs and the tail, absorbs the
+  /// latency recorders, sums counters and link deltas in lane order, and
+  /// copies the Data Engine's result, degraded-mode and watchdog counters
+  /// into the report. Call after the driver's compute barrier.
   void resolve();
+
+  /// Most outcome and applied-verdict records held at any close_epoch().
+  std::size_t peak_open_records() const { return peak_open_records_; }
 
   /// Attaches the model-lifecycle observer (nullptr = none). Set before the
   /// first packet; the observer outlives the core's last resolve().
@@ -446,7 +453,7 @@ class ReplayCore {
   };
 
   /// One packet's verdict-accounting outcome, captured lane-locally and
-  /// replayed at resolve(). `phase` is -1 outside every phase slice.
+  /// folded two barriers later. `phase` is -1 outside every phase slice.
   struct PacketOutcome {
     net::ClassLabel label;
     std::int16_t forward_class;
@@ -456,14 +463,20 @@ class ReplayCore {
     bool from_tree;
   };
 
-  /// Engine verdicts applied to a flow, carried symbolically until resolve().
-  struct DeferredInference {
-    net::ClassLabel label;
+  /// An engine verdict applied to a flow, carried symbolically until folded.
+  struct AppliedVerdict {
+    std::uint32_t flow;
     VerdictSymbol symbol;
   };
 
+  /// One lane's records of one epoch.
+  struct EpochRecords {
+    std::vector<PacketOutcome> outcomes;
+    std::vector<AppliedVerdict> applied;
+  };
+
   /// Everything one coordination lane owns. Touched by exactly one thread
-  /// between reconcile() barriers; merged by the coordinator at resolve().
+  /// between reconcile() barriers; folded and merged by the coordinator.
   struct LaneState {
     LaneState(net::ReliableLink* to, net::ReliableLink* from,
               double rtx_rate_hz, double rtx_burst);
@@ -475,11 +488,9 @@ class ReplayCore {
     net::ReliableLinkStats to_start;
     net::ReliableLinkStats from_start;
 
-    std::priority_queue<PendingResult, std::vector<PendingResult>,
-                        std::greater<>>
-        pending;
-    std::priority_queue<MissEvent, std::vector<MissEvent>, std::greater<>>
-        misses;
+    /// Min-heaps (std::push_heap / std::pop_heap with std::greater<>).
+    std::vector<PendingResult> pending;
+    std::vector<MissEvent> misses;
     std::uint64_t miss_seq = 0;
     /// Deadline-driven mirror retransmits (distinct from the links' own
     /// NACK-paced frame repairs); this lane's slice of the pacing budget.
@@ -502,8 +513,8 @@ class ReplayCore {
     telemetry::LatencyRecorder end_to_end;
 
     std::size_t phase_idx = 0;  ///< Monotone per lane: lane packets are in trace order.
-    std::vector<PacketOutcome> outcomes;
-    std::vector<DeferredInference> deferred_inference;
+    /// records[open_] is open; the others were sealed at the last barriers.
+    std::array<EpochRecords, 3> records;
   };
 
   void send_vector(const net::FeatureVector& vec, sim::SimTime emitted,
@@ -511,6 +522,9 @@ class ReplayCore {
   void deliver_one(std::size_t lane);
   void miss_one(std::size_t lane);
   void pump(sim::SimTime now, bool everything, std::size_t lane);
+  /// Books `records` into the report and empties them; every symbol they
+  /// carry must be settled.
+  void fold(EpochRecords& records);
 
   ReplayCoreConfig config_;
   AdmissionController admission_;
@@ -521,13 +535,14 @@ class ReplayCore {
 
   RunReport report_;
   std::vector<LaneState> lanes_;  ///< kCoordinationLanes entries.
+  std::size_t open_ = 0;  ///< LaneState::records index being written.
+  std::size_t peak_open_records_ = 0;
 
-  /// Flow-id -> truth label for inference accuracy accounting, plus the last
-  /// verdict symbol each flow received (flow-level macro-F1, Figure 10).
-  /// Shared arrays, but lane-partitioned: a flow's packets and results all
-  /// hash to one lane, so no two lanes touch the same element.
+  /// Flow-id -> truth label for inference accuracy accounting, plus the
+  /// class of the last verdict each folded epoch applied to the flow, -1
+  /// for none (flow-level macro-F1, Figure 10).
   std::vector<net::ClassLabel> flow_labels_;
-  std::vector<VerdictSymbol> flow_verdict_symbol_;
+  std::vector<std::int16_t> flow_class_;
 };
 
 /// Human-readable description of the first field where two run reports

@@ -1,11 +1,12 @@
 // One fleet of persistent threads for one replay (DESIGN.md §4.6), fed the
 // way FENIX feeds its one systolic array: back to back, never handed a task
-// (§5.1–5.2). run() publishes a round of n items as one claim word,
-// (n << 32) | next item, that every thread, the owner included, claims from
-// by CAS; a thread with nothing to claim runs the idle work (the
-// InferenceBatcher's batches). Every wait spins briefly, then parks on one
-// futex word (std::atomic::wait) that notify() bumps. Only the owner (the
-// constructing thread) calls run(); wait_until() and notify() work anywhere.
+// (§5.1–5.2). run() keeps item 0 of a round of n items for the owner and
+// publishes the round as one claim word, (n << 32) | next item, that every
+// thread, the owner included, claims the rest from by CAS; a thread with
+// nothing to claim runs the idle work (the InferenceBatcher's batches).
+// Every wait spins briefly, then parks on one futex word (std::atomic::wait)
+// that notify() bumps. Only the owner (the constructing thread) calls run();
+// wait_until() and notify() work anywhere.
 #pragma once
 
 #include <atomic>
@@ -49,17 +50,27 @@ class WorkerFleet {
   WorkerFleet& operator=(const WorkerFleet&) = delete;
 
   /// Runs body(i) once for every i in [0, n) across the owner and the
-  /// workers, and returns when all have finished. While the owner has no
-  /// item to claim it runs owner_idle(), which returns whether it did work.
-  /// Then rethrows the first exception a body or any idle work threw; the
-  /// fleet stays usable.
+  /// workers, and returns when all have finished; body(0) always runs on the
+  /// owner. While the owner has no item to claim it runs owner_idle(), which
+  /// returns whether it did work. Then rethrows the first exception a body
+  /// or any idle work threw; the fleet stays usable.
   template <typename OwnerIdle>
   void run(std::size_t n, const std::function<void(std::size_t)>& body,
            const OwnerIdle& owner_idle) {
     body_ = &body;
     pending_.store(n, std::memory_order_relaxed);
-    next_.store(std::uint64_t{n} << 32, std::memory_order_release);
-    notify();
+    if (n > 0) {
+      // Item 0 is claimed before the word is published: a spinning worker
+      // would otherwise often win a one-item round, pulling the state the
+      // owner just touched to another core while the owner only waits.
+      next_.store((std::uint64_t{n} << 32) | 1, std::memory_order_release);
+      if (n > 1) notify();
+      attempt([&] {
+        body(0);
+        return true;
+      });
+      pending_.fetch_sub(1, std::memory_order_acq_rel);
+    }
     wait_until([this] { return pending_.load(std::memory_order_acquire) == 0; },
                [&] { return claim() || attempt(owner_idle); });
     std::lock_guard lock(error_mutex_);

@@ -1,8 +1,8 @@
 // Tests for runtime::WorkerFleet, the replay's one pool of persistent
-// threads: every item of a round runs exactly once, idle work handed to the
-// fleet is finished before it is destroyed, a body's exception reaches the
-// caller after the round and leaves the fleet usable, and parked workers are
-// woken and joined on destruction.
+// threads: every item of a round runs exactly once, item 0 runs on the
+// owner, idle work handed to the fleet is finished before it is destroyed, a
+// body's exception reaches the caller after the round and leaves the fleet
+// usable, and parked workers are woken and joined on destruction.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -33,6 +33,28 @@ TEST(WorkerFleet, RunsEveryItemExactlyOncePerRound) {
             << "threads " << threads << " round " << round << " item " << i;
       }
     }
+  }
+}
+
+TEST(WorkerFleet, ItemZeroRunsOnTheOwner) {
+  // Back-to-back rounds keep the workers spinning, ready to claim the moment
+  // a round is published: were item 0 up for grabs, they would win many of
+  // the one-item rounds (a pipes-1 replay's epochs).
+  const std::thread::id owner = std::this_thread::get_id();
+  for (std::size_t threads : {1, 4}) {
+    WorkerFleet fleet(threads, no_idle_work);
+    int elsewhere = 0;
+    for (int round = 0; round < 10000; ++round) {
+      const std::size_t n = 1 + static_cast<std::size_t>(round) % 4;
+      std::thread::id ran;
+      fleet.run(n,
+                [&](std::size_t i) {
+                  if (i == 0) ran = std::this_thread::get_id();
+                },
+                [] { return false; });
+      elsewhere += ran != owner ? 1 : 0;
+    }
+    EXPECT_EQ(elsewhere, 0) << "threads " << threads;
   }
 }
 
