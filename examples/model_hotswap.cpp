@@ -1,18 +1,19 @@
 // Example: model hot-swap via partial dynamic reconfiguration (§2, §8).
 //
 // FPGAs can swap the Model Engine's bitstream region while the switch keeps
-// forwarding. This example drives the Data Engine and Model Engine manually
-// (rather than through FenixSystem::run) so it can trigger a reconfiguration
-// mid-replay: a CNN serves the first half of the trace, then an RNN is
-// hot-loaded; mirrors arriving during the reconfiguration window are dropped,
-// forwarding never stops, and verdicts resume with the new model.
+// forwarding. A CNN serves the first half of the trace while an RNN shadows
+// it; the lifecycle then promotes the RNN at the first epoch barrier past the
+// midpoint. Mirrors arriving during the 20 ms reconfiguration window are
+// dropped, forwarding never stops, and verdicts resume from the new model.
+// This is the hot-swap path every replay runs (DESIGN.md §5.7).
+//
+// Build: cmake --build build --target model_hotswap
+// Run:   ./build/examples/model_hotswap
 #include <iostream>
 
-#include "core/data_engine.hpp"
-#include "core/model_engine.hpp"
+#include "core/fenix_system.hpp"
 #include "nn/models.hpp"
 #include "nn/quantize.hpp"
-#include "sim/channel.hpp"
 #include "trafficgen/profiles.hpp"
 #include "trafficgen/synthesizer.hpp"
 
@@ -49,50 +50,36 @@ int main() {
   rnn.fit(samples, opts);
   nn::QuantizedRnn qrnn(rnn, samples);
 
-  // Manual system assembly: Data Engine, channels, Model Engine.
-  core::DataEngineConfig de_config;
-  core::DataEngine data_engine(de_config);
-  core::ModelEngineConfig me_config;
-  core::ModelEngine model_engine(me_config, &qcnn, nullptr);
-  sim::Channel to_fpga(100e9, sim::nanoseconds(40));
-  sim::Channel from_fpga(100e9, sim::nanoseconds(40));
-
   trafficgen::TraceConfig trace_config;
   trace_config.flow_arrival_rate_hz = 1500;
   const auto trace = trafficgen::assemble_trace(replay, trace_config);
 
-  const sim::SimTime swap_at = trace.packets[trace.packets.size() / 2].timestamp;
-  bool swapped = false;
-  std::uint64_t verdicts_gen1 = 0, verdicts_gen2 = 0;
+  // The RNN rides along as the shadow and is promoted at the midpoint. The
+  // default SLO never demotes it, so it serves the rest of the trace.
+  core::FenixSystemConfig config;
+  config.lifecycle.shadow_rnn = &qrnn;
+  config.lifecycle.promote_at = trace.packets[trace.packets.size() / 2].timestamp;
+  config.lifecycle.swap_blackout = sim::milliseconds(20);
+  std::cout << "hot-swapping the Model Engine to the RNN at t = "
+            << sim::to_milliseconds(config.lifecycle.promote_at) << " ms ("
+            << sim::to_milliseconds(config.lifecycle.swap_blackout)
+            << " ms partial reconfiguration)\n";
 
-  for (const auto& packet : trace.packets) {
-    if (!swapped && packet.timestamp >= swap_at) {
-      std::cout << "\n>>> hot-swapping Model Engine to the RNN at t = "
-                << sim::to_milliseconds(packet.timestamp) << " ms "
-                << "(20 ms partial reconfiguration)\n";
-      model_engine.begin_reconfiguration(packet.timestamp, nullptr, &qrnn);
-      swapped = true;
-    }
-    data_engine.control_plane_tick(packet.timestamp);
-    const auto out = data_engine.on_packet(packet);
-    if (!out.mirrored) continue;
-    const sim::SimTime arrival =
-        to_fpga.transfer(packet.timestamp + data_engine.timing().transit_latency(),
-                         out.mirrored->wire_bytes());
-    if (const auto result = model_engine.submit(*out.mirrored, arrival)) {
-      from_fpga.transfer(result->inference_finished, 64);
-      data_engine.deliver_result(*result);
-      (swapped ? verdicts_gen2 : verdicts_gen1) += 1;
-    }
-  }
+  core::FenixSystem system(config, &qcnn, nullptr);
+  const core::RunReport report = system.run(trace, k);
 
-  const auto& stats = model_engine.stats();
-  std::cout << "\nverdicts from generation 1 (CNN): " << verdicts_gen1 << "\n"
-            << "verdicts from generation 2 (RNN): " << verdicts_gen2 << "\n"
-            << "mirrors dropped during reconfiguration: " << stats.reconfig_drops
-            << "\n"
-            << "reconfigurations: " << stats.reconfigurations << "\n"
-            << "packets forwarded throughout: " << data_engine.packets_seen()
-            << " (forwarding never paused)\n";
+  std::cout << "\npromotions: " << report.lifecycle_promotions << "\n"
+            << "verdicts from generation 1 (CNN): "
+            << report.lifecycle_verdicts_primary << "\n"
+            << "verdicts from generation 2 (RNN): "
+            << report.lifecycle_verdicts_candidate << "\n"
+            << "mirrors dropped during reconfiguration: "
+            << report.lifecycle_swap_drops << "\n"
+            << "reconfigurations: "
+            << system.model_engine().stats().reconfigurations << "\n"
+            << "engine now serves: "
+            << (system.model_engine().is_cnn() ? "CNN" : "RNN") << "\n"
+            << "packets forwarded throughout: " << report.packets << " of "
+            << trace.packets.size() << " (forwarding never paused)\n";
   return 0;
 }

@@ -157,15 +157,13 @@ telemetry::MetricRegistry FenixSystem::health_metrics(const RunReport& report) c
   reg.set_counter("from_fpga_duplicates", from_ch.duplicates);
   reg.set_counter("to_fpga_reorders", to_ch.reorders);
   reg.set_counter("from_fpga_reorders", from_ch.reorders);
-  const ModelEngineStats engine = model_engine_.combined_stats();
+  const ModelEngineStats engine = model_engine_.stats();
   reg.set_counter("engine_input_drops", engine.input_drops);
   reg.set_counter("reconfig_drops", engine.reconfig_drops);
   reg.set_counter("stall_drops", engine.stall_drops);
-  // Model Engine Flow Identifier Queue pressure (sim::FifoStats, legacy path
-  // plus every lane port), so brownout benches see queue saturation directly.
-  const sim::FifoStats fifo = model_engine_.combined_queue_stats();
-  reg.set_counter("engine_fifo_drops", fifo.drops);
-  reg.set_counter("engine_fifo_peak", fifo.peak_occupancy);
+  // High-water mark of the lane ports' input FIFOs, so brownout benches see
+  // queue saturation directly (overflows are engine_input_drops).
+  reg.set_counter("engine_fifo_peak", engine.fifo_peak);
   const fpgasim::DeviceFaultStats& device = model_engine_.device().fault_stats();
   reg.set_counter("device_stalls", device.stalls);
   reg.set_counter("device_resets", device.resets);

@@ -7,7 +7,7 @@ namespace fenix::core {
 ModelEngine::ModelEngine(const ModelEngineConfig& config, const nn::QuantizedCnn* cnn,
                          const nn::QuantizedRnn* rnn)
     : config_(config), cnn_(cnn), rnn_(rnn), device_(config.device),
-      timer_(config.systolic), vector_io_(config.flow_queue_depth) {
+      timer_(config.systolic) {
   if ((cnn_ == nullptr) == (rnn_ == nullptr)) {
     throw std::invalid_argument("ModelEngine: exactly one model must be bound");
   }
@@ -16,27 +16,15 @@ ModelEngine::ModelEngine(const ModelEngineConfig& config, const nn::QuantizedCnn
   ii_cycles_ = config_.layer_pipelined ? slowest_stage : latency;
   if (config_.ii_override_cycles != 0) ii_cycles_ = config_.ii_override_cycles;
   sync_latency_ = timer_.clock().cycles(config_.sync_cycles);
-  const std::size_t lane_flow_depth =
-      std::max<std::size_t>(1, config_.flow_queue_depth / kCoordinationLanes);
-  ports_.reserve(kCoordinationLanes);
-  for (std::size_t lane = 0; lane < kCoordinationLanes; ++lane) {
-    ports_.emplace_back(lane_flow_depth);
-  }
-  // A card reset loses everything staged in the fabric: occupancy of the
-  // input async FIFOs and the identifiers parked in the Vector I/O
-  // Processor — on the legacy path and on every lane port.
-  device_.set_reset_hook([this](sim::SimTime) {
-    pending_finishes_.clear();
-    vector_io_.reset();
-    array_free_at_ = device_.down_until();
-    clear_ports(device_.down_until());
-  });
+  // A card reset loses everything staged in the fabric: every lane's input
+  // FIFO and the flow identifiers parked with it.
+  device_.set_reset_hook(
+      [this](sim::SimTime) { clear_ports(device_.down_until()); });
 }
 
 void ModelEngine::clear_ports(sim::SimTime free_at) {
   for (EnginePort& port : ports_) {
     port.pending_finishes.clear();
-    port.vio.reset();
     port.array_free_at = free_at;
   }
 }
@@ -106,57 +94,9 @@ void ModelEngine::begin_reconfiguration(sim::SimTime now, const nn::QuantizedCnn
   ii_cycles_ = config_.layer_pipelined ? slowest_stage : latency;
   if (config_.ii_override_cycles != 0) ii_cycles_ = config_.ii_override_cycles;
   reconfig_until_ = now + duration;
-  // In-flight work is abandoned with the old bitstream region, including the
-  // identifiers waiting in the Vector I/O Processor's queue.
-  pending_finishes_.clear();
-  vector_io_.reset();
-  array_free_at_ = reconfig_until_;
+  // In-flight work is abandoned with the old bitstream region.
   clear_ports(reconfig_until_);
-  ++stats_.reconfigurations;
-}
-
-std::optional<net::InferenceResult> ModelEngine::submit_timed(const net::FeatureVector& vec,
-                                                              sim::SimTime arrival) {
-  if (arrival < reconfig_until_) {
-    ++stats_.reconfig_drops;
-    return std::nullopt;
-  }
-  if (!device_.available(arrival)) {
-    ++stats_.stall_drops;
-    return std::nullopt;
-  }
-  // Drain completed inferences from the input-FIFO occupancy model.
-  while (!pending_finishes_.empty() && pending_finishes_.front() <= arrival) {
-    pending_finishes_.pop_front();
-  }
-  if (pending_finishes_.size() >= config_.input_queue_depth) {
-    ++stats_.input_drops;
-    return std::nullopt;
-  }
-
-  // Vector I/O Processor: the identifier parks in the Flow Identifier Queue
-  // until the inference output emerges. The feature sequence stays in `vec` —
-  // no copy is made; the functional pass (here or batched in the caller)
-  // reads it in place.
-  if (!vector_io_.admit(vec)) {
-    ++stats_.input_drops;
-    return std::nullopt;
-  }
-
-  // The vector becomes visible to the inference clock domain after the CDC
-  // synchronizer, then waits for the pipeline's next initiation slot.
-  const sim::SimTime visible = arrival + sync_latency_;
-  const sim::SimTime start = visible > array_free_at_ ? visible : array_free_at_;
-  const sim::SimTime finish = start + timer_.to_time(cycles_per_inference_);
-  array_free_at_ = start + timer_.to_time(ii_cycles_);
-  pending_finishes_.push_back(finish);
-  ++stats_.inferences;
-
-  // Output pairing: the result re-acquires its identity from the queue head
-  // and crosses back through the output async FIFO. predicted_class is a
-  // placeholder the caller overwrites (submit() below, or the ModelPool's
-  // batch drain).
-  return vector_io_.pair(-1, start, finish + sync_latency_);
+  ++reconfigurations_;
 }
 
 std::optional<net::InferenceResult> ModelEngine::submit_timed_lane(
@@ -170,6 +110,7 @@ std::optional<net::InferenceResult> ModelEngine::submit_timed_lane(
     ++port.stats.stall_drops;
     return std::nullopt;
   }
+  // Free the slots of the inferences finished by now.
   while (!port.pending_finishes.empty() &&
          port.pending_finishes.front() <= arrival) {
     port.pending_finishes.pop_front();
@@ -180,44 +121,33 @@ std::optional<net::InferenceResult> ModelEngine::submit_timed_lane(
     ++port.stats.input_drops;
     return std::nullopt;
   }
-  if (!port.vio.admit(vec)) {
-    ++port.stats.input_drops;
-    return std::nullopt;
-  }
+  // The vector becomes visible to the inference clock domain after the CDC
+  // synchronizer, then waits for the lane's next initiation slot.
   const sim::SimTime visible = arrival + sync_latency_;
   const sim::SimTime start =
       visible > port.array_free_at ? visible : port.array_free_at;
   const sim::SimTime finish = start + timer_.to_time(cycles_per_inference_);
   port.array_free_at = start + timer_.to_time(ii_cycles_);
   port.pending_finishes.push_back(finish);
+  port.stats.fifo_peak =
+      std::max<std::uint64_t>(port.stats.fifo_peak, port.pending_finishes.size());
   ++port.stats.inferences;
-  return port.vio.pair(-1, start, finish + sync_latency_);
-}
 
-ModelEngineStats ModelEngine::combined_stats() const {
-  ModelEngineStats total = stats_;
-  for (const EnginePort& port : ports_) total += port.stats;
-  return total;
-}
-
-sim::FifoStats ModelEngine::combined_queue_stats() const {
-  sim::FifoStats total = vector_io_.queue_stats();
-  for (const EnginePort& port : ports_) total += port.vio.queue_stats();
-  return total;
-}
-
-std::optional<net::InferenceResult> ModelEngine::submit(const net::FeatureVector& vec,
-                                                        sim::SimTime arrival) {
-  auto result = submit_timed(vec, arrival);
-  if (!result) return std::nullopt;
-
-  // Functional inference: pad/trim the on-wire sequence to the model's
-  // synthesis-time length, reusing the engine's token buffer and scratch.
-  const std::size_t seq_len = cnn_ ? cnn_->config().seq_len : rnn_->config().seq_len;
-  nn::tokenize_into(vec.sequence, seq_len, tokens_);
-  result->predicted_class =
-      cnn_ ? cnn_->predict(tokens_, scratch_) : rnn_->predict(tokens_, scratch_);
+  // The port finishes vectors in admission order, so the result pairs with
+  // the identifier admitted with it, then crosses the output async FIFO.
+  net::InferenceResult result;
+  result.tuple = vec.tuple;
+  result.flow_id = vec.flow_id;
+  result.inference_started = start;
+  result.inference_finished = finish + sync_latency_;
   return result;
+}
+
+ModelEngineStats ModelEngine::stats() const {
+  ModelEngineStats total;
+  for (const EnginePort& port : ports_) total += port.stats;
+  total.reconfigurations = reconfigurations_;
+  return total;
 }
 
 std::vector<fpgasim::ResourceEstimate> ModelEngine::resource_report() const {

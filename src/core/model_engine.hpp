@@ -2,14 +2,19 @@
 // FPGA.
 //
 // Functional behaviour comes from the INT8-quantized models (nn::QuantizedCnn
-// / nn::QuantizedRnn) — the exact arithmetic the systolic array executes.
-// Timing comes from the fpgasim cycle model: per inference, embedding lookup
-// cycles plus the layer-by-layer systolic schedule, serialized on the shared
-// array. Flow identifiers ride a FIFO alongside the compute path and are
-// re-paired with results in arrival order (§5.1); input/output crossings use
-// async FIFOs with a synchronizer latency.
+// / nn::QuantizedRnn) — the exact arithmetic the systolic array executes;
+// the replay computes it in batches (core::InferenceBatcher). Timing comes
+// from the fpgasim cycle model: per inference, embedding lookup cycles plus
+// the layer-by-layer systolic schedule. Every vector enters through one of
+// the kCoordinationLanes lane ports, each with its own slice of the input
+// FIFO and its own array clock (ROADMAP item 1). A port serves vectors in the
+// order it admits them, so each result carries the flow identifier admitted
+// with it — the Flow Identifier Queue's FIFO re-pairing (§5.1). Input and
+// output crossings pay an async-FIFO synchronizer latency.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -17,7 +22,6 @@
 #include <vector>
 
 #include "core/lane_coordination.hpp"
-#include "core/vector_io.hpp"
 #include "fpgasim/device.hpp"
 #include "fpgasim/resource_model.hpp"
 #include "fpgasim/systolic.hpp"
@@ -30,9 +34,10 @@ struct ModelEngineConfig {
   fpgasim::SystolicConfig systolic;
   fpgasim::DeviceProfile device = fpgasim::DeviceProfile::zu19eg();
 
-  std::size_t input_queue_depth = 64;   ///< Feature async-FIFO (bounds bucket cap).
-  std::size_t flow_queue_depth = 64;    ///< Flow Identifier Queue.
-  unsigned sync_cycles = 4;             ///< CDC synchronizer latency per crossing.
+  /// Feature async-FIFO slots (bounds the bucket cap), split evenly over
+  /// the lane ports: each holds max(1, depth / kCoordinationLanes).
+  std::size_t input_queue_depth = 64;
+  unsigned sync_cycles = 4;  ///< CDC synchronizer latency per crossing.
 
   /// Layer-pipelined dataflow (§5.2: "Asynchronous FIFO queues decouple
   /// dataflow between layers and enable efficient pipelining"): each layer
@@ -62,14 +67,16 @@ struct ModelEngineStats {
   std::uint64_t reconfig_drops = 0;  ///< Vectors arriving mid-reconfiguration.
   std::uint64_t reconfigurations = 0;
   std::uint64_t stall_drops = 0;  ///< Vectors arriving while the card is down.
+  std::uint64_t fifo_peak = 0;  ///< Most vectors one lane's FIFO held at once.
 
-  /// Merge: counters summed.
+  /// Merge: counters summed, fifo_peak maxed.
   ModelEngineStats& operator+=(const ModelEngineStats& o) {
     inferences += o.inferences;
     input_drops += o.input_drops;
     reconfig_drops += o.reconfig_drops;
     reconfigurations += o.reconfigurations;
     stall_drops += o.stall_drops;
+    fifo_peak = std::max(fifo_peak, o.fifo_peak);
     return *this;
   }
 };
@@ -86,32 +93,14 @@ class ModelEngine {
   ModelEngine(const ModelEngine&) = delete;
   ModelEngine& operator=(const ModelEngine&) = delete;
 
-  /// Processes a feature vector arriving at the FPGA at `arrival`. Returns
-  /// the inference result with start/finish timestamps, or nullopt when the
-  /// input FIFO would overflow (the vector is dropped).
-  std::optional<net::InferenceResult> submit(const net::FeatureVector& vec,
-                                             sim::SimTime arrival);
-
-  /// Timing-only admission for the batched submission path: performs the
-  /// exact same admission checks, FIFO occupancy updates, identifier-queue
-  /// push, and stats increments as submit() — including counting the
-  /// inference — but defers the functional DNN forward pass to the caller.
-  /// The returned result carries predicted_class == -1 as a placeholder; the
-  /// caller patches in the batch-computed class before the result is
-  /// consumed. Interleaving submit() and submit_timed() calls is safe: both
-  /// leave identical engine state behind.
-  std::optional<net::InferenceResult> submit_timed(const net::FeatureVector& vec,
-                                                   sim::SimTime arrival);
-
-  /// Lane-decomposed admission for the decentralized replay: each of the
-  /// kCoordinationLanes lanes owns an independent slice of the Model Engine
-  /// front end — its own input-FIFO occupancy, Flow Identifier Queue, array
-  /// slot clock, and stats — so pipe workers submit concurrently without a
-  /// coordinator as long as each lane is driven by exactly one thread
-  /// between barriers. Admission logic is submit_timed()'s, against the
-  /// lane's slice (per-lane FIFO bound = max(1, input_queue_depth / lanes)).
-  /// The legacy whole-engine submit()/submit_timed() path is untouched and
-  /// may not be interleaved with the lane path within one run.
+  /// Admits a feature vector arriving at the FPGA at `arrival` through lane
+  /// port `lane`: timing and FIFO occupancy only; the caller computes the
+  /// class (predicted_class is -1) and the result carries the vector's
+  /// tuple and flow_id. nullopt = dropped: mid-reconfiguration, card down,
+  /// or the lane's FIFO full (max(1, input_queue_depth / kCoordinationLanes)
+  /// slots; an admitted vector holds its slot until its inference finishes).
+  /// Each lane is driven by exactly one thread between barriers, so pipe
+  /// workers submit concurrently on distinct lanes without locks.
   std::optional<net::InferenceResult> submit_timed_lane(std::size_t lane,
                                                         const net::FeatureVector& vec,
                                                         sim::SimTime arrival);
@@ -154,8 +143,8 @@ class ModelEngine {
   bool reconfiguring(sim::SimTime now) const { return now < reconfig_until_; }
 
   /// The live card this engine runs on. Fault injection drives outages
-  /// through its stall()/reset() hooks; reset() flushes the engine's
-  /// fabric-coupled queues via the registered reset hook.
+  /// through its stall()/reset() hooks; reset() empties every lane's FIFO
+  /// via the registered reset hook.
   fpgasim::Device& device() { return device_; }
   const fpgasim::Device& device() const { return device_; }
 
@@ -165,19 +154,14 @@ class ModelEngine {
   void set_input_queue_depth(std::size_t depth);
   std::size_t input_queue_depth() const { return config_.input_queue_depth; }
 
-  const ModelEngineStats& stats() const { return stats_; }
-  const ModelEngineConfig& config() const { return config_; }
-  const VectorIoProcessor& vector_io() const { return vector_io_; }
-  bool is_cnn() const { return cnn_ != nullptr; }
-
-  /// Whole-engine view across the legacy path and every lane port (merged
-  /// with each stats struct's +=).
-  ModelEngineStats combined_stats() const;
-  sim::FifoStats combined_queue_stats() const;
-
-  const VectorIoProcessor& lane_vector_io(std::size_t lane) const {
-    return ports_[lane].vio;
+  /// Engine-wide view: every lane port's stats merged with +=.
+  ModelEngineStats stats() const;
+  /// One lane port's stats (its reconfigurations count stays 0).
+  const ModelEngineStats& lane_stats(std::size_t lane) const {
+    return ports_[lane].stats;
   }
+  const ModelEngineConfig& config() const { return config_; }
+  bool is_cnn() const { return cnn_ != nullptr; }
 
  private:
   /// Computes (total latency cycles, slowest layer-stage cycles).
@@ -192,26 +176,21 @@ class ModelEngine {
   std::uint64_t ii_cycles_ = 0;
   sim::SimDuration sync_latency_;
 
-  VectorIoProcessor vector_io_{64};
-  sim::SimTime array_free_at_ = 0;  ///< Next admissible inference start.
   sim::SimTime reconfig_until_ = 0;
-  std::deque<sim::SimTime> pending_finishes_;  ///< Occupancy of the input FIFO.
-  ModelEngineStats stats_;
-  nn::Scratch scratch_;            ///< Inference workspace; zero steady-state allocation.
-  std::vector<nn::Token> tokens_;  ///< Reused per-submit token buffer.
+  std::uint64_t reconfigurations_ = 0;
 
   /// One lane's slice of the front end. Each lane is driven by exactly one
   /// pipe worker between barriers, so no synchronization is needed; the
   /// shared members a lane submit reads (device window, reconfig window,
   /// config depths) change only at epoch barriers.
   struct EnginePort {
-    explicit EnginePort(std::size_t flow_queue_depth) : vio(flow_queue_depth) {}
+    /// Finish times of the admitted vectors still holding a FIFO slot.
     std::deque<sim::SimTime> pending_finishes;
-    sim::SimTime array_free_at = 0;
-    VectorIoProcessor vio;
+    sim::SimTime array_free_at = 0;  ///< Next admissible inference start.
     ModelEngineStats stats;
   };
-  std::vector<EnginePort> ports_;  ///< kCoordinationLanes entries.
+  std::array<EnginePort, kCoordinationLanes> ports_;
+  /// Empties every lane's FIFO; no inference starts before `free_at`.
   void clear_ports(sim::SimTime free_at);
 };
 

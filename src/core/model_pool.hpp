@@ -5,8 +5,8 @@
 // once — e.g. a VPN classifier and a malware classifier sharing the FPGA,
 // with the switch steering each mirrored vector to the engine its mirror
 // session selects. The pool validates that the combined synthesis fits the
-// device before admitting an engine, routes submissions by task id, and
-// supports per-engine hot-swap.
+// device before admitting an engine, maps each task id to its engine
+// (engine(task)), and supports per-engine hot-swap.
 //
 // The file also holds the functional side of one engine in a replay: the
 // InferenceBatcher that computes forward passes in batches, and the
@@ -40,9 +40,8 @@ class DeviceOvercommit : public std::runtime_error {
 };
 
 /// Thrown when a routed task id names no resident engine. A typed error (not
-/// the container's bare std::out_of_range) so callers on the submission hot
-/// path can distinguish a misrouted mirror session from a genuine bug in the
-/// pool itself.
+/// the container's bare std::out_of_range) so callers can distinguish a
+/// misrouted mirror session from a genuine bug in the pool itself.
 class UnknownTask : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
@@ -60,6 +59,8 @@ class ModelPool {
                          const nn::QuantizedRnn* rnn);
 
   std::size_t size() const { return engines_.size(); }
+  /// The engine serving `task`. Throws UnknownTask when `task` names no
+  /// resident engine.
   ModelEngine& engine(std::size_t task) { return *checked(task); }
   const ModelEngine& engine(std::size_t task) const { return *checked(task); }
 
@@ -67,14 +68,6 @@ class ModelPool {
   /// configuration, echoed by task listings and the replay health table.
   nn::Precision task_precision(std::size_t task) const {
     return checked(task)->precision();
-  }
-
-  /// Routes a feature vector to the engine serving `task`. Throws
-  /// UnknownTask when `task` names no resident engine.
-  std::optional<net::InferenceResult> submit(std::size_t task,
-                                             const net::FeatureVector& vec,
-                                             sim::SimTime arrival) {
-    return checked(task)->submit(vec, arrival);
   }
 
   /// Per-engine hot swap: partial-reconfigure the engine serving `task` onto

@@ -22,7 +22,7 @@ LifecycleManager::LifecycleManager(const LifecycleConfig& config,
       from_fpga_(from_fpga),
       watchdog_(watchdog),
       guard_(config.slo),
-      reconfig_drops_start_(engine.combined_stats().reconfig_drops),
+      reconfig_drops_start_(engine.stats().reconfig_drops),
       next_promote_at_(config.promote_at) {}
 
 void LifecycleManager::on_apply(std::size_t lane, core::VerdictSymbol symbol,
@@ -121,7 +121,7 @@ void LifecycleManager::finalize(core::RunReport& report) const {
   report.lifecycle_verdicts_candidate = candidate_applies_;
   report.lifecycle_demoted_applies = demoted_applies_;
   report.lifecycle_swap_drops =
-      engine_.combined_stats().reconfig_drops - reconfig_drops_start_;
+      engine_.stats().reconfig_drops - reconfig_drops_start_;
   report.lifecycle_swap_blackout = blackout_total_;
 }
 

@@ -2,7 +2,8 @@
 // round by round, and a replay's per-barrier record and batch peaks depend
 // on the epoch size, not on the trace length. Both are checked against the
 // containers a replay that kept every record and batch to the end would
-// hold.
+// hold. A pinned per-flow confusion matrix checks that resolve() folds the
+// epochs still held at the end oldest first.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -199,6 +200,61 @@ TEST_F(BoundedReplayTest, PeaksTrackEpochSizeNotTraceLength) {
       EXPECT_GT(all_batches, 20 * batch_bound);
     }
   }
+}
+
+/// FNV-1a over a confusion matrix's cells, row-major, then its unpredicted
+/// count.
+std::uint64_t digest(const telemetry::ConfusionMatrix& m) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+    }
+  };
+  for (std::size_t t = 0; t < m.num_classes(); ++t) {
+    for (std::size_t p = 0; p < m.num_classes(); ++p) mix(m.count(t, p));
+  }
+  mix(m.unpredicted());
+  return h;
+}
+
+TEST_F(BoundedReplayTest, ResolveFoldsHeldEpochsOldestFirst) {
+  // An untrained CNN gives one flow's windows different classes. The trace
+  // is cut halfway, so many flows are still sending when it ends and get
+  // verdicts in each epoch resolve() still holds. A flow keeps the class of
+  // its last verdict only if resolve() folds those epochs oldest first;
+  // folding the two sealed epochs newest first, or the tail before the
+  // newest sealed one, changes flow_confusion.
+  trafficgen::SynthesisConfig synth;
+  synth.total_flows = 200;
+  synth.seed = 47;
+  const auto flows = trafficgen::synthesize_flows(*profile_, synth);
+  nn::CnnConfig cnn_config;
+  cnn_config.conv_channels = {8};
+  cnn_config.fc_dims = {16};
+  cnn_config.num_classes = profile_->num_classes();
+  const nn::CnnClassifier untrained(cnn_config, 3);
+  const nn::QuantizedCnn quantized(
+      untrained, trafficgen::make_packet_samples(flows, 9, 6, 3));
+  trafficgen::TraceConfig trace_config;
+  trace_config.flow_arrival_rate_hz = 4000;
+  trace_config.gap_time_scale = 0.1;
+  net::Trace trace = trafficgen::assemble_trace(flows, trace_config);
+  trace.packets.resize(trace.packets.size() / 2);
+
+  FenixSystemConfig config;
+  config.reconcile_quantum = sim::milliseconds(5);
+  FenixSystem serial_sys(config, &quantized, nullptr);
+  const RunReport serial = serial_sys.run(trace, profile_->num_classes());
+  PipelineOptions opts;
+  opts.pipes = 4;
+  FenixSystem par_sys(config, &quantized, nullptr);
+  const RunReport parallel = par_sys.run_pipelined(
+      trace, profile_->num_classes(), nullptr, {}, opts);
+  EXPECT_EQ(first_divergence(serial, parallel), std::nullopt);
+  std::printf("flow_confusion digest 0x%016llx\n",
+              static_cast<unsigned long long>(digest(serial.flow_confusion)));
+  EXPECT_EQ(digest(serial.flow_confusion), 0x19c9cf608df86ddeULL);
 }
 
 }  // namespace

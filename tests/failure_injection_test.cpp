@@ -7,6 +7,7 @@
 #include <optional>
 
 #include "core/fenix_system.hpp"
+#include "core/model_pool.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/fault_schedule.hpp"
 #include "sim/channel.hpp"
@@ -49,6 +50,13 @@ struct Fixture {
 Fixture& fixture() {
   static Fixture f;
   return f;
+}
+
+/// Admits `vec` on lane 0 of `engine`, the lane the engine-level tests drive.
+std::optional<net::InferenceResult> submit(ModelEngine& engine,
+                                           const net::FeatureVector& vec,
+                                           sim::SimTime arrival) {
+  return engine.submit_timed_lane(0, vec, arrival);
 }
 
 TEST(ChannelLoss, LossyTransfersAreCountedAndDropped) {
@@ -107,17 +115,17 @@ TEST(Reconfiguration, DropsDuringWindowThenResumes) {
 
   net::FeatureVector vec;
   vec.sequence.resize(9);
-  ASSERT_TRUE(engine.submit(vec, sim::microseconds(1)).has_value());
+  ASSERT_TRUE(submit(engine, vec, sim::microseconds(1)).has_value());
 
   engine.begin_reconfiguration(sim::microseconds(2), f.quantized.get(), nullptr,
                                sim::milliseconds(20));
   EXPECT_TRUE(engine.reconfiguring(sim::microseconds(3)));
-  EXPECT_FALSE(engine.submit(vec, sim::milliseconds(10)).has_value());
+  EXPECT_FALSE(submit(engine, vec, sim::milliseconds(10)).has_value());
   EXPECT_EQ(engine.stats().reconfig_drops, 1u);
 
   // After the window the engine serves again with the (re)loaded model.
   EXPECT_FALSE(engine.reconfiguring(sim::milliseconds(25)));
-  EXPECT_TRUE(engine.submit(vec, sim::milliseconds(25)).has_value());
+  EXPECT_TRUE(submit(engine, vec, sim::milliseconds(25)).has_value());
   EXPECT_EQ(engine.stats().reconfigurations, 1u);
 }
 
@@ -142,9 +150,13 @@ TEST(Reconfiguration, SwapsModelKind) {
 
   net::FeatureVector vec;
   vec.sequence.resize(9);
-  const auto result = engine.submit(vec, sim::milliseconds(10));
-  ASSERT_TRUE(result.has_value());
-  EXPECT_GE(result->predicted_class, 0);
+  ASSERT_TRUE(submit(engine, vec, sim::milliseconds(10)).has_value());
+  // The swapped-in RNN serves the class, computed as the replay computes it.
+  InferenceBatcher batcher(engine.cnn(), engine.rnn(), 1, 0);
+  const InferenceBatcher::Ticket ticket = batcher.enqueue(vec.sequence);
+  batcher.finish();
+  EXPECT_GE(batcher.result(ticket), 0);
+  EXPECT_LT(batcher.result(ticket), static_cast<int>(f.profile.num_classes()));
 }
 
 TEST(Reconfiguration, RejectsInvalidBinding) {
@@ -255,14 +267,14 @@ TEST(FailureInjection, PostResetEpochsNeverApplyStaleVerdicts) {
 TEST(FailureInjection, BackPressureDropsBoundedByQueue) {
   Fixture& f = fixture();
   ModelEngineConfig config;
-  config.input_queue_depth = 2;
+  config.input_queue_depth = 2 * kCoordinationLanes;  // 2 slots per lane
   config.layer_pipelined = false;  // slow engine: maximize pressure
   ModelEngine engine(config, f.quantized.get(), nullptr);
   net::FeatureVector vec;
   vec.sequence.resize(9);
   std::uint64_t accepted = 0;
   for (int i = 0; i < 100; ++i) {
-    if (engine.submit(vec, 0).has_value()) ++accepted;
+    if (submit(engine, vec, 0).has_value()) ++accepted;
   }
   EXPECT_EQ(accepted, 2u);
   EXPECT_EQ(engine.stats().input_drops, 98u);

@@ -372,5 +372,38 @@ TEST(FaultReplay, SurvivesRandomCompoundSchedules) {
   }
 }
 
+TEST(FaultReplay, FifoPeakReadsTheLaneQueues) {
+  // engine_fifo_peak is the most vectors any lane's input FIFO held at once:
+  // above 1 on a healthy run (a lane holds 64 / 16 = 4), exactly 1 when a
+  // fifo_shrink window clamps every lane to one slot for the whole run. The
+  // clamp's overflows are engine_input_drops.
+  SystemFixture& f = fixture();
+  FaultSchedule shrink;
+  auto w = window(FaultKind::kFifoShrink, 0, f.trace.duration() + sim::seconds(1));
+  w.fifo_depth = 1;
+  shrink.add(w);
+  core::PipelineOptions opts;
+  opts.pipes = 4;
+  const FaultSchedule healthy;
+  for (const bool faulted : {false, true}) {
+    auto system = f.make_system();
+    FaultInjector injector(faulted ? shrink : healthy, system);
+    const auto report = system.run_pipelined(
+        f.trace, f.profile.num_classes(), &injector, {}, opts);
+    const auto health = system.health_metrics(report);
+    const std::uint64_t peak = health.counter("engine_fifo_peak");
+    const std::uint64_t drops = health.counter("engine_input_drops");
+    EXPECT_EQ(peak, system.model_engine().stats().fifo_peak);
+    if (!faulted) {
+      EXPECT_GT(peak, 1u);
+      EXPECT_LE(peak, 64u / core::kCoordinationLanes);
+    } else {
+      EXPECT_EQ(peak, 1u);
+      EXPECT_GT(drops, 0u);
+    }
+    EXPECT_FALSE(health.contains("engine_fifo_drops"));
+  }
+}
+
 }  // namespace
 }  // namespace fenix::faults

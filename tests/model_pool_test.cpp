@@ -1,5 +1,6 @@
 // Tests for multi-model deployment: resource-checked admission, per-task
-// routing, and isolation between resident engines.
+// routing, and isolation between resident engines. Vectors enter an engine
+// through its lane port 0.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -51,6 +52,22 @@ net::FeatureVector vector_for(std::uint32_t flow_id) {
   return vec;
 }
 
+/// Routes `vec` to the engine serving `task` and admits it on lane 0.
+std::optional<net::InferenceResult> submit(ModelPool& pool, std::size_t task,
+                                           const net::FeatureVector& vec,
+                                           sim::SimTime arrival) {
+  return pool.engine(task).submit_timed_lane(0, vec, arrival);
+}
+
+/// The class the engine's bound model predicts for `vec`, computed as the
+/// replay computes it: through an InferenceBatcher.
+std::int16_t classify(const ModelEngine& engine, const net::FeatureVector& vec) {
+  InferenceBatcher batcher(engine.cnn(), engine.rnn(), 1, 0);
+  const InferenceBatcher::Ticket ticket = batcher.enqueue(vec.sequence);
+  batcher.finish();
+  return batcher.result(ticket);
+}
+
 TEST(ModelPool, HostsTwoTasksSimultaneously) {
   TwoModels models;
   ModelPool pool(fpgasim::DeviceProfile::zu19eg());
@@ -62,11 +79,15 @@ TEST(ModelPool, HostsTwoTasksSimultaneously) {
   const auto malware_task = pool.add_engine(config, nullptr, models.qrnn.get());
   EXPECT_EQ(pool.size(), 2u);
 
-  const auto r_vpn = pool.submit(vpn_task, vector_for(1), sim::microseconds(1));
-  const auto r_mal = pool.submit(malware_task, vector_for(2), sim::microseconds(1));
+  const auto r_vpn = submit(pool, vpn_task, vector_for(1), sim::microseconds(1));
+  const auto r_mal = submit(pool, malware_task, vector_for(2), sim::microseconds(1));
   ASSERT_TRUE(r_vpn && r_mal);
-  EXPECT_LT(r_vpn->predicted_class, 7);
-  EXPECT_LT(r_mal->predicted_class, 12);
+  const std::int16_t vpn_class = classify(pool.engine(vpn_task), vector_for(1));
+  const std::int16_t mal_class = classify(pool.engine(malware_task), vector_for(2));
+  EXPECT_GE(vpn_class, 0);
+  EXPECT_LT(vpn_class, 7);
+  EXPECT_GE(mal_class, 0);
+  EXPECT_LT(mal_class, 12);
   // Utilization is pooled across both.
   const auto util = pool.utilization();
   EXPECT_GT(util.lut, 0.0);
@@ -85,8 +106,8 @@ TEST(ModelPool, EnginesAreTimingIsolated) {
 
   // Saturate engine A; engine B must still start promptly (no cross-engine
   // queueing): its start delay is just the CDC synchronizer.
-  for (int i = 0; i < 50; ++i) pool.submit(a, vector_for(10), 0);
-  const auto idle_b = pool.submit(b, vector_for(11), 0);
+  for (int i = 0; i < 50; ++i) submit(pool, a, vector_for(10), 0);
+  const auto idle_b = submit(pool, b, vector_for(11), 0);
   ASSERT_TRUE(idle_b.has_value());
   EXPECT_LE(idle_b->inference_started,
             sim::SimTime(pool.engine(b).inference_latency()));
@@ -123,12 +144,12 @@ TEST(ModelPool, UnknownTaskIsATypedError) {
 
   // Misrouted task ids on the submission hot path surface as the pool's own
   // typed error, never the container's bare std::out_of_range.
-  EXPECT_THROW(pool.submit(task + 1, vector_for(1), 0), UnknownTask);
+  EXPECT_THROW(submit(pool, task + 1, vector_for(1), 0), UnknownTask);
   EXPECT_THROW(pool.engine(task + 1), UnknownTask);
   EXPECT_THROW(pool.swap_model(task + 7, nullptr, models.qrnn.get(), 0),
                UnknownTask);
   try {
-    pool.submit(99, vector_for(1), 0);
+    submit(pool, 99, vector_for(1), 0);
     FAIL() << "expected UnknownTask";
   } catch (const UnknownTask& e) {
     // The message names the bad id and the resident count.
@@ -137,9 +158,9 @@ TEST(ModelPool, UnknownTaskIsATypedError) {
   }
   // UnknownTask is still an invalid_argument (and thus a logic_error), so
   // existing generic handlers keep working.
-  EXPECT_THROW(pool.submit(task + 1, vector_for(1), 0), std::invalid_argument);
+  EXPECT_THROW(submit(pool, task + 1, vector_for(1), 0), std::invalid_argument);
   // The pool remains usable after the error.
-  EXPECT_TRUE(pool.submit(task, vector_for(1), sim::microseconds(1)).has_value());
+  EXPECT_TRUE(submit(pool, task, vector_for(1), sim::microseconds(1)).has_value());
 }
 
 TEST(ModelPool, OvercommitBoundaryAtExactDeviceCapacity) {
@@ -181,7 +202,7 @@ TEST(ModelPool, OvercommitBoundaryAtExactDeviceCapacity) {
   const auto util = fits.utilization();
   EXPECT_GT(util.lut, 0.9);
   EXPECT_LE(util.lut + 0.03, 1.0);
-  EXPECT_TRUE(fits.submit(task, vector_for(1), sim::microseconds(1)).has_value());
+  EXPECT_TRUE(submit(fits, task, vector_for(1), sim::microseconds(1)).has_value());
 }
 
 TEST(ModelPool, HotSwapRacingDeviceReset) {
@@ -198,7 +219,7 @@ TEST(ModelPool, HotSwapRacingDeviceReset) {
   // Prime some in-flight work, then swap at t=1ms (2ms blackout) and reset
   // the device at t=2ms (2ms reboot): the windows overlap by 1ms.
   for (int i = 0; i < 8; ++i) {
-    pool.submit(task, vector_for(static_cast<std::uint32_t>(i)),
+    submit(pool, task, vector_for(static_cast<std::uint32_t>(i)),
                 sim::microseconds(100 * (i + 1)));
   }
   pool.swap_model(task, nullptr, models.qrnn.get(), sim::milliseconds(1),
@@ -207,22 +228,23 @@ TEST(ModelPool, HotSwapRacingDeviceReset) {
 
   // Inside the reconfiguration window (before the reset): dropped.
   EXPECT_FALSE(
-      pool.submit(task, vector_for(20), sim::milliseconds(1) + 1).has_value());
+      submit(pool, task, vector_for(20), sim::milliseconds(1) + 1).has_value());
   // Inside the overlap: still dropped.
   EXPECT_FALSE(
-      pool.submit(task, vector_for(21), sim::milliseconds(2) + 1).has_value());
+      submit(pool, task, vector_for(21), sim::milliseconds(2) + 1).has_value());
   // Reconfiguration done but the card is still rebooting: dropped.
-  EXPECT_FALSE(pool.submit(task, vector_for(22),
+  EXPECT_FALSE(submit(pool, task, vector_for(22),
                            sim::milliseconds(3) + sim::microseconds(500))
                    .has_value());
   // Both windows elapsed: the engine serves the swapped-in RNN.
-  const auto result = pool.submit(task, vector_for(23), sim::milliseconds(5));
+  const auto result = submit(pool, task, vector_for(23), sim::milliseconds(5));
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(pool.engine(task).is_cnn());
-  EXPECT_GE(result->predicted_class, 0);
-  EXPECT_LT(result->predicted_class, 12);
+  const std::int16_t cls = classify(pool.engine(task), vector_for(23));
+  EXPECT_GE(cls, 0);
+  EXPECT_LT(cls, 12);
 
-  const auto stats = pool.engine(task).combined_stats();
+  const auto stats = pool.engine(task).stats();
   EXPECT_EQ(stats.reconfigurations, 1u);
   EXPECT_GT(stats.reconfig_drops, 0u);
   EXPECT_EQ(pool.engine(task).device().fault_stats().resets, 1u);
@@ -237,8 +259,8 @@ TEST(ModelPool, PerTaskHotSwap) {
   const auto task = pool.add_engine(config, models.qcnn.get(), nullptr);
   pool.engine(task).begin_reconfiguration(0, nullptr, models.qrnn.get(),
                                           sim::milliseconds(1));
-  EXPECT_FALSE(pool.submit(task, vector_for(1), sim::microseconds(10)).has_value());
-  const auto result = pool.submit(task, vector_for(1), sim::milliseconds(2));
+  EXPECT_FALSE(submit(pool, task, vector_for(1), sim::microseconds(10)).has_value());
+  const auto result = submit(pool, task, vector_for(1), sim::milliseconds(2));
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(pool.engine(task).is_cnn());
 }

@@ -114,6 +114,14 @@ std::optional<double> parse_non_negative(const char* text,
   return value;
 }
 
+/// Parses a whole flag value as an integer count >= 1 (at most 2^53, where
+/// doubles stop holding every integer). Anything else is nullopt.
+std::optional<std::uint64_t> parse_count(const char* text) {
+  const auto value = parse_non_negative(text, 9007199254740992.0);
+  if (!value || *value < 1.0 || *value != std::floor(*value)) return std::nullopt;
+  return static_cast<std::uint64_t>(*value);
+}
+
 /// The typed usage error of a bad flag value: one line naming the flag, the
 /// value and what it must be, then exit code 2.
 int invalid_flag(const std::string& flag, const char* value,
@@ -245,7 +253,9 @@ int cmd_run(int argc, char** argv) {
       }
     } else if (arg == "--pcb-loss") {
       if (++i >= argc) return usage();
-      config.pcb_loss_rate = std::atof(argv[i]);
+      const auto loss = parse_non_negative(argv[i], 1.0);
+      if (!loss) return invalid_flag(arg, argv[i], "a loss rate in [0, 1]");
+      config.pcb_loss_rate = *loss;
     } else if (arg == "--fault-schedule") {
       if (++i >= argc) return usage();
       try {
@@ -261,12 +271,16 @@ int cmd_run(int argc, char** argv) {
       fallback_tree = true;
     } else if (arg == "--pipes") {
       if (++i >= argc) return usage();
+      const auto pipes = parse_count(argv[i]);
+      if (!pipes) return invalid_flag(arg, argv[i], "an integer >= 1");
       pipelined = true;
-      pipeline_opts.pipes = std::max(1l, std::atol(argv[i]));
+      pipeline_opts.pipes = *pipes;
     } else if (arg == "--batch") {
       if (++i >= argc) return usage();
+      const auto batch = parse_count(argv[i]);
+      if (!batch) return invalid_flag(arg, argv[i], "an integer >= 1");
       pipelined = true;
-      pipeline_opts.batch = std::max(1l, std::atol(argv[i]));
+      pipeline_opts.batch = *batch;
     } else if (arg == "--shadow-model") {
       if (++i >= argc) return usage();
       shadow_path = argv[i];
@@ -288,8 +302,9 @@ int cmd_run(int argc, char** argv) {
           *us * static_cast<double>(sim::kMicrosecond));
     } else if (arg == "--slo-min-samples") {
       if (++i >= argc) return usage();
-      config.lifecycle.slo.min_samples =
-          static_cast<std::uint64_t>(std::max(1l, std::atol(argv[i])));
+      const auto samples = parse_count(argv[i]);
+      if (!samples) return invalid_flag(arg, argv[i], "an integer >= 1");
+      config.lifecycle.slo.min_samples = *samples;
     } else if (arg == "--offered-load") {
       if (++i >= argc) return usage();
       offered_pps = parse_non_negative(argv[i]).value_or(0.0);
@@ -302,11 +317,16 @@ int cmd_run(int argc, char** argv) {
       config.admission.enabled = true;
     } else if (arg == "--stream-chunk") {
       if (++i >= argc) return usage();
-      stream_chunk = static_cast<std::size_t>(std::max(1l, std::atol(argv[i])));
+      const auto chunk = parse_count(argv[i]);
+      if (!chunk) return invalid_flag(arg, argv[i], "an integer >= 1");
+      stream_chunk = *chunk;
     } else if (arg == "--slo-fallback") {
       config.lifecycle.slo.rollback_to_fallback = true;
     } else if (!arg.empty() && arg[0] != '-') {
-      config.pcb_loss_rate = std::atof(argv[i]);  // legacy positional form
+      // Legacy positional form of --pcb-loss.
+      const auto loss = parse_non_negative(argv[i], 1.0);
+      if (!loss) return invalid_flag("pcb_loss_rate", argv[i], "a loss rate in [0, 1]");
+      config.pcb_loss_rate = *loss;
     } else {
       std::cerr << "unknown option: " << arg << "\n";
       return usage();
