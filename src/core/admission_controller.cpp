@@ -117,16 +117,17 @@ bool AdmissionController::reconcile(sim::SimTime) {
   return entered_board_degrade;
 }
 
-AdmissionTotals AdmissionController::totals() const {
-  AdmissionTotals t;
-  for (std::size_t lane = 0; lane < kCoordinationLanes; ++lane) {
-    const LaneState& L = lanes_[lane];
-    t.offered += L.offered;
-    t.admitted += L.admitted;
+RunCounters AdmissionController::totals() const {
+  RunCounters t;
+  for (const LaneState& L : lanes_) {
+    t.admission_offered += L.offered;
+    t.admission_admitted += L.admitted;
     t.shed_thinned += L.shed_thinned;
     t.shed_frozen += L.shed_frozen;
     t.shed_isolated += L.shed_isolated;
   }
+  t.admission_transitions = transitions_;
+  t.admission_peak_tier = peak_tier_;
   return t;
 }
 

@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "core/lane_coordination.hpp"
+#include "core/run_counters.hpp"
 #include "sim/time.hpp"
 
 namespace fenix::core {
@@ -81,15 +82,6 @@ struct AdmissionConfig {
   /// (1 << index_bits). The replay driver fills this in; 0 disables the
   /// freeze tier's bookkeeping.
   std::size_t table_slots = 0;
-};
-
-/// Lane-order-merged cumulative totals (the RunReport view).
-struct AdmissionTotals {
-  std::uint64_t offered = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t shed_thinned = 0;
-  std::uint64_t shed_frozen = 0;
-  std::uint64_t shed_isolated = 0;
 };
 
 class AdmissionController {
@@ -177,8 +169,10 @@ class AdmissionController {
   bool victim_pinned() const { return victim_pinned_; }
   std::uint32_t victim_ip() const { return victim_ip_; }
 
-  /// Cumulative totals summed in lane order.
-  AdmissionTotals totals() const;
+  /// The admission partial report: the offered / admitted / shed totals
+  /// summed in lane order, plus admission_transitions and
+  /// admission_peak_tier. Every other counter is zero.
+  RunCounters totals() const;
 
   const AdmissionConfig& config() const { return config_; }
 

@@ -192,11 +192,8 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   data_engine_.epoch_reconcile(duration);
   core.drain(duration);
   inference.finish();
-  core.resolve();
-
-  RunReport& report = core.report();
+  RunReport report = core.resolve();
   report.precision = nn::precision_name(model_engine_.precision());
-  if (manager) manager->finalize(report);
 
   pipeline_telemetry_ = PipelineTelemetry{};
   pipeline_telemetry_.pipes = pipes;
@@ -205,7 +202,7 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   pipeline_telemetry_.fanin = inference.fanin_stats();
   pipeline_telemetry_.peak_live_batches = inference.peak_live_batches();
   pipeline_telemetry_.peak_open_records = core.peak_open_records();
-  return core.take_report();
+  return report;
 }
 
 RunReport FenixSystem::run_pipelined(const net::Trace& trace,

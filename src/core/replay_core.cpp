@@ -8,6 +8,7 @@
 
 #include "core/data_engine.hpp"
 #include "core/model_pool.hpp"
+#include "lifecycle/lifecycle.hpp"
 #include "net/packet_source.hpp"
 
 namespace fenix::core {
@@ -31,6 +32,12 @@ T heap_pop(std::vector<T>& heap) {
   T top = std::move(heap.back());
   heap.pop_back();
   return top;
+}
+
+// Pre-sizes every latency reservoir of `l` for `n` samples.
+void reserve(RunLatencies& l, std::size_t n) {
+  for_each_latency(
+      [n](const char*, telemetry::LatencyRecorder& r) { r.reserve(n); }, l);
 }
 
 }  // namespace
@@ -72,18 +79,9 @@ ReplayCore::ReplayCore(const net::PacketSource& source, std::size_t num_classes,
     lanes_.emplace_back(to_fpga[lane], from_fpga[lane], lane_rate, lane_burst);
     // Pre-size the lane reservoirs so the hot loop rarely grows a vector
     // (mirror-path recorders see at most one sample per lane packet).
-    const std::size_t expect = hint / kCoordinationLanes + 64;
-    lanes_[lane].internal_tx.reserve(expect);
-    lanes_[lane].queueing.reserve(expect);
-    lanes_[lane].inference.reserve(expect);
-    lanes_[lane].return_tx.reserve(expect);
-    lanes_[lane].end_to_end.reserve(expect);
+    reserve(lanes_[lane], hint / kCoordinationLanes + 64);
   }
-  report_.internal_tx.reserve(hint);
-  report_.queueing.reserve(hint);
-  report_.inference.reserve(hint);
-  report_.return_tx.reserve(hint);
-  report_.end_to_end.reserve(hint);
+  reserve(report_, hint);
   for (std::uint32_t fid = 0; fid < flow_labels_.size(); ++fid) {
     flow_labels_[fid] = source.flow_label(fid);
   }
@@ -249,7 +247,6 @@ void ReplayCore::account_packet(sim::SimTime now, net::ClassLabel truth,
                                 VerdictSymbol engine_symbol, bool from_tree,
                                 std::size_t lane) {
   LaneState& L = lanes_[lane];
-  ++L.packets;
   // The lane's packets are a subsequence of the trace, so a per-lane
   // monotone cursor finds the same slice a global cursor would.
   while (L.phase_idx < report_.phases.size() &&
@@ -270,7 +267,6 @@ void ReplayCore::emit_mirror(const net::FeatureVector& vec,
   // admission_admitted == mirrors holds exactly and stride suppressions stay
   // attributed to mirrors_suppressed (retransmits bypass this path).
   admission_.note_admitted(lane);
-  ++lanes_[lane].mirrors;
   // Mirror leaves the deparser after the full switch transit.
   send_vector(vec, packet_ts + config_.transit_latency,
               config_.recovery.max_retransmits, lane);
@@ -325,32 +321,21 @@ void ReplayCore::drain(sim::SimTime trace_end) {
   for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
     pump(0, /*everything=*/true, lane);
   }
-  if (lifecycle_) lifecycle_->at_drain(trace_end);
+  if (lifecycle_) lifecycle_->at_drain();
   data_engine_.watchdog().close(trace_end);
 }
 
-void ReplayCore::resolve() {
+RunReport ReplayCore::resolve() {
   net::ReliableLinkStats links;
-  for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
-    LaneState& L = lanes_[lane];
-    report_.packets += L.packets;
-    report_.mirrors += L.mirrors;
-    report_.fifo_drops += L.fifo_drops;
-    report_.channel_losses += L.channel_losses;
-    report_.stale_epoch_drops += L.stale_epoch_drops;
-    report_.deadline_misses += L.deadline_misses;
-    report_.retransmits += L.retransmits;
-    report_.retransmits_suppressed += L.retransmits_suppressed;
-    report_.retransmits_exhausted += L.retransmits_exhausted;
-
+  for (LaneState& L : lanes_) {
     // Oldest first: the two sealed epochs, then the tail since.
     for (std::size_t k = 1; k <= 3; ++k) fold(L.records[(open_ + k) % 3]);
 
-    report_.internal_tx.absorb(L.internal_tx);
-    report_.queueing.absorb(L.queueing);
-    report_.inference.absorb(L.inference);
-    report_.return_tx.absorb(L.return_tx);
-    report_.end_to_end.absorb(L.end_to_end);
+    report_ += L;
+    for_each_latency(
+        [](const char*, telemetry::LatencyRecorder& into,
+           const telemetry::LatencyRecorder& part) { into.absorb(part); },
+        report_, L);
 
     // Link counters: the links belong to the system and outlive a run, so
     // the report carries this run's deltas, aggregated over both directions
@@ -370,19 +355,16 @@ void ReplayCore::resolve() {
   for (std::size_t f = 0; f < flow_labels_.size(); ++f) {
     report_.flow_confusion.add(flow_labels_[f], flow_class_[f]);
   }
+  report_ += admission_.totals();
+  if (lifecycle_) report_ += lifecycle_->counts();
+  report_.packets = data_engine_.packets_seen();
+  report_.mirrors = data_engine_.mirrors_sent();
   report_.results_applied = data_engine_.results_applied();
   report_.results_stale = data_engine_.results_stale();
   report_.fallback_verdicts = data_engine_.fallback_verdicts();
   report_.mirrors_suppressed = data_engine_.mirrors_suppressed();
-  const AdmissionTotals shed = admission_.totals();
-  report_.admission_offered = shed.offered;
-  report_.admission_admitted = shed.admitted;
-  report_.shed_thinned = shed.shed_thinned;
-  report_.shed_frozen = shed.shed_frozen;
-  report_.shed_isolated = shed.shed_isolated;
-  report_.admission_transitions = admission_.transitions();
-  report_.admission_peak_tier = admission_.peak_tier();
   report_.watchdog = data_engine_.watchdog().stats();
+  return std::move(report_);
 }
 
 // ---------------------------------------------------------------------------
@@ -482,15 +464,14 @@ std::optional<std::string> first_divergence(const RunReport& a,
   if (auto d = confusion_divergence("flow_confusion", a.flow_confusion,
                                     b.flow_confusion))
     return d;
-  if (auto d = recorder_divergence("internal_tx", a.internal_tx, b.internal_tx))
-    return d;
-  if (auto d = recorder_divergence("queueing", a.queueing, b.queueing)) return d;
-  if (auto d = recorder_divergence("inference", a.inference, b.inference))
-    return d;
-  if (auto d = recorder_divergence("return_tx", a.return_tx, b.return_tx))
-    return d;
-  if (auto d = recorder_divergence("end_to_end", a.end_to_end, b.end_to_end))
-    return d;
+  std::optional<std::string> recorder;
+  for_each_latency(
+      [&recorder](const char* name, const telemetry::LatencyRecorder& x,
+                  const telemetry::LatencyRecorder& y) {
+        if (!recorder) recorder = recorder_divergence(name, x, y);
+      },
+      a, b);
+  if (recorder) return recorder;
   if (auto d = diverge("phases.size", a.phases.size(), b.phases.size()))
     return d;
   for (std::size_t i = 0; i < a.phases.size(); ++i) {

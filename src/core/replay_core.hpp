@@ -38,6 +38,7 @@
 #include "core/admission_controller.hpp"
 #include "core/flow_tracker.hpp"
 #include "core/lane_coordination.hpp"
+#include "core/run_counters.hpp"
 #include "net/feature.hpp"
 #include "net/packet.hpp"
 #include "net/reliable_link.hpp"
@@ -47,6 +48,10 @@
 
 namespace fenix::net {
 class PacketSource;
+}
+
+namespace fenix::lifecycle {
+class LifecycleManager;
 }
 
 namespace fenix::core {
@@ -111,153 +116,47 @@ struct PhaseReport {
         packet_confusion(num_classes) {}
 };
 
-/// The scalar counters of one trace replay, declared once. for_each_counter()
-/// below walks them, and first_divergence(), FenixSystem::health_metrics()
-/// and the identity tests all go through it, so a new counter is one member
-/// here plus one visitor line there.
-struct RunCounters {
-  std::uint64_t packets = 0;
-  std::uint64_t mirrors = 0;
-  std::uint64_t fifo_drops = 0;
-  std::uint64_t channel_losses = 0;  ///< Mirrors or results dropped by the link
-                                     ///< (lost / corrupt / pacer / window).
-  std::uint64_t results_applied = 0;
-  std::uint64_t results_stale = 0;
-  sim::SimDuration trace_duration = 0;
-
-  // Reliable-link accounting, aggregated over both directions and all lanes
-  // for this run (DESIGN.md § Reliable framing). `stale_epoch_drops` counts
-  // verdicts discarded because the FPGA rebooted between stamp and delivery.
-  std::uint64_t stale_epoch_drops = 0;
-  std::uint64_t link_retransmits = 0;    ///< NACK-paced frame re-sends.
-  std::uint64_t link_nacks = 0;
-  std::uint64_t link_corrupt_drops = 0;  ///< Arrivals failing the frame checksum.
-  std::uint64_t link_dup_suppressed = 0;
-  std::uint64_t link_reorder_held = 0;
-  std::uint64_t link_window_drops = 0;
-  std::uint64_t link_pacer_drops = 0;
-  std::uint64_t link_resyncs = 0;        ///< Epoch bumps seen this run.
-
-  // Model-lifecycle accounting (src/lifecycle, DESIGN.md §5.7). All zero
-  // unless a shadow model was configured for the run.
-  std::uint64_t lifecycle_shadow_evals = 0;    ///< Candidate scored per mirror.
-  std::uint64_t lifecycle_disagreements = 0;   ///< Active vs shadow mismatches.
-  std::uint64_t lifecycle_promotions = 0;      ///< Shadow -> serving cutovers.
-  std::uint64_t lifecycle_rollbacks = 0;       ///< SLO-breach demotions.
-  std::uint64_t lifecycle_slo_breaches = 0;    ///< Guard trips (>= rollbacks).
-  std::uint64_t lifecycle_verdicts_primary = 0;    ///< Applies from even generations.
-  std::uint64_t lifecycle_verdicts_candidate = 0;  ///< Applies from odd generations.
-  /// Verdicts whose generation was no longer serving when they crossed back.
-  /// The swap's link resync + the PR 5 staleness rule guarantee this is 0.
-  std::uint64_t lifecycle_demoted_applies = 0;
-  std::uint64_t lifecycle_swap_drops = 0;      ///< Mirrors lost to swap blackouts.
-  sim::SimDuration lifecycle_swap_blackout = 0;  ///< Summed blackout windows.
-
-  // Failure / recovery accounting (DESIGN.md § Failure semantics).
-  std::uint64_t deadline_misses = 0;         ///< Mirrors with no verdict by deadline.
-  std::uint64_t retransmits = 0;             ///< Feature vectors re-sent.
-  std::uint64_t retransmits_suppressed = 0;  ///< Wanted to re-send, bucket empty.
-  std::uint64_t retransmits_exhausted = 0;   ///< Retry budget spent, verdict lost.
-  std::uint64_t fallback_verdicts = 0;       ///< Tree verdicts served while degraded.
-  std::uint64_t mirrors_suppressed = 0;      ///< Grants thinned while degraded.
-
-  // Overload-admission accounting (core/admission_controller.hpp). Offered
-  // counts every token-bucket grant presented to the admission stage;
-  // admitted counts grants that became actual mirrors (== `mirrors`). The
-  // shed-conservation invariant is
-  //   admission_offered == admission_admitted + shed_thinned + shed_frozen
-  //                        + shed_isolated + mirrors_suppressed.
-  std::uint64_t admission_offered = 0;
-  std::uint64_t admission_admitted = 0;
-  std::uint64_t shed_thinned = 0;        ///< Tier >= 1 flow-hash thinning.
-  std::uint64_t shed_frozen = 0;         ///< Tier >= 2 new-flow freeze.
-  std::uint64_t shed_isolated = 0;       ///< Tier >= 3 victim isolation.
-  std::uint64_t admission_transitions = 0;  ///< Ladder tier changes this run.
-  std::uint64_t admission_peak_tier = 0;    ///< Highest tier reached.
-
-  HealthWatchdogStats watchdog;              ///< Final watchdog state counters.
-};
-
-/// Calls `f(name, c.field...)` once per RunCounters field, in declaration
-/// order, passing that field of every report in `c` — so
-/// for_each_counter(f, a, b) walks two reports side by side, and a
-/// non-const report hands `f` mutable references. `name` is the field's one
-/// name: its health-table row and its first_divergence() label (watchdog
-/// fields carry a `watchdog_` prefix).
-template <typename F, typename... Counters>
-constexpr void for_each_counter(F&& f, Counters&... c) {
-  f("packets", c.packets...);
-  f("mirrors", c.mirrors...);
-  f("fifo_drops", c.fifo_drops...);
-  f("channel_losses", c.channel_losses...);
-  f("results_applied", c.results_applied...);
-  f("results_stale", c.results_stale...);
-  f("trace_duration", c.trace_duration...);
-  f("stale_epoch_drops", c.stale_epoch_drops...);
-  f("link_retransmits", c.link_retransmits...);
-  f("link_nacks", c.link_nacks...);
-  f("link_corrupt_drops", c.link_corrupt_drops...);
-  f("link_dup_suppressed", c.link_dup_suppressed...);
-  f("link_reorder_held", c.link_reorder_held...);
-  f("link_window_drops", c.link_window_drops...);
-  f("link_pacer_drops", c.link_pacer_drops...);
-  f("link_resyncs", c.link_resyncs...);
-  f("lifecycle_shadow_evals", c.lifecycle_shadow_evals...);
-  f("lifecycle_disagreements", c.lifecycle_disagreements...);
-  f("lifecycle_promotions", c.lifecycle_promotions...);
-  f("lifecycle_rollbacks", c.lifecycle_rollbacks...);
-  f("lifecycle_slo_breaches", c.lifecycle_slo_breaches...);
-  f("lifecycle_verdicts_primary", c.lifecycle_verdicts_primary...);
-  f("lifecycle_verdicts_candidate", c.lifecycle_verdicts_candidate...);
-  f("lifecycle_demoted_applies", c.lifecycle_demoted_applies...);
-  f("lifecycle_swap_drops", c.lifecycle_swap_drops...);
-  f("lifecycle_swap_blackout", c.lifecycle_swap_blackout...);
-  f("deadline_misses", c.deadline_misses...);
-  f("retransmits", c.retransmits...);
-  f("retransmits_suppressed", c.retransmits_suppressed...);
-  f("retransmits_exhausted", c.retransmits_exhausted...);
-  f("fallback_verdicts", c.fallback_verdicts...);
-  f("mirrors_suppressed", c.mirrors_suppressed...);
-  f("admission_offered", c.admission_offered...);
-  f("admission_admitted", c.admission_admitted...);
-  f("shed_thinned", c.shed_thinned...);
-  f("shed_frozen", c.shed_frozen...);
-  f("shed_isolated", c.shed_isolated...);
-  f("admission_transitions", c.admission_transitions...);
-  f("admission_peak_tier", c.admission_peak_tier...);
-  f("watchdog_deadline_misses", c.watchdog.deadline_misses...);
-  f("watchdog_heartbeats", c.watchdog.heartbeats...);
-  f("watchdog_degradations", c.watchdog.degradations...);
-  f("watchdog_recoveries", c.watchdog.recoveries...);
-  f("watchdog_time_degraded", c.watchdog.time_degraded...);
-}
-
-/// Number of for_each_counter() entries.
-constexpr std::size_t run_counter_count() {
-  const RunCounters counters;
-  std::size_t n = 0;
-  for_each_counter([&n](const char*, std::uint64_t) { ++n; }, counters);
-  return n;
-}
-
-// Every RunCounters member is 8 bytes, so a member without a visitor line
-// (which first_divergence and the health table would silently skip) fails
-// the build here.
-static_assert(sizeof(RunCounters) == run_counter_count() * sizeof(std::uint64_t),
-              "every RunCounters field needs a for_each_counter() entry");
-
-/// Aggregate measurements of one trace replay: the counters plus the
-/// confusion matrices, latency recorders, precision tier and phases.
-struct RunReport : RunCounters {
-  telemetry::ConfusionMatrix packet_confusion;    ///< Forwarding class vs truth.
-  telemetry::ConfusionMatrix inference_confusion; ///< DNN verdicts vs truth.
-  telemetry::ConfusionMatrix flow_confusion;      ///< Final per-flow verdict vs truth
-                                                  ///< (flows never inferred = miss).
+/// The latency recorders of one trace replay (the Figure 11 breakdown),
+/// declared once. Each ReplayCore lane records into its own, and resolve()
+/// absorbs them into the report in lane order.
+struct RunLatencies {
   telemetry::LatencyRecorder internal_tx;  ///< Mirror deparser -> FPGA ingress.
   telemetry::LatencyRecorder queueing;     ///< FPGA ingress -> array start.
   telemetry::LatencyRecorder inference;    ///< Array compute (+ CDC crossings).
   telemetry::LatencyRecorder return_tx;    ///< FPGA egress -> switch.
   telemetry::LatencyRecorder end_to_end;   ///< Mirror emit -> verdict installed.
+};
+
+/// Calls `f(name, l.recorder...)` once per RunLatencies recorder, in
+/// declaration order — the for_each_counter() of the recorders.
+template <typename F, typename... Latencies>
+constexpr void for_each_latency(F&& f, Latencies&... l) {
+  f("internal_tx", l.internal_tx...);
+  f("queueing", l.queueing...);
+  f("inference", l.inference...);
+  f("return_tx", l.return_tx...);
+  f("end_to_end", l.end_to_end...);
+}
+
+/// Number of for_each_latency() entries (a walk over no reports).
+constexpr std::size_t run_latency_count() {
+  std::size_t n = 0;
+  for_each_latency([&n](const char*) { ++n; });
+  return n;
+}
+
+// A recorder without a visitor line fails the build here.
+static_assert(sizeof(RunLatencies) ==
+                  run_latency_count() * sizeof(telemetry::LatencyRecorder),
+              "every RunLatencies recorder needs a for_each_latency() entry");
+
+/// Aggregate measurements of one trace replay: the counters and latency
+/// recorders plus the confusion matrices, precision tier and phases.
+struct RunReport : RunCounters, RunLatencies {
+  telemetry::ConfusionMatrix packet_confusion;    ///< Forwarding class vs truth.
+  telemetry::ConfusionMatrix inference_confusion; ///< DNN verdicts vs truth.
+  telemetry::ConfusionMatrix flow_confusion;      ///< Final per-flow verdict vs truth
+                                                  ///< (flows never inferred = miss).
 
   /// Precision tier the Model Engine served this run ("fp32" / "int8" /
   /// "int4" / "ternary"). Part of the bit-identity contract: every pipe count
@@ -280,33 +179,6 @@ struct RunReport : RunCounters {
   /// suppressed by the degraded probe stride. Nonzero means a shed path went
   /// untracked.
   std::uint64_t shed_unattributed() const;
-};
-
-/// Observer the model-lifecycle control plane (src/lifecycle) hangs off the
-/// replay. on_apply fires lane-locally for every verdict that survives the
-/// epoch-staleness check; at_barrier fires on the coordinator AFTER the
-/// all-lane pump of reconcile(), so every in-flight verdict due by the
-/// barrier has been applied before a cutover resyncs the links — the
-/// ordering that guarantees no verdict of a demoted generation ever applies.
-/// at_drain fires after the end-of-trace pump, before the report resolves.
-class LifecycleObserver {
- public:
-  virtual ~LifecycleObserver() = default;
-
-  /// One applied verdict on `lane` (concurrent across distinct lanes):
-  /// carries the verdict symbol (tagged with its serving generation)
-  /// and the mirror-emit -> install latency.
-  virtual void on_apply(std::size_t lane, VerdictSymbol symbol,
-                        sim::SimDuration end_to_end) = 0;
-
-  /// Epoch barrier (coordinator only, post-pump): fold lane tallies, count
-  /// the window's disagreements, judge the SLO, and perform at most one
-  /// promote/rollback cutover.
-  virtual void at_barrier(sim::SimTime now) = 0;
-
-  /// End-of-trace tail drained; fold the remaining lane tallies and
-  /// disagreements.
-  virtual void at_drain(sim::SimTime trace_end) = 0;
 };
 
 /// Timing/recovery knobs of a ReplayCore, copied out of the owning system.
@@ -387,25 +259,20 @@ class ReplayCore {
   /// accounting.
   void drain(sim::SimTime trace_end);
 
-  /// Folds the records of the last two epochs and the tail, absorbs the
-  /// latency recorders, sums counters and link deltas in lane order, and
-  /// copies the Data Engine's result, degraded-mode and watchdog counters
-  /// into the report. Call after the driver's compute barrier.
-  void resolve();
+  /// Folds the records of the last two epochs and the tail, adds up the
+  /// partial reports — every lane's counters and latency recorders in lane
+  /// order, the admission ladder's and the lifecycle manager's counters —
+  /// sums the link deltas, and copies the Data Engine's packet, mirror,
+  /// result, degraded-mode and watchdog counters into the report, which it
+  /// returns. Call once, after the driver's compute barrier.
+  RunReport resolve();
 
   /// Most outcome and applied-verdict records held at any close_epoch().
   std::size_t peak_open_records() const { return peak_open_records_; }
 
-  /// Attaches the model-lifecycle observer (nullptr = none). Set before the
-  /// first packet; the observer outlives the core's last resolve().
-  void set_lifecycle(LifecycleObserver* lifecycle) { lifecycle_ = lifecycle; }
-
-  /// The overload-admission stage (between begin_packet and emit_mirror).
-  /// The Data Engine routes every token-bucket grant through on_grant and
-  /// every flow birth through on_new_flow; the ladder fold runs inside
-  /// reconcile(), so tier changes are epoch-barrier-published.
-  AdmissionController& admission() { return admission_; }
-  const AdmissionController& admission() const { return admission_; }
+  /// Attaches the model-lifecycle manager (nullptr = none). Set before the
+  /// first packet; the manager outlives resolve().
+  void set_lifecycle(lifecycle::LifecycleManager* m) { lifecycle_ = m; }
 
   /// Records the measured first-to-last-packet span. Streaming drivers call
   /// this once the stream is exhausted (the construction-time value is only
@@ -413,10 +280,6 @@ class ReplayCore {
   void set_trace_duration(sim::SimDuration duration) {
     report_.trace_duration = duration;
   }
-
-  /// Driver-adjustable report (e.g. the precision tier the driver serves).
-  RunReport& report() { return report_; }
-  RunReport take_report() { return std::move(report_); }
 
  private:
   struct PendingResult {
@@ -475,9 +338,10 @@ class ReplayCore {
     std::vector<AppliedVerdict> applied;
   };
 
-  /// Everything one coordination lane owns. Touched by exactly one thread
-  /// between reconcile() barriers; folded and merged by the coordinator.
-  struct LaneState {
+  /// Everything one coordination lane owns, its partial report included.
+  /// Touched by exactly one thread between reconcile() barriers; folded and
+  /// merged by the coordinator.
+  struct LaneState : RunCounters, RunLatencies {
     LaneState(net::ReliableLink* to, net::ReliableLink* from,
               double rtx_rate_hz, double rtx_burst);
 
@@ -496,22 +360,6 @@ class ReplayCore {
     /// NACK-paced frame repairs); this lane's slice of the pacing budget.
     sim::PacingBucket rtx_bucket;
 
-    std::uint64_t packets = 0;
-    std::uint64_t mirrors = 0;
-    std::uint64_t fifo_drops = 0;
-    std::uint64_t channel_losses = 0;
-    std::uint64_t stale_epoch_drops = 0;
-    std::uint64_t deadline_misses = 0;
-    std::uint64_t retransmits = 0;
-    std::uint64_t retransmits_suppressed = 0;
-    std::uint64_t retransmits_exhausted = 0;
-
-    telemetry::LatencyRecorder internal_tx;
-    telemetry::LatencyRecorder queueing;
-    telemetry::LatencyRecorder inference;
-    telemetry::LatencyRecorder return_tx;
-    telemetry::LatencyRecorder end_to_end;
-
     std::size_t phase_idx = 0;  ///< Monotone per lane: lane packets are in trace order.
     /// records[open_] is open; the others were sealed at the last barriers.
     std::array<EpochRecords, 3> records;
@@ -527,11 +375,15 @@ class ReplayCore {
   void fold(EpochRecords& records);
 
   ReplayCoreConfig config_;
+  /// The overload-admission stage (between begin_packet and emit_mirror):
+  /// the Data Engine routes every token-bucket grant through on_grant and
+  /// every flow birth through on_new_flow; the ladder fold runs inside
+  /// reconcile(), so tier changes are epoch-barrier-published.
   AdmissionController admission_;
   DataEngine& data_engine_;
   InferenceStage& inference_;
   RunHooks* hooks_;
-  LifecycleObserver* lifecycle_ = nullptr;
+  lifecycle::LifecycleManager* lifecycle_ = nullptr;
 
   RunReport report_;
   std::vector<LaneState> lanes_;  ///< kCoordinationLanes entries.

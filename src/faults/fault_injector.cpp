@@ -45,14 +45,21 @@ void FaultInjector::at_time(sim::SimTime now) {
   }
 }
 
+template <typename F>
+void FaultInjector::each_channel(F&& f) {
+  for (std::size_t lane = 0; lane < core::FenixSystem::lane_count(); ++lane) {
+    f(system_.to_fpga_mut(lane));
+    f(system_.from_fpga_mut(lane));
+  }
+}
+
 void FaultInjector::arm(const FaultWindow& window) {
   ++stats_.windows_armed;
   ActiveEffect effect;
   effect.window = window;
-  // Channel faults are board-level: they hit every coordination lane of the
-  // striped PCB fabric at once. All lanes are configured identically, so the
-  // lane-0 values stand in for the whole fabric in the saved healthy state.
-  const std::size_t lanes = core::FenixSystem::lane_count();
+  // Channel faults are board-level: they hit every channel of the striped
+  // PCB fabric at once, so lane 0's to-FPGA channel holds the healthy state.
+  const sim::Channel& healthy = system_.to_fpga();
   switch (window.kind) {
     case FaultKind::kFpgaStall:
       system_.model_engine().device().stall(window.start, window.end);
@@ -63,18 +70,14 @@ void FaultInjector::arm(const FaultWindow& window) {
                                             window.end - window.start);
       return;
     case FaultKind::kChannelBrownout: {
-      effect.saved_to_bps = system_.to_fpga().bits_per_second();
-      effect.saved_from_bps = system_.from_fpga().bits_per_second();
-      effect.saved_to_loss = system_.to_fpga().loss_rate();
-      effect.saved_from_loss = system_.from_fpga().loss_rate();
-      const double scale = std::max(window.rate_scale, kMinBrownoutRateScale);
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        system_.to_fpga_mut(lane).set_bits_per_second(effect.saved_to_bps * scale);
-        system_.from_fpga_mut(lane).set_bits_per_second(effect.saved_from_bps *
-                                                        scale);
-        system_.to_fpga_mut(lane).set_loss_rate(window.loss_rate);
-        system_.from_fpga_mut(lane).set_loss_rate(window.loss_rate);
-      }
+      effect.saved_bps = healthy.bits_per_second();
+      effect.saved_rate = healthy.loss_rate();
+      const double bps =
+          effect.saved_bps * std::max(window.rate_scale, kMinBrownoutRateScale);
+      each_channel([&](sim::Channel& ch) {
+        ch.set_bits_per_second(bps);
+        ch.set_loss_rate(window.loss_rate);
+      });
       break;
     }
     case FaultKind::kFifoShrink: {
@@ -83,83 +86,57 @@ void FaultInjector::arm(const FaultWindow& window) {
       engine.set_input_queue_depth(window.fifo_depth);
       break;
     }
-    case FaultKind::kChannelCorrupt: {
-      effect.saved_to_chaos = system_.to_fpga().corrupt_rate();
-      effect.saved_from_chaos = system_.from_fpga().corrupt_rate();
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        system_.to_fpga_mut(lane).set_corrupt_rate(window.chaos_rate);
-        system_.from_fpga_mut(lane).set_corrupt_rate(window.chaos_rate);
-      }
+    case FaultKind::kChannelCorrupt:
+      effect.saved_rate = healthy.corrupt_rate();
+      each_channel(
+          [&](sim::Channel& ch) { ch.set_corrupt_rate(window.chaos_rate); });
       break;
-    }
-    case FaultKind::kChannelReorder: {
-      effect.saved_to_chaos = system_.to_fpga().reorder_rate();
-      effect.saved_from_chaos = system_.from_fpga().reorder_rate();
-      effect.saved_to_delay = system_.to_fpga().reorder_delay();
-      effect.saved_from_delay = system_.from_fpga().reorder_delay();
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        system_.to_fpga_mut(lane).set_reorder(window.chaos_rate,
-                                              window.reorder_delay);
-        system_.from_fpga_mut(lane).set_reorder(window.chaos_rate,
-                                                window.reorder_delay);
-      }
+    case FaultKind::kChannelReorder:
+      effect.saved_rate = healthy.reorder_rate();
+      effect.saved_delay = healthy.reorder_delay();
+      each_channel([&](sim::Channel& ch) {
+        ch.set_reorder(window.chaos_rate, window.reorder_delay);
+      });
       break;
-    }
-    case FaultKind::kChannelDuplicate: {
-      effect.saved_to_chaos = system_.to_fpga().duplicate_rate();
-      effect.saved_from_chaos = system_.from_fpga().duplicate_rate();
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        system_.to_fpga_mut(lane).set_duplicate_rate(window.chaos_rate);
-        system_.from_fpga_mut(lane).set_duplicate_rate(window.chaos_rate);
-      }
+    case FaultKind::kChannelDuplicate:
+      effect.saved_rate = healthy.duplicate_rate();
+      each_channel(
+          [&](sim::Channel& ch) { ch.set_duplicate_rate(window.chaos_rate); });
       break;
-    }
   }
   active_.push_back(effect);
 }
 
+// Restores only the settings the effect's kind changed, so overlapping
+// windows of different kinds unwind independently.
 void FaultInjector::restore(const ActiveEffect& effect) {
   ++stats_.windows_restored;
-  const std::size_t lanes = core::FenixSystem::lane_count();
   switch (effect.window.kind) {
     case FaultKind::kFpgaStall:
     case FaultKind::kFpgaReset:
       break;  // Device windows clear themselves via available(now).
-    case FaultKind::kChannelBrownout: {
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        system_.to_fpga_mut(lane).set_bits_per_second(effect.saved_to_bps);
-        system_.from_fpga_mut(lane).set_bits_per_second(effect.saved_from_bps);
-        system_.to_fpga_mut(lane).set_loss_rate(effect.saved_to_loss);
-        system_.from_fpga_mut(lane).set_loss_rate(effect.saved_from_loss);
-      }
+    case FaultKind::kChannelBrownout:
+      each_channel([&](sim::Channel& ch) {
+        ch.set_bits_per_second(effect.saved_bps);
+        ch.set_loss_rate(effect.saved_rate);
+      });
       break;
-    }
     case FaultKind::kFifoShrink:
       system_.model_engine().set_input_queue_depth(effect.saved_fifo_depth);
       break;
-    case FaultKind::kChannelCorrupt: {
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        system_.to_fpga_mut(lane).set_corrupt_rate(effect.saved_to_chaos);
-        system_.from_fpga_mut(lane).set_corrupt_rate(effect.saved_from_chaos);
-      }
+    case FaultKind::kChannelCorrupt:
+      each_channel(
+          [&](sim::Channel& ch) { ch.set_corrupt_rate(effect.saved_rate); });
       break;
-    }
-    case FaultKind::kChannelReorder: {
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        system_.to_fpga_mut(lane).set_reorder(effect.saved_to_chaos,
-                                              effect.saved_to_delay);
-        system_.from_fpga_mut(lane).set_reorder(effect.saved_from_chaos,
-                                                effect.saved_from_delay);
-      }
+    case FaultKind::kChannelReorder:
+      each_channel([&](sim::Channel& ch) {
+        ch.set_reorder(effect.saved_rate, effect.saved_delay);
+      });
       break;
-    }
-    case FaultKind::kChannelDuplicate: {
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        system_.to_fpga_mut(lane).set_duplicate_rate(effect.saved_to_chaos);
-        system_.from_fpga_mut(lane).set_duplicate_rate(effect.saved_from_chaos);
-      }
+    case FaultKind::kChannelDuplicate:
+      each_channel(
+          [&](sim::Channel& ch) { ch.set_duplicate_rate(effect.saved_rate); });
       break;
-    }
   }
 }
 

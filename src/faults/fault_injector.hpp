@@ -1,13 +1,14 @@
 // Arms a FaultSchedule against a live FenixSystem during a replay.
 //
-// The injector implements core::RunHooks (core/replay_core.hpp): the shared
-// ReplayCore driving run() and run_pipelined() reports every packet
-// timestamp, and the injector fires schedule windows in chronological
-// order — FPGA stalls/resets through the fpgasim::Device fault hooks, channel
-// brownouts by retuning the PCB channels (saving and restoring the healthy
-// line rate and loss), and FIFO shrinks through the Model Engine. Everything
-// is driven by simulated time from a plain-data schedule, so a replay with
-// the same schedule and seed is bit-identical at any host thread count.
+// The injector implements core::RunHooks (core/replay_core.hpp): the
+// ReplayCore calls it at every epoch barrier (every
+// FenixSystemConfig::reconcile_quantum of trace time), and the injector fires
+// the schedule windows due by then in chronological order — FPGA
+// stalls/resets through the fpgasim::Device fault hooks, channel brownouts
+// and chaos windows by retuning every PCB channel (saving and restoring the
+// healthy setting), and FIFO shrinks through the Model Engine. Everything is
+// driven by simulated time from a plain-data schedule, so a replay with the
+// same schedule and seed is bit-identical at any host thread count.
 #pragma once
 
 #include <cstdint>
@@ -45,22 +46,21 @@ class FaultInjector : public core::RunHooks {
 
  private:
   /// A reversible effect currently applied, with the saved healthy state.
+  /// Every channel is built identically and only the injector retunes them,
+  /// always all at once, so one saved value per setting covers the fabric.
   struct ActiveEffect {
     FaultWindow window;
-    double saved_to_bps = 0.0;
-    double saved_from_bps = 0.0;
-    double saved_to_loss = 0.0;
-    double saved_from_loss = 0.0;
+    double saved_bps = 0.0;
+    double saved_rate = 0.0;  ///< Loss (brownout) or chaos rate.
+    sim::SimDuration saved_delay = 0;  ///< Reorder delay.
     std::size_t saved_fifo_depth = 0;
-    // Saved chaos rates (corrupt / reorder / duplicate windows).
-    double saved_to_chaos = 0.0;
-    double saved_from_chaos = 0.0;
-    sim::SimDuration saved_to_delay = 0;
-    sim::SimDuration saved_from_delay = 0;
   };
 
   void arm(const FaultWindow& window);
   void restore(const ActiveEffect& effect);
+  /// Calls `f(channel)` for both directions of every lane's PCB channel.
+  template <typename F>
+  void each_channel(F&& f);
 
   FaultSchedule schedule_;
   core::FenixSystem& system_;

@@ -41,16 +41,16 @@ void LifecycleManager::on_apply(std::size_t lane, core::VerdictSymbol symbol,
 
 core::ShadowTally LifecycleManager::fold_window() {
   for (LaneApplies& L : lane_applies_) {
-    primary_applies_ += L.primary;
-    candidate_applies_ += L.candidate;
-    demoted_applies_ += L.demoted;
+    counts_.lifecycle_verdicts_primary += L.primary;
+    counts_.lifecycle_verdicts_candidate += L.candidate;
+    counts_.lifecycle_demoted_applies += L.demoted;
     L.primary = L.candidate = L.demoted = 0;
     window_e2e_.insert(window_e2e_.end(), L.end_to_end.begin(), L.end_to_end.end());
     L.end_to_end.clear();
   }
   const core::ShadowTally window = stage_.close_window();
-  shadow_evals_ += window.evals;
-  disagreements_ += window.disagreements;
+  counts_.lifecycle_shadow_evals += window.evals;
+  counts_.lifecycle_disagreements += window.disagreements;
   return window;
 }
 
@@ -68,7 +68,7 @@ void LifecycleManager::cutover(sim::SimTime now, bool to_candidate) {
   }
   stage_.swap_models();
   candidate_serving_ = to_candidate;
-  blackout_total_ += config_.swap_blackout;
+  counts_.lifecycle_swap_blackout += config_.swap_blackout;
 }
 
 void LifecycleManager::at_barrier(sim::SimTime now) {
@@ -88,22 +88,22 @@ void LifecycleManager::at_barrier(sim::SimTime now) {
   // next window.
   if (candidate_serving_) {
     if (guard_.breached(window, p99, p99_samples, watchdog_.degraded())) {
-      ++slo_breaches_;
+      ++counts_.lifecycle_slo_breaches;
       cutover(now, /*to_candidate=*/false);
-      ++rollbacks_;
+      ++counts_.lifecycle_rollbacks;
       if (config_.slo.rollback_to_fallback) watchdog_.force_degrade(now);
       next_promote_at_ =
           config_.repromote_every > 0 ? now + config_.repromote_every : 0;
     }
   } else if (next_promote_at_ > 0 && now >= next_promote_at_) {
     cutover(now, /*to_candidate=*/true);
-    ++promotions_;
+    ++counts_.lifecycle_promotions;
     next_promote_at_ = 0;
   }
   window_e2e_.clear();
 }
 
-void LifecycleManager::at_drain(sim::SimTime /*trace_end*/) {
+void LifecycleManager::at_drain() {
   // Final fold only — no decisions after the trace: the drained tail is a
   // partial window and must not trigger swaps the pipelined path (whose
   // barrier schedule is identical) would not also trigger.
@@ -111,18 +111,11 @@ void LifecycleManager::at_drain(sim::SimTime /*trace_end*/) {
   window_e2e_.clear();
 }
 
-void LifecycleManager::finalize(core::RunReport& report) const {
-  report.lifecycle_shadow_evals = shadow_evals_;
-  report.lifecycle_disagreements = disagreements_;
-  report.lifecycle_promotions = promotions_;
-  report.lifecycle_rollbacks = rollbacks_;
-  report.lifecycle_slo_breaches = slo_breaches_;
-  report.lifecycle_verdicts_primary = primary_applies_;
-  report.lifecycle_verdicts_candidate = candidate_applies_;
-  report.lifecycle_demoted_applies = demoted_applies_;
-  report.lifecycle_swap_drops =
+core::RunCounters LifecycleManager::counts() const {
+  core::RunCounters counts = counts_;
+  counts.lifecycle_swap_drops =
       engine_.stats().reconfig_drops - reconfig_drops_start_;
-  report.lifecycle_swap_blackout = blackout_total_;
+  return counts;
 }
 
 }  // namespace fenix::lifecycle

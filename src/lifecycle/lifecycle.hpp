@@ -3,20 +3,23 @@
 // Two cooperating pieces, layered on the lane-granular ReplayCore and its one
 // core::InferenceStage:
 //
-//  * LifecycleManager — the coordinator-side control loop, attached to the
-//    ReplayCore as its LifecycleObserver. The stage's batcher computes every
-//    batch with both the serving model and the shadow; at every epoch
-//    barrier (strictly after the all-lane pump) the manager folds the lane
-//    tallies, collects the window's shadow evaluations and disagreements
-//    from the stage (InferenceStage::close_window), lets the SloGuard judge
-//    the serving model, and performs at most one cutover:
+//  * LifecycleManager — the coordinator-side control loop, which the
+//    ReplayCore calls directly (ReplayCore::set_lifecycle). The stage's
+//    batcher computes every batch with both the serving model and the
+//    shadow; at every epoch barrier (strictly after the all-lane pump) the
+//    manager folds the lane tallies, collects the window's shadow
+//    evaluations and disagreements from the stage
+//    (InferenceStage::close_window), lets the SloGuard judge the serving
+//    model, and performs at most one cutover:
 //    ModelEngine::begin_reconfiguration (the double-buffered weight swap,
 //    dropping mirrors for the blackout window), a flip of the stage's
 //    serving generation, and a resync of all lane links, so the PR 5
 //    staleness rule (epoch < cur && delivered_at >= epoch_end) discards
 //    every verdict the demoted generation still has in flight. In-flight
 //    mirrors due by the barrier drained through the old engine in the pump;
-//    new mirrors route to the new one.
+//    new mirrors route to the new one. The manager keeps its lifecycle_*
+//    report fields as a partial report (core::RunCounters), which
+//    ReplayCore::resolve() adds to the run's report.
 //
 //  * SloGuard — the deterministic breach predicate over the closed window's
 //    disagreement rate, the window's applied-verdict p99, and the watchdog
@@ -38,6 +41,7 @@
 #include "core/lane_coordination.hpp"
 #include "core/model_pool.hpp"
 #include "core/replay_core.hpp"
+#include "core/run_counters.hpp"
 #include "lifecycle/config.hpp"
 
 namespace fenix::lifecycle {
@@ -70,24 +74,33 @@ class SloGuard {
   SloConfig config_;
 };
 
-/// Coordinator-side lifecycle control loop; the ReplayCore's
-/// LifecycleObserver. Construct one per run, attach with
-/// ReplayCore::set_lifecycle, and call finalize() after resolve().
-class LifecycleManager final : public core::LifecycleObserver {
+/// Coordinator-side lifecycle control loop. Construct one per run and
+/// attach it with ReplayCore::set_lifecycle.
+class LifecycleManager {
  public:
   LifecycleManager(const LifecycleConfig& config, core::ModelEngine& engine,
                    core::InferenceStage& stage, const core::LaneLinks& to_fpga,
                    const core::LaneLinks& from_fpga,
                    core::LaneWatchdog& watchdog);
 
+  /// One applied verdict on `lane` (concurrent across distinct lanes): its
+  /// symbol (tagged with its serving generation) and its mirror-emit ->
+  /// install latency.
   void on_apply(std::size_t lane, core::VerdictSymbol symbol,
-                sim::SimDuration end_to_end) override;
-  void at_barrier(sim::SimTime now) override;
-  void at_drain(sim::SimTime trace_end) override;
+                sim::SimDuration end_to_end);
 
-  /// Copies the lifecycle counters into the finished report (call after
-  /// ReplayCore::resolve()).
-  void finalize(core::RunReport& report) const;
+  /// Epoch barrier (coordinator only, after the all-lane pump): folds the
+  /// lane tallies, counts the window's disagreements, judges the SLO, and
+  /// performs at most one promote/rollback cutover.
+  void at_barrier(sim::SimTime now);
+
+  /// End-of-trace tail drained: folds the remaining lane tallies and
+  /// disagreements, and decides nothing.
+  void at_drain();
+
+  /// The lifecycle partial report: every lifecycle_* counter, swap drops
+  /// included. Every other counter is zero.
+  core::RunCounters counts() const;
 
  private:
   /// Per-lane apply attribution, folded at barriers in lane order.
@@ -118,15 +131,7 @@ class LifecycleManager final : public core::LifecycleObserver {
   sim::SimTime next_promote_at_;  ///< 0 = no promotion armed.
   bool candidate_serving_ = false;
 
-  std::uint64_t shadow_evals_ = 0;
-  std::uint64_t disagreements_ = 0;
-  std::uint64_t promotions_ = 0;
-  std::uint64_t rollbacks_ = 0;
-  std::uint64_t slo_breaches_ = 0;
-  std::uint64_t primary_applies_ = 0;
-  std::uint64_t candidate_applies_ = 0;
-  std::uint64_t demoted_applies_ = 0;
-  sim::SimDuration blackout_total_ = 0;
+  core::RunCounters counts_;  ///< All but lifecycle_swap_drops.
 };
 
 }  // namespace fenix::lifecycle

@@ -79,9 +79,9 @@ TEST(AdmissionLadder, AccountingRunsButLadderHoldsWhenDisabled) {
   }
   EXPECT_EQ(ctrl.tier(), 0u);
   EXPECT_EQ(ctrl.transitions(), 0u);
-  const AdmissionTotals t = ctrl.totals();
-  EXPECT_EQ(t.offered, 1000u);
-  EXPECT_EQ(t.admitted, 1000u);
+  const RunCounters t = ctrl.totals();
+  EXPECT_EQ(t.admission_offered, 1000u);
+  EXPECT_EQ(t.admission_admitted, 1000u);
   EXPECT_EQ(t.shed_thinned + t.shed_frozen + t.shed_isolated, 0u);
   EXPECT_EQ(ctrl.reconciles(), 10u);
 }
@@ -266,20 +266,20 @@ TEST(AdmissionLadder, AttributionPrecedenceIsolateOverFreezeOverThin) {
   ASSERT_TRUE(ctrl.victim_pinned());
   ctrl.on_new_flow(7);  // frozen (tier >= 2)
 
-  const AdmissionTotals before = ctrl.totals();
+  const RunCounters before = ctrl.totals();
   // Victim + frozen + thinnable: charged to isolation only.
   EXPECT_FALSE(ctrl.on_grant(0, 9, 7, trafficgen::kScenarioVictimIp));
   // Frozen + thinnable bystander: charged to the freeze.
   EXPECT_FALSE(ctrl.on_grant(0, 9, 7, 0x0a000002u));
   // Thinnable bystander in a never-frozen slot: charged to the thinning.
   EXPECT_FALSE(ctrl.on_grant(0, 9, 63, 0x0a000002u));
-  const AdmissionTotals after = ctrl.totals();
+  const RunCounters after = ctrl.totals();
   EXPECT_EQ(after.shed_isolated - before.shed_isolated, 1u);
   EXPECT_EQ(after.shed_frozen - before.shed_frozen, 1u);
   EXPECT_EQ(after.shed_thinned - before.shed_thinned, 1u);
   // Conservation at the unit level: every offered grant is accounted.
-  EXPECT_EQ(after.offered,
-            after.admitted + after.shed_thinned + after.shed_frozen +
+  EXPECT_EQ(after.admission_offered,
+            after.admission_admitted + after.shed_thinned + after.shed_frozen +
                 after.shed_isolated);
 }
 

@@ -7,10 +7,12 @@
 // classify_packets/classify_flow entry points are now thin wrappers over it.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/bos.hpp"
@@ -94,12 +96,26 @@ TEST(FirstDivergenceTest, NamesWatchdogField) {
 }
 
 TEST(FirstDivergenceTest, NamesLatencyRecorderField) {
+  // One more sample in each recorder in turn, reached by its member name
+  // (not through for_each_latency): the divergence must name that recorder,
+  // so a miswired for_each_latency line fails here.
+  using Recorder = telemetry::LatencyRecorder RunLatencies::*;
+  const std::pair<std::string, Recorder> recorders[] = {
+      {"internal_tx", &RunLatencies::internal_tx},
+      {"queueing", &RunLatencies::queueing},
+      {"inference", &RunLatencies::inference},
+      {"return_tx", &RunLatencies::return_tx},
+      {"end_to_end", &RunLatencies::end_to_end},
+  };
+  ASSERT_EQ(std::size(recorders), run_latency_count());
   const RunReport a = make_report();
-  RunReport b = make_report();
-  b.end_to_end.record(sim::microseconds(11));
-  const auto div = first_divergence(a, b);
-  ASSERT_TRUE(div.has_value());
-  EXPECT_NE(div->find("end_to_end"), std::string::npos) << *div;
+  for (const auto& [name, recorder] : recorders) {
+    RunReport b = make_report();
+    (b.*recorder).record(sim::microseconds(11));
+    const auto div = first_divergence(a, b);
+    ASSERT_TRUE(div.has_value()) << name;
+    EXPECT_EQ(div->rfind(name + ".count: ", 0), 0u) << *div;
+  }
 
   // Same count, min and max; the sums differ by 1 ps, so only the means
   // differ, beyond the sixth significant digit. Both must print exactly.
@@ -119,6 +135,32 @@ TEST(FirstDivergenceTest, NamesLatencyRecorderField) {
   EXPECT_NE(mean_div->substr(prefix.size(), vs - prefix.size()),
             mean_div->substr(vs + 4))
       << *mean_div;
+}
+
+TEST(RunCountersTest, PlusEqualsAddsEachFieldIntoTheSameField) {
+  // Set each counter of a partial in turn: `total += partial` must move
+  // exactly that field of the total, by the partial's value.
+  for (std::size_t target = 0; target < run_counter_count(); ++target) {
+    RunCounters total;
+    RunCounters partial;
+    std::size_t index = 0;
+    for_each_counter(
+        [&](const char*, std::uint64_t& sum, std::uint64_t& part) {
+          sum = 1000 + index;  // distinct, so a field added elsewhere shows
+          if (index++ == target) part = 7;
+        },
+        total, partial);
+    const RunCounters before = total;
+    EXPECT_EQ(&(total += partial), &total);
+    index = 0;
+    for_each_counter(
+        [&](const char* name, std::uint64_t was, std::uint64_t now) {
+          EXPECT_EQ(now, was + (index == target ? 7 : 0))
+              << name << " after adding entry " << target;
+          ++index;
+        },
+        before, total);
+  }
 }
 
 TEST(FirstDivergenceTest, NamesPhaseRow) {

@@ -35,14 +35,15 @@
 //               [--scenario PRESET] [--mutate]
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cli_numbers.hpp"
 #include "core/fenix_system.hpp"
 #include "core/invariants.hpp"
 #include "faults/fault_injector.hpp"
@@ -434,6 +435,8 @@ bool run_mutation_check(std::uint64_t seed, const Workload& work,
   return ok;
 }
 
+constexpr const char* kTool = "fenix_chaos";  ///< Diagnostic prefix.
+
 int usage() {
   std::cerr << "usage: fenix_chaos [--seeds N] [--start S] [--windows W] "
                "[--promote-every MS] [--scenario PRESET] [--mutate]\n";
@@ -453,16 +456,30 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--seeds") {
       if (++i >= argc) return usage();
-      seeds = std::strtoull(argv[i], nullptr, 10);
+      const auto n = cli::parse_count(argv[i]);
+      if (!n) return cli::invalid_flag(kTool, arg, argv[i], "an integer >= 1");
+      seeds = *n;
     } else if (arg == "--start") {
       if (++i >= argc) return usage();
-      start = std::strtoull(argv[i], nullptr, 10);
+      const auto s = cli::parse_integer(argv[i]);
+      if (!s) return cli::invalid_flag(kTool, arg, argv[i], "an integer >= 0");
+      start = *s;
     } else if (arg == "--windows") {
       if (++i >= argc) return usage();
-      windows = static_cast<std::size_t>(std::strtoull(argv[i], nullptr, 10));
+      const auto w = cli::parse_integer(argv[i], 0,
+                                        std::numeric_limits<std::size_t>::max());
+      if (!w) return cli::invalid_flag(kTool, arg, argv[i], "an integer >= 0");
+      windows = static_cast<std::size_t>(*w);
     } else if (arg == "--promote-every") {
       if (++i >= argc) return usage();
-      promote_every_ms = std::strtoull(argv[i], nullptr, 10);
+      // Bounded so the conversion to sim::SimTime cannot overflow.
+      const auto ms = cli::parse_integer(
+          argv[i], 0, std::numeric_limits<sim::SimTime>::max() / sim::kMillisecond);
+      if (!ms) {
+        return cli::invalid_flag(kTool, arg, argv[i],
+                                 "a period in milliseconds >= 0");
+      }
+      promote_every_ms = *ms;
     } else if (arg == "--scenario") {
       if (++i >= argc) return usage();
       scenario = argv[i];
@@ -500,7 +517,8 @@ int main(int argc, char** argv) {
               << " labeled)\n";
     std::uint64_t clean = 0;
     SoakTotals totals;
-    for (std::uint64_t seed = start; seed < start + seeds; ++seed) {
+    for (std::uint64_t k = 0; k < seeds; ++k) {
+      const std::uint64_t seed = start + k;  // wraps past the top seed
       if (!run_scenario_seed(seed, scen, work.quantized.get(),
                              work.num_classes, windows, totals)) {
         std::cerr << "scenario soak FAILED at seed " << seed << " (" << clean
@@ -532,7 +550,8 @@ int main(int argc, char** argv) {
 
   std::uint64_t clean = 0;
   SoakTotals totals;
-  for (std::uint64_t seed = start; seed < start + seeds; ++seed) {
+  for (std::uint64_t k = 0; k < seeds; ++k) {
+    const std::uint64_t seed = start + k;  // wraps past the top seed
     if (!run_seed(seed, work, windows, promote_every_ms, totals)) {
       std::cerr << "chaos soak FAILED at seed " << seed << " (" << clean
                 << " clean seeds before it)\n";

@@ -49,12 +49,9 @@
 //
 // Datasets: "vpn" (ISCXVPN2016 profile) or "tfc" (USTC-TFC profile).
 // Traces use the net::trace_io format; models the nn::serialize format.
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <limits>
-#include <optional>
 #include <string>
 
 #include "baselines/bos.hpp"
@@ -62,6 +59,7 @@
 #include "baselines/leo.hpp"
 #include "baselines/n3ic.hpp"
 #include "baselines/netbeacon.hpp"
+#include "cli_numbers.hpp"
 #include "core/fenix_system.hpp"
 #include "core/verdict_backend.hpp"
 #include "faults/fault_injector.hpp"
@@ -79,6 +77,9 @@
 namespace {
 
 using namespace fenix;
+using namespace fenix::cli;
+
+constexpr const char* kTool = "fenix_replay";  ///< Diagnostic prefix.
 
 int usage() {
   std::cerr
@@ -101,36 +102,6 @@ int usage() {
   return 2;
 }
 
-/// Parses a whole flag value as a finite number in [0, max]. Anything else
-/// (trailing text, a negative or out-of-range value) is nullopt.
-std::optional<double> parse_non_negative(const char* text,
-                                         double max = HUGE_VAL) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !std::isfinite(value) || value < 0.0 ||
-      value > max) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-/// Parses a whole flag value as an integer count >= 1 (at most 2^53, where
-/// doubles stop holding every integer). Anything else is nullopt.
-std::optional<std::uint64_t> parse_count(const char* text) {
-  const auto value = parse_non_negative(text, 9007199254740992.0);
-  if (!value || *value < 1.0 || *value != std::floor(*value)) return std::nullopt;
-  return static_cast<std::uint64_t>(*value);
-}
-
-/// The typed usage error of a bad flag value: one line naming the flag, the
-/// value and what it must be, then exit code 2.
-int invalid_flag(const std::string& flag, const char* value,
-                 const char* expected) {
-  std::cerr << "fenix_replay: invalid " << flag << " '" << value
-            << "': must be " << expected << "\n";
-  return 2;
-}
-
 /// The largest time flag, in seconds: half the sim::SimTime range, so the
 /// conversion to picoseconds never overflows.
 const double kMaxFlagSeconds =
@@ -142,13 +113,31 @@ trafficgen::DatasetProfile profile_by_name(const std::string& name) {
   throw std::runtime_error("unknown dataset: " + name + " (use vpn or tfc)");
 }
 
+/// Reads the <flows> and optional [seed] arguments of synth, train and
+/// baselines into `synth`. Returns 0, or 2 after a one-line diagnostic.
+int parse_flows_and_seed(const char* flows, const char* seed,
+                         trafficgen::SynthesisConfig& synth) {
+  const auto count =
+      parse_integer(flows, 1, std::numeric_limits<std::size_t>::max());
+  if (!count) return invalid_flag(kTool, "flow count", flows, "an integer >= 1");
+  synth.total_flows = static_cast<std::size_t>(*count);
+  if (seed != nullptr) {
+    const auto value = parse_integer(seed);
+    if (!value) return invalid_flag(kTool, "seed", seed, "an integer >= 0");
+    synth.seed = *value;
+  }
+  return 0;
+}
+
 int cmd_synth(int argc, char** argv) {
   if (argc < 3) return usage();
   const auto profile = profile_by_name(argv[0]);
   trafficgen::SynthesisConfig synth;
-  synth.total_flows = static_cast<std::size_t>(std::atol(argv[1]));
+  if (const int bad =
+          parse_flows_and_seed(argv[1], argc > 3 ? argv[3] : nullptr, synth)) {
+    return bad;
+  }
   synth.min_flows_per_class = 20;
-  if (argc > 3) synth.seed = static_cast<std::uint64_t>(std::atoll(argv[3]));
   const auto flows = trafficgen::synthesize_flows(profile, synth);
   trafficgen::TraceConfig trace_config;
   trace_config.flow_arrival_rate_hz =
@@ -179,11 +168,17 @@ int cmd_info(int argc, char** argv) {
 int cmd_train(int argc, char** argv) {
   if (argc < 3) return usage();
   const auto profile = profile_by_name(argv[0]);
-  const bool use_rnn = argc > 3 && std::strcmp(argv[3], "rnn") == 0;
+  const std::string kind = argc > 3 ? argv[3] : "cnn";
+  if (kind != "cnn" && kind != "rnn") {
+    return invalid_flag(kTool, "model kind", argv[3], "cnn or rnn");
+  }
+  const bool use_rnn = kind == "rnn";
   trafficgen::SynthesisConfig synth;
-  synth.total_flows = static_cast<std::size_t>(std::atol(argv[1]));
+  if (const int bad =
+          parse_flows_and_seed(argv[1], argc > 4 ? argv[4] : nullptr, synth)) {
+    return bad;
+  }
   synth.min_flows_per_class = 40;
-  if (argc > 4) synth.seed = static_cast<std::uint64_t>(std::atoll(argv[4]));
   const auto flows = trafficgen::synthesize_flows(profile, synth);
   const auto samples = trafficgen::make_packet_samples(flows, 9);
   nn::TrainOptions opts;
@@ -254,7 +249,9 @@ int cmd_run(int argc, char** argv) {
     } else if (arg == "--pcb-loss") {
       if (++i >= argc) return usage();
       const auto loss = parse_non_negative(argv[i], 1.0);
-      if (!loss) return invalid_flag(arg, argv[i], "a loss rate in [0, 1]");
+      if (!loss) {
+        return invalid_flag(kTool, arg, argv[i], "a loss rate in [0, 1]");
+      }
       config.pcb_loss_rate = *loss;
     } else if (arg == "--fault-schedule") {
       if (++i >= argc) return usage();
@@ -272,13 +269,13 @@ int cmd_run(int argc, char** argv) {
     } else if (arg == "--pipes") {
       if (++i >= argc) return usage();
       const auto pipes = parse_count(argv[i]);
-      if (!pipes) return invalid_flag(arg, argv[i], "an integer >= 1");
+      if (!pipes) return invalid_flag(kTool, arg, argv[i], "an integer >= 1");
       pipelined = true;
       pipeline_opts.pipes = *pipes;
     } else if (arg == "--batch") {
       if (++i >= argc) return usage();
       const auto batch = parse_count(argv[i]);
-      if (!batch) return invalid_flag(arg, argv[i], "an integer >= 1");
+      if (!batch) return invalid_flag(kTool, arg, argv[i], "an integer >= 1");
       pipelined = true;
       pipeline_opts.batch = *batch;
     } else if (arg == "--shadow-model") {
@@ -287,23 +284,29 @@ int cmd_run(int argc, char** argv) {
     } else if (arg == "--promote-at") {
       if (++i >= argc) return usage();
       const auto at = parse_non_negative(argv[i], kMaxFlagSeconds);
-      if (!at) return invalid_flag(arg, argv[i], "a replay time in seconds >= 0");
+      if (!at) {
+        return invalid_flag(kTool, arg, argv[i], "a replay time in seconds >= 0");
+      }
       config.lifecycle.promote_at = sim::from_seconds(*at);
     } else if (arg == "--slo-drift") {
       if (++i >= argc) return usage();
       const auto rate = parse_non_negative(argv[i]);
-      if (!rate) return invalid_flag(arg, argv[i], "a disagreement rate >= 0");
+      if (!rate) {
+        return invalid_flag(kTool, arg, argv[i], "a disagreement rate >= 0");
+      }
       config.lifecycle.slo.max_drift_rate = *rate;
     } else if (arg == "--slo-p99-us") {
       if (++i >= argc) return usage();
       const auto us = parse_non_negative(argv[i], kMaxFlagSeconds * 1e6);
-      if (!us) return invalid_flag(arg, argv[i], "a latency in microseconds >= 0");
+      if (!us) {
+        return invalid_flag(kTool, arg, argv[i], "a latency in microseconds >= 0");
+      }
       config.lifecycle.slo.max_verdict_p99 = static_cast<sim::SimDuration>(
           *us * static_cast<double>(sim::kMicrosecond));
     } else if (arg == "--slo-min-samples") {
       if (++i >= argc) return usage();
       const auto samples = parse_count(argv[i]);
-      if (!samples) return invalid_flag(arg, argv[i], "an integer >= 1");
+      if (!samples) return invalid_flag(kTool, arg, argv[i], "an integer >= 1");
       config.lifecycle.slo.min_samples = *samples;
     } else if (arg == "--offered-load") {
       if (++i >= argc) return usage();
@@ -311,21 +314,24 @@ int cmd_run(int argc, char** argv) {
       if (offered_pps <= 0.0) {
         // Same typed-error convention as --fault-schedule: name the bad
         // value, exit 2, never fall into the generic catch.
-        return invalid_flag("offered load", argv[i], "a packet rate > 0");
+        return invalid_flag(kTool, "offered load", argv[i], "a packet rate > 0");
       }
     } else if (arg == "--admission") {
       config.admission.enabled = true;
     } else if (arg == "--stream-chunk") {
       if (++i >= argc) return usage();
       const auto chunk = parse_count(argv[i]);
-      if (!chunk) return invalid_flag(arg, argv[i], "an integer >= 1");
+      if (!chunk) return invalid_flag(kTool, arg, argv[i], "an integer >= 1");
       stream_chunk = *chunk;
     } else if (arg == "--slo-fallback") {
       config.lifecycle.slo.rollback_to_fallback = true;
     } else if (!arg.empty() && arg[0] != '-') {
       // Legacy positional form of --pcb-loss.
       const auto loss = parse_non_negative(argv[i], 1.0);
-      if (!loss) return invalid_flag("pcb_loss_rate", argv[i], "a loss rate in [0, 1]");
+      if (!loss) {
+        return invalid_flag(kTool, "pcb_loss_rate", argv[i],
+                            "a loss rate in [0, 1]");
+      }
       config.pcb_loss_rate = *loss;
     } else {
       std::cerr << "unknown option: " << arg << "\n";
@@ -566,9 +572,11 @@ int cmd_baselines(int argc, char** argv) {
   if (argc < 2) return usage();
   const auto profile = profile_by_name(argv[0]);
   trafficgen::SynthesisConfig synth;
-  synth.total_flows = static_cast<std::size_t>(std::atol(argv[1]));
+  if (const int bad =
+          parse_flows_and_seed(argv[1], argc > 2 ? argv[2] : nullptr, synth)) {
+    return bad;
+  }
   synth.min_flows_per_class = 20;
-  if (argc > 2) synth.seed = static_cast<std::uint64_t>(std::atoll(argv[2]));
   auto flows = trafficgen::synthesize_flows(profile, synth);
   const std::size_t k = profile.num_classes();
 
