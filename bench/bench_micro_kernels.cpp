@@ -191,6 +191,29 @@ void BM_QuantizedCnnInferenceScratch(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantizedCnnInferenceScratch);
 
+// One predict_batch call over 16 windows of the perfbench CNN shape at
+// kernel rung `isa` (registered in main() for every rung the host runs, so
+// an AMX host also times the AVX-512 pair path it replaces).
+void BM_CnnPredictBatch16(benchmark::State& state, nn::kernels::Isa isa) {
+  const auto model = make_quantized_cnn();
+  sim::RandomStream rng(3);
+  std::vector<nn::Token> flat;
+  for (int i = 0; i < 16 * 9; ++i) {
+    flat.push_back({static_cast<std::uint16_t>(rng.uniform_int(nn::kLenVocab)),
+                    static_cast<std::uint16_t>(rng.uniform_int(nn::kIpdVocab))});
+  }
+  std::vector<std::int16_t> out(16);
+  nn::Scratch scratch;
+  nn::kernels::ScopedIsaCap cap(isa);
+  for (auto _ : state) {
+    model.predict_batch(flat.data(), 16, scratch, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16);
+  state.SetLabel(nn::kernels::isa_name(isa));
+}
+
 void BM_GemvInt8Blocked(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto layer = make_qdense(n, n, 0x6e3);
@@ -448,6 +471,13 @@ void report_kernel_speedups(bool smoke) {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  using nn::kernels::Isa;
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512, Isa::kAmx}) {
+    if (isa > nn::kernels::host_isa()) break;
+    const std::string name =
+        std::string("BM_CnnPredictBatch16/") + nn::kernels::isa_name(isa);
+    benchmark::RegisterBenchmark(name.c_str(), BM_CnnPredictBatch16, isa);
+  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 

@@ -178,6 +178,10 @@ telemetry::MetricRegistry FenixSystem::health_metrics(const RunReport& report) c
   reg.set_counter("fanin_peak_size", pipeline_telemetry_.fanin.peak_size);
   reg.set_counter("peak_live_batches", pipeline_telemetry_.peak_live_batches);
   reg.set_counter("peak_open_records", pipeline_telemetry_.peak_open_records);
+  // Host-time rows (see PipelineTelemetry): not results, never compared.
+  reg.set_gauge("batch_compute_s", pipeline_telemetry_.batch_compute_s);
+  reg.set_gauge("seal_wait_s", pipeline_telemetry_.seal_wait_s);
+  reg.set_label("kernel_isa", nn::kernels::isa_name(pipeline_telemetry_.kernel_isa));
   for (std::size_t pipe = 0; pipe < pipeline_telemetry_.pipe_queue_peaks.size();
        ++pipe) {
     reg.set_counter("pipe" + std::to_string(pipe) + "_queue_peak",

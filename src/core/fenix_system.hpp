@@ -119,6 +119,16 @@ struct PipelineTelemetry {
   std::uint64_t peak_live_batches = 0;
   /// Most unfolded outcome and applied-verdict records at any barrier.
   std::uint64_t peak_open_records = 0;
+  /// Host time, not results: seconds the fleet threads spent computing DNN
+  /// batches (InferenceBatcher::compute, one clock pair per batch, summed
+  /// over threads) and the coordinator spent inside the batcher's seal(),
+  /// batches it computes while it waits included. They vary run to run,
+  /// so first_divergence(), the golden digests and every identity check
+  /// leave them out (like fanin_cas_retries).
+  double batch_compute_s = 0.0;
+  double seal_wait_s = 0.0;
+  /// The kernel rung the batches ran at (nn::kernels::active_isa()).
+  nn::kernels::Isa kernel_isa = nn::kernels::Isa::kScalar;
 };
 
 class FenixSystem {

@@ -1,6 +1,7 @@
 #include "core/model_pool.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 
@@ -37,6 +38,14 @@ std::size_t ModelPool::add_engine(ModelEngineConfig config,
 
 namespace {
 
+/// Host nanoseconds since `start`.
+std::uint64_t ns_since(std::chrono::steady_clock::time_point start) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
 std::size_t seq_len_of(const ModelRef& model) {
   return model.cnn ? model.cnn->config().seq_len
                    : model.rnn ? model.rnn->config().seq_len : 0;
@@ -53,6 +62,7 @@ InferenceBatcher::InferenceBatcher(const nn::QuantizedCnn* cnn,
       model_count_(shadow.cnn || shadow.rnn ? 2 : 1),
       batch_size_(std::max<std::size_t>(1, batch_size)),
       scratch_(workers + 1),
+      compute_ns_(workers + 1),
       fleet_(workers + 1, [this](std::size_t t) { return compute_next(t); }) {
   if ((cnn == nullptr) == (rnn == nullptr)) {
     throw std::invalid_argument("InferenceBatcher: exactly one model must be bound");
@@ -63,7 +73,9 @@ InferenceBatcher::InferenceBatcher(const nn::QuantizedCnn* cnn,
   }
 }
 
-void InferenceBatcher::compute(Batch& batch, nn::Scratch& scratch) {
+void InferenceBatcher::compute(Batch& batch, std::size_t t) {
+  const auto start = std::chrono::steady_clock::now();
+  nn::Scratch& scratch = scratch_[t];
   for (std::size_t m = 0; m < model_count_; ++m) {
     const nn::Token* tokens = batch.tokens.data() + token_base(m);
     std::int16_t* out = batch.out.data() + m * batch_size_;
@@ -73,14 +85,23 @@ void InferenceBatcher::compute(Batch& batch, nn::Scratch& scratch) {
       models_[m].rnn->predict_batch(tokens, batch.count, scratch, out);
     }
   }
+  compute_ns_[t].ns.fetch_add(ns_since(start), std::memory_order_relaxed);
   batch.done.store(true, std::memory_order_release);  // last touch of `batch`
   fleet_.notify();  // the owner may be parked in seal()
+}
+
+double InferenceBatcher::compute_seconds() const {
+  std::uint64_t ns = 0;
+  for (const ComputeClock& c : compute_ns_) {
+    ns += c.ns.load(std::memory_order_relaxed);
+  }
+  return static_cast<double>(ns) * 1e-9;
 }
 
 void InferenceBatcher::dispatch(Batch& batch) {
   const std::size_t head = ring_head_.load(std::memory_order_relaxed);
   if (head - ring_tail_.load(std::memory_order_acquire) == ring_.size()) {
-    compute(batch, scratch_[0]);  // the ring is full
+    compute(batch, 0);  // the ring is full
     return;
   }
   ring_[head % ring_.size()].store(&batch, std::memory_order_relaxed);
@@ -99,7 +120,7 @@ bool InferenceBatcher::compute_next(std::size_t t) {
   } while (!ring_tail_.compare_exchange_weak(tail, tail + 1,
                                              std::memory_order_release,
                                              std::memory_order_relaxed));
-  compute(*batch, scratch_[t]);
+  compute(*batch, t);
   return true;
 }
 
@@ -134,6 +155,7 @@ InferenceBatcher::Ticket InferenceBatcher::enqueue(
 }
 
 InferenceBatcher::Ticket InferenceBatcher::seal(Ticket ticket) {
+  const auto start = std::chrono::steady_clock::now();
   const std::size_t offset = static_cast<std::size_t>(next_ticket_ % batch_size_);
   if (offset != 0 && next_ticket_ - offset < ticket) {
     dispatch(*live_.back());
@@ -152,6 +174,7 @@ InferenceBatcher::Ticket InferenceBatcher::seal(Ticket ticket) {
         return observed_ >= need;
       },
       [this] { return compute_next(0); });
+  seal_ns_ += ns_since(start);
   return next_ticket_;
 }
 

@@ -187,6 +187,12 @@ class InferenceBatcher {
 
   runtime::WorkerFleet& fleet() { return fleet_; }
 
+  /// Host seconds the fleet threads spent inside compute(), summed over
+  /// threads (one clock pair per batch), and the owner's seconds inside
+  /// seal(). Host time: they vary run to run and are no result.
+  double compute_seconds() const;
+  double seal_seconds() const { return static_cast<double>(seal_ns_) * 1e-9; }
+
  private:
   struct Batch {
     /// Per model, model 0 first: batch_size * that model's seq_len tokens,
@@ -198,7 +204,8 @@ class InferenceBatcher {
     std::atomic<bool> done{false};  ///< Released once `out` is written.
   };
 
-  void compute(Batch& batch, nn::Scratch& scratch);
+  /// Computes `batch` on fleet thread `t` (0 = the owner).
+  void compute(Batch& batch, std::size_t t);
   void dispatch(Batch& batch);
   /// Claims and computes one dispatched batch on thread `t`; false if none.
   bool compute_next(std::size_t t);
@@ -226,6 +233,12 @@ class InferenceBatcher {
   alignas(64) std::atomic<std::size_t> ring_head_{0};
   alignas(64) std::atomic<std::size_t> ring_tail_{0};
   std::vector<nn::Scratch> scratch_;   ///< One per fleet thread.
+  /// Per fleet thread: nanoseconds inside compute(), written by that thread.
+  struct alignas(64) ComputeClock {
+    std::atomic<std::uint64_t> ns{0};
+  };
+  std::vector<ComputeClock> compute_ns_;
+  std::uint64_t seal_ns_ = 0;  ///< Owner only.
   std::vector<nn::Token> tmp_tokens_;  ///< tokenize_into staging.
   runtime::WorkerFleet fleet_;  ///< Last: joins before the state it reads goes.
 };
@@ -320,6 +333,11 @@ class InferenceStage {
 
   /// Most batches alive at any close_epoch(), before it retires.
   std::size_t peak_live_batches() const { return peak_live_batches_; }
+
+  /// The batcher's host-time clocks (InferenceBatcher::compute_seconds(),
+  /// seal_seconds()); read them after finish().
+  double batch_compute_s() const { return batcher_.compute_seconds(); }
+  double seal_wait_s() const { return batcher_.seal_seconds(); }
 
  private:
   /// One admitted mirror crossing the fan-in: the symbol its verdict will be

@@ -202,6 +202,9 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   pipeline_telemetry_.fanin = inference.fanin_stats();
   pipeline_telemetry_.peak_live_batches = inference.peak_live_batches();
   pipeline_telemetry_.peak_open_records = core.peak_open_records();
+  pipeline_telemetry_.batch_compute_s = inference.batch_compute_s();
+  pipeline_telemetry_.seal_wait_s = inference.seal_wait_s();
+  pipeline_telemetry_.kernel_isa = nn::kernels::active_isa();
   return report;
 }
 

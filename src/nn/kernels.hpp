@@ -180,14 +180,26 @@ void conv1d_sub8_simd(const std::uint8_t* biased, std::size_t out_ch,
 // entry point falls back to the scalar kernel, so results never depend on
 // the ISA, only speed does.
 
-/// Vector ISA levels the kernels dispatch on, lowest first.
-enum class Isa { kScalar, kAvx2, kAvx512 };
+/// Vector ISA levels the kernels dispatch on, lowest first. kAmx is AVX-512
+/// plus the AMX-INT8 tile unit: every AVX-512 kernel runs unchanged at kAmx,
+/// and QuantizedCnn::predict_batch adds the tile GEMMs below.
+enum class Isa { kScalar, kAvx2, kAvx512, kAmx };
 
 /// The best level the running CPU supports (detected once, never capped).
+/// kAmx also needs the kernel's leave to use the tile data state: on Linux
+/// x86-64 the first call asks for it with arch_prctl(ARCH_REQ_XCOMP_PERM),
+/// and a refusal leaves the host at kAvx512.
 Isa host_isa();
 
+/// The level every dispatch runs at now: host_isa() under the innermost
+/// ScopedIsaCap.
+Isa active_isa();
+
+/// "scalar", "avx2", "avx512" or "amx".
+const char* isa_name(Isa isa);
+
 /// Test seam: while alive, every dispatch in this file (isa-selected kernels,
-/// gemm_batch_lanes(), the VNNI sub-INT8 path) runs at
+/// gemm_batch_lanes(), the VNNI sub-INT8 path, the AMX rung) runs at
 /// most `cap`, so one host can exercise the lower tiers. Caps nest; the
 /// destructor restores the previous one. Not for production code: a cap
 /// changes speed only, never results. Create and destroy one only while no
@@ -290,6 +302,91 @@ void gemm_acc_i8_batch(const std::int32_t* wpairs, std::size_t rows,
 /// `multiplier`, requantized by `shift` and saturated, lands as a pair in
 /// out[kp * lanes + b]. Requires shift > 0.
 void avgpool_i8_batch(const std::int32_t* x, std::size_t T, std::size_t cpairs,
+                      std::int32_t multiplier, int shift, std::int32_t* out);
+
+// ---- AMX tile GEMM (kernels_simd.cpp, Isa::kAmx only) ----
+//
+// tdpbssd adds the product of a 16 x K INT8 A tile and a K x 16 INT8 B tile
+// into a 16 x 16 INT32 C tile, K up to 64 per instruction. B is stored as K/4
+// rows of 16 INT32 words, word n of row k holding B[4k..4k+3][n]. So the
+// batch keeps its 16 lanes as the N dimension and its activations as
+// lane-resident INT8 quads:
+//  * word x[kq * 16 + b] holds channels 4kq..4kq+3 of item b, channel 4kq in
+//    the low byte (pack_quad); pad channels are zero. A timestep of cq quads
+//    is cq consecutive B rows, so a conv timestep's kernel rows are one run
+//    of kernel * cq B rows and need no im2col.
+//  * Weights (pack_tile_weights) are INT8 A rows, tap-major for a conv:
+//    each of a row's `groups` groups of `cols` weights is padded to whole
+//    quads, and the rows are padded with zero rows to a multiple of 16.
+// A 16-row block of outputs is one C tile; its rows go through the same
+// requantization as gemm_i8_batch and are packed four at a time into the
+// next layer's quads. Bit-identity is the pair path's argument: INT8 x INT8
+// products summed in INT32 cannot overflow at these layer sizes, and zero
+// pads add nothing. Lanes the caller did not fill compute garbage that never
+// crosses into another lane.
+
+/// One quad word: `c0` in bits 0-7 ... `c3` in bits 24-31.
+constexpr std::int32_t pack_quad(std::int8_t c0, std::int8_t c1, std::int8_t c2,
+                                 std::int8_t c3) {
+  return static_cast<std::int32_t>(
+      static_cast<std::uint32_t>(static_cast<std::uint8_t>(c0)) |
+      (static_cast<std::uint32_t>(static_cast<std::uint8_t>(c1)) << 8) |
+      (static_cast<std::uint32_t>(static_cast<std::uint8_t>(c2)) << 16) |
+      (static_cast<std::uint32_t>(static_cast<std::uint8_t>(c3)) << 24));
+}
+
+/// Quad words holding `channels` INT8 channels.
+constexpr std::size_t quads_of(std::size_t channels) { return (channels + 3) / 4; }
+
+/// A layer's weights as AMX A tiles: `rows` output rows (padded to a multiple
+/// of 16 in `a`), each `kbytes` INT8 weights long.
+struct TileWeights {
+  std::vector<std::int8_t> a;
+  std::size_t rows = 0;
+  std::size_t kbytes = 0;
+};
+
+/// Packs w (rows x groups * cols, row-major; a conv's rows are [tap][in_ch])
+/// into A rows of groups * 4 * quads_of(cols) bytes.
+TileWeights pack_tile_weights(const std::int8_t* w, std::size_t rows,
+                              std::size_t groups, std::size_t cols);
+
+/// The calling thread's tile unit. The tile GEMMs load the configuration for
+/// their K into it (ldtilecfg, skipped while K mod 64 is unchanged); the
+/// destructor releases the tile state (tilerelease), so a thread holds it
+/// only inside one scope. Requires active_isa() == Isa::kAmx.
+class TileUnit {
+ public:
+  TileUnit() = default;
+  ~TileUnit();
+  TileUnit(const TileUnit&) = delete;
+  TileUnit& operator=(const TileUnit&) = delete;
+
+  /// Loads the tile shapes of a K-byte reduction: C tiles 0-3, A and B tiles
+  /// 4 and 5 for 64-byte K steps, 6 and 7 for the K mod 64 tail.
+  void configure(std::size_t kbytes);
+
+ private:
+  int tail_ = -1;  ///< K mod 64 of the loaded configuration; -1 = none.
+};
+
+/// Requantized tile GEMM into quads: row r of lane b is requantize(bias[r] +
+/// w_r . x_b), ReLU'd when `relu`, saturated, and lands as byte r % 4 of
+/// out[(r / 4) * 16 + b]; pad rows up to quads_of(rows) * 4 are zero. x
+/// holds w.kbytes / 4 B rows. Requires shift > 0.
+void gemm_i8_quads(TileUnit& tiles, const TileWeights& w,
+                   const std::int32_t* x, const std::int32_t* bias, int shift,
+                   bool relu, std::int32_t* out);
+
+/// acc[r * 16 + b] = w_r . x_b as raw INT32 accumulators, for r below rows
+/// rounded up to a multiple of 16 (pad rows read 0).
+void gemm_acc_i8_quads(TileUnit& tiles, const TileWeights& w,
+                       const std::int32_t* x, std::int32_t* acc);
+
+/// avgpool_i8_batch over quads: T timestep rows of cquads quad words per
+/// lane (x[(t * cquads + kq) * 16 + b]) in, one row of cquads quads out.
+/// Requires shift > 0.
+void avgpool_i8_quads(const std::int32_t* x, std::size_t T, std::size_t cquads,
                       std::int32_t multiplier, int shift, std::int32_t* out);
 
 }  // namespace kernels

@@ -1,4 +1,4 @@
-// Explicit AVX2 / AVX-512 lowering of the INT8 kernels.
+// Explicit AVX2 / AVX-512 / AMX lowering of the INT8 kernels.
 //
 // The scalar kernels in kernels.cpp stay the semantic reference; everything
 // here must agree with them bit-for-bit. The vector strategy is the standard
@@ -16,6 +16,8 @@
 // cached; compilation uses per-function target attributes so no global
 // -mavx* flags leak into the rest of the build (the baseline stays plain
 // x86-64 and non-AVX hosts still run everything through the scalar path).
+// The AMX rung (Isa::kAmx) adds tile GEMMs for the batched CNN; everything
+// else runs its AVX-512 code there.
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
@@ -26,6 +28,10 @@
 #if defined(__x86_64__) || defined(_M_X64)
 #define FENIX_SIMD_X86 1
 #include <immintrin.h>
+#if defined(__linux__)
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 #else
 #define FENIX_SIMD_X86 0
 #endif
@@ -50,8 +56,8 @@ inline std::int32_t hi16(std::int32_t w) {
   return static_cast<std::int16_t>(static_cast<std::uint32_t>(w) >> 16);
 }
 
-// Test-only dispatch ceiling (ScopedIsaCap); kAvx512 means "uncapped".
-std::atomic<Isa> g_isa_cap{Isa::kAvx512};
+// Test-only dispatch ceiling (ScopedIsaCap); the top rung means "uncapped".
+std::atomic<Isa> g_isa_cap{Isa::kAmx};
 
 Isa isa() {
   static const Isa host = host_isa();
@@ -66,7 +72,7 @@ Isa isa() {
 bool has_vnni() {
   static const bool cached = __builtin_cpu_supports("avx512vnni") &&
                              __builtin_cpu_supports("avx512bw");
-  return cached && isa() == Isa::kAvx512;
+  return cached && isa() >= Isa::kAvx512;
 }
 
 // ---- AVX2: 16 columns per step (128-bit INT8 loads widened to 256-bit
@@ -643,7 +649,7 @@ void dot4_sub8(const std::uint8_t* w0, const std::uint8_t* w1,
                const std::int8_t* x, std::size_t cols, std::int32_t out[4]) {
   if (has_vnni()) {
     dot4_sub8_vnni(w0, w1, w2, w3, x, cols, out);
-  } else if (isa() == Isa::kAvx512) {
+  } else if (isa() >= Isa::kAvx512) {
     dot4_sub8_avx512(w0, w1, w2, w3, x, cols, out);
   } else {
     dot4_sub8_avx2(w0, w1, w2, w3, x, cols, out);
@@ -654,10 +660,189 @@ void dot1_sub8(const std::uint8_t* w, const std::int8_t* x, std::size_t cols,
                std::int32_t* out) {
   if (has_vnni()) {
     dot1_sub8_vnni(w, x, cols, out);
-  } else if (isa() == Isa::kAvx512) {
+  } else if (isa() >= Isa::kAvx512) {
     dot1_sub8_avx512(w, x, cols, out);
   } else {
     dot1_sub8_avx2(w, x, cols, out);
+  }
+}
+
+// ---- AMX-INT8 tile GEMM ----
+//
+// The tile instructions are inline asm with a "memory" clobber on loads and
+// stores: the compiler's AMX intrinsics declare no memory operands, so plain
+// stores feeding a tile load (or loads reading a tile store) could be moved
+// across them. Tile numbers are template arguments printed by the %c operand
+// modifier; the assembler needs no target flag.
+
+template <int T>
+inline void tile_load(const void* base, std::size_t stride) {
+  __asm__ volatile("tileloadd (%0,%1,1), %%tmm%c2" ::"r"(base),
+                   "r"(static_cast<long>(stride)), "i"(T)
+                   : "memory");
+}
+template <int T>
+inline void tile_store(std::int32_t* base) {  // 16 rows of 64 bytes
+  __asm__ volatile("tilestored %%tmm%c1, (%0,%2,1)" ::"r"(base), "i"(T),
+                   "r"(64L)
+                   : "memory");
+}
+template <int T>
+inline void tile_zero() {
+  __asm__ volatile("tilezero %%tmm%c0" ::"i"(T));
+}
+// C += A . B; AT&T operand order is B, A, C.
+template <int C, int A, int B>
+inline void tile_dp() {
+  __asm__ volatile("tdpbssd %%tmm%c2, %%tmm%c1, %%tmm%c0" ::"i"(C), "i"(A),
+                   "i"(B));
+}
+
+// ldtilecfg's 64-byte operand (palette 1).
+struct alignas(64) TileConfig {
+  std::uint8_t palette = 1;
+  std::uint8_t start_row = 0;
+  std::uint8_t reserved[14] = {};
+  std::uint16_t colsb[16] = {};
+  std::uint8_t rows[16] = {};
+};
+static_assert(sizeof(TileConfig) == 64, "ldtilecfg reads 64 bytes");
+
+// Linux grants the tile data state only on request, for the whole process
+// (it enlarges every signal frame by about 8 KB).
+bool amx_granted() {
+#if defined(__linux__)
+  constexpr long kArchReqXcompPerm = 0x1023;
+  constexpr long kXfeatureXtiledata = 18;
+  return syscall(SYS_arch_prctl, kArchReqXcompPerm, kXfeatureXtiledata) == 0;
+#else
+  return false;
+#endif
+}
+
+// One K step: B tile TB from the B rows at x, then for each block i < NB
+// A tile TA from that block's 16 rows at a (`kbytes` apart), C tile i += A . B.
+template <int NB, int TA, int TB>
+void k_step(const std::int8_t* a, std::size_t kbytes, const std::int32_t* x) {
+  tile_load<TB>(x, 64);
+  tile_load<TA>(a, kbytes);
+  tile_dp<0, TA, TB>();
+  if constexpr (NB > 1) {
+    tile_load<TA>(a + 16 * kbytes, kbytes);
+    tile_dp<1, TA, TB>();
+  }
+  if constexpr (NB > 2) {
+    tile_load<TA>(a + 32 * kbytes, kbytes);
+    tile_dp<2, TA, TB>();
+  }
+  if constexpr (NB > 3) {
+    tile_load<TA>(a + 48 * kbytes, kbytes);
+    tile_dp<3, TA, TB>();
+  }
+}
+
+// C tiles 0..NB-1 = blocks 0..NB-1 of the A rows at `a` (16 rows of K bytes
+// each) times the K / 4 B rows at x, stored as 16 x 16 INT32 rows at c + 256
+// * block. K runs in 64-byte steps through A/B tiles 4/5, then the K mod 64
+// tail through tiles 6/7. B row k / 4 is word 16 * (k / 4) of x.
+template <int NB>
+void tile_blocks(const std::int8_t* a, std::size_t kbytes,
+                 const std::int32_t* x, std::int32_t* c) {
+  tile_zero<0>();
+  if constexpr (NB > 1) tile_zero<1>();
+  if constexpr (NB > 2) tile_zero<2>();
+  if constexpr (NB > 3) tile_zero<3>();
+  std::size_t k = 0;
+  for (; k + 64 <= kbytes; k += 64) k_step<NB, 4, 5>(a + k, kbytes, x + 4 * k);
+  if (k < kbytes) k_step<NB, 6, 7>(a + k, kbytes, x + 4 * k);
+  tile_store<0>(c);
+  if constexpr (NB > 1) tile_store<1>(c + 256);
+  if constexpr (NB > 2) tile_store<2>(c + 512);
+  if constexpr (NB > 3) tile_store<3>(c + 768);
+}
+
+// Accumulators of output rows [r0, r0 + 64) (fewer at the end) at c.
+void tile_group(const TileWeights& w, std::size_t r0, const std::int32_t* x,
+                std::int32_t* c) {
+  const std::int8_t* a = w.a.data() + r0 * w.kbytes;
+  switch ((w.rows - r0 + 15) / 16) {
+    case 1:
+      tile_blocks<1>(a, w.kbytes, x, c);
+      return;
+    case 2:
+      tile_blocks<2>(a, w.kbytes, x, c);
+      return;
+    case 3:
+      tile_blocks<3>(a, w.kbytes, x, c);
+      return;
+    default:
+      tile_blocks<4>(a, w.kbytes, x, c);
+      return;
+  }
+}
+
+// Four saturated INT32 rows -> one quad word per lane (c0 in bits 0-7).
+__attribute__((target("avx512bw"))) inline __m512i quad_avx512(
+    __m512i c0, __m512i c1, __m512i c2, __m512i c3) {
+  __m512i q = _mm512_mask_blend_epi8(0xEEEEEEEEEEEEEEEEull, c0,
+                                     _mm512_slli_epi32(c1, 8));
+  q = _mm512_mask_blend_epi8(0xCCCCCCCCCCCCCCCCull, q, _mm512_slli_epi32(c2, 16));
+  return _mm512_mask_blend_epi8(0x8888888888888888ull, q,
+                                _mm512_slli_epi32(c3, 24));
+}
+
+// Requantizes the accumulator rows [r0, r0 + 64) at c into quads
+// [r0 / 4, q_end) of out; rows at or past `rows` are zero. With shift > 0,
+// rounding_shift_right(v, s) == (v + 2^(s-1) - [v < 0]) >> s (arithmetic),
+// and under ReLU the [v < 0] term cannot change a clamped result, so a ReLU
+// row costs one add, one shift and the clamp.
+__attribute__((target("avx512bw"))) void quads_from_tiles(
+    const std::int32_t* c, std::size_t r0, std::size_t q_end, std::size_t rows,
+    const std::int32_t* bias, int shift, bool relu, std::int32_t* out) {
+  const std::int32_t off = 1 << (shift - 1);
+  const __m512i lo = _mm512_set1_epi32(relu ? 0 : -128);
+  const __m512i hi = _mm512_set1_epi32(127);
+  for (std::size_t q = r0 / 4; q < q_end; ++q) {
+    __m512i v[4];
+    for (std::size_t i = 0; i < 4; ++i) {
+      const std::size_t r = 4 * q + i;
+      if (r >= rows) {
+        v[i] = _mm512_setzero_si512();
+        continue;
+      }
+      const __m512i acc = _mm512_load_si512(c + (r - r0) * 16);
+      __m512i t = _mm512_add_epi32(acc, _mm512_set1_epi32(bias[r] + off));
+      if (!relu) {
+        t = _mm512_add_epi32(
+            t, _mm512_srai_epi32(_mm512_add_epi32(acc, _mm512_set1_epi32(bias[r])),
+                                 31));
+      }
+      v[i] = _mm512_min_epi32(
+          _mm512_max_epi32(_mm512_srai_epi32(t, static_cast<unsigned>(shift)), lo),
+          hi);
+    }
+    _mm512_storeu_si512(out + q * 16, quad_avx512(v[0], v[1], v[2], v[3]));
+  }
+}
+
+// Per-channel sums over T timesteps: each quad word splits into its four
+// sign-extended bytes, which accumulate apart.
+__attribute__((target("avx512bw"))) void avgpool_quads_avx512(
+    const std::int32_t* x, std::size_t T, std::size_t cquads,
+    std::int32_t multiplier, int shift, std::int32_t* out) {
+  const __m512i m = _mm512_set1_epi32(multiplier);
+  for (std::size_t kq = 0; kq < cquads; ++kq) {
+    __m512i s[4] = {_mm512_setzero_si512(), _mm512_setzero_si512(),
+                    _mm512_setzero_si512(), _mm512_setzero_si512()};
+    for (std::size_t t = 0; t < T; ++t) {
+      const __m512i v = _mm512_loadu_si512(x + (t * cquads + kq) * 16);
+      s[0] = _mm512_add_epi32(s[0], _mm512_srai_epi32(_mm512_slli_epi32(v, 24), 24));
+      s[1] = _mm512_add_epi32(s[1], _mm512_srai_epi32(_mm512_slli_epi32(v, 16), 24));
+      s[2] = _mm512_add_epi32(s[2], _mm512_srai_epi32(_mm512_slli_epi32(v, 8), 24));
+      s[3] = _mm512_add_epi32(s[3], _mm512_srai_epi32(v, 24));
+    }
+    for (__m512i& v : s) v = requant_avx512(_mm512_mullo_epi32(v, m), shift, false);
+    _mm512_storeu_si512(out + kq * 16, quad_avx512(s[0], s[1], s[2], s[3]));
   }
 }
 
@@ -712,7 +897,10 @@ Isa host_isa() {
   static const Isa detected = [] {
     if (__builtin_cpu_supports("avx512bw") &&
         __builtin_cpu_supports("avx512f")) {
-      return Isa::kAvx512;
+      return __builtin_cpu_supports("amx-tile") &&
+                     __builtin_cpu_supports("amx-int8") && amx_granted()
+                 ? Isa::kAmx
+                 : Isa::kAvx512;
     }
     return __builtin_cpu_supports("avx2") ? Isa::kAvx2 : Isa::kScalar;
   }();
@@ -720,6 +908,22 @@ Isa host_isa() {
 #else
   return Isa::kScalar;
 #endif
+}
+
+Isa active_isa() { return isa(); }
+
+const char* isa_name(Isa isa) {
+  switch (isa) {
+    case Isa::kScalar:
+      return "scalar";
+    case Isa::kAvx2:
+      return "avx2";
+    case Isa::kAvx512:
+      return "avx512";
+    case Isa::kAmx:
+      return "amx";
+  }
+  return "?";
 }
 
 ScopedIsaCap::ScopedIsaCap(Isa cap)
@@ -735,6 +939,7 @@ void gemv_acc_i8_simd(const std::int8_t* w, std::size_t rows,
                       const std::int8_t* x, std::int32_t* acc) {
 #if FENIX_SIMD_X86
   switch (isa()) {
+    case Isa::kAmx:
     case Isa::kAvx512:
       gemv_acc_avx512(w, rows, row_stride, cols, x, acc);
       return;
@@ -758,7 +963,7 @@ void gemv_i8_simd(const std::int8_t* w, std::size_t rows,
     std::int32_t acc[4];
     for (; r + 4 <= rows; r += 4) {
       const std::int8_t* base = w + r * row_stride;
-      if (isa() == Isa::kAvx512) {
+      if (isa() >= Isa::kAvx512) {
         dot4_avx512(base, base + row_stride, base + 2 * row_stride,
                     base + 3 * row_stride, x, cols, acc);
       } else {
@@ -770,7 +975,7 @@ void gemv_i8_simd(const std::int8_t* w, std::size_t rows,
       }
     }
     for (; r < rows; ++r) {
-      if (isa() == Isa::kAvx512) {
+      if (isa() >= Isa::kAvx512) {
         dot1_avx512(w + r * row_stride, x, cols, acc);
       } else {
         dot1_avx2(w + r * row_stride, x, cols, acc);
@@ -867,6 +1072,7 @@ void conv1d_sub8_simd(const std::uint8_t* biased, std::size_t out_ch,
 
 std::size_t gemm_batch_lanes() {
   switch (isa()) {
+    case Isa::kAmx:
     case Isa::kAvx512:
       return 16;
     case Isa::kAvx2:
@@ -901,6 +1107,7 @@ void gemm_acc_i8_batch(const std::int32_t* wpairs, std::size_t rows,
                        std::int32_t* acc) {
 #if FENIX_SIMD_X86
   switch (isa()) {
+    case Isa::kAmx:
     case Isa::kAvx512:
       gemm_acc_batch_avx512(wpairs, rows, kpairs, packed_x, acc);
       return;
@@ -920,6 +1127,7 @@ void gemm_i8_batch(const std::int32_t* wpairs, std::size_t rows,
                    std::int32_t* out) {
 #if FENIX_SIMD_X86
   switch (isa()) {
+    case Isa::kAmx:
     case Isa::kAvx512:
       gemm_i8_batch_avx512(wpairs, rows, kpairs, packed_x, bias, shift, relu,
                            out);
@@ -946,6 +1154,7 @@ void avgpool_i8_batch(const std::int32_t* x, std::size_t T, std::size_t cpairs,
                       std::int32_t multiplier, int shift, std::int32_t* out) {
 #if FENIX_SIMD_X86
   switch (isa()) {
+    case Isa::kAmx:
     case Isa::kAvx512:
       avgpool_batch_avx512(x, T, cpairs, multiplier, shift, out);
       return;
@@ -990,6 +1199,86 @@ void conv1d_i8_simd(const std::int8_t* w, std::size_t out_ch,
   }
 #endif
   conv1d_i8(w, out_ch, in_ch, kernel, x, T, bias, shift, relu, y);
+}
+
+TileWeights pack_tile_weights(const std::int8_t* w, std::size_t rows,
+                              std::size_t groups, std::size_t cols) {
+  TileWeights t;
+  t.rows = rows;
+  t.kbytes = groups * 4 * quads_of(cols);
+  t.a.assign((rows + 15) / 16 * 16 * t.kbytes, 0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t g = 0; g < groups; ++g) {
+      std::copy_n(w + (r * groups + g) * cols, cols,
+                  t.a.begin() + static_cast<std::ptrdiff_t>(
+                                    r * t.kbytes + g * 4 * quads_of(cols)));
+    }
+  }
+  return t;
+}
+
+TileUnit::~TileUnit() {
+#if FENIX_SIMD_X86
+  if (tail_ >= 0) __asm__ volatile("tilerelease" ::: "memory");
+#endif
+}
+
+void TileUnit::configure(std::size_t kbytes) {
+  const int tail = static_cast<int>(kbytes % 64);
+  if (tail == tail_) return;
+#if FENIX_SIMD_X86
+  TileConfig cfg;
+  for (int t = 0; t < 6; ++t) {
+    cfg.rows[t] = 16;
+    cfg.colsb[t] = 64;
+  }
+  if (tail != 0) {
+    cfg.rows[6] = 16;
+    cfg.colsb[6] = static_cast<std::uint16_t>(tail);
+    cfg.rows[7] = static_cast<std::uint8_t>(tail / 4);
+    cfg.colsb[7] = 64;
+  }
+  __asm__ volatile("ldtilecfg %0" ::"m"(cfg) : "memory");
+#endif
+  tail_ = tail;
+}
+
+void gemm_i8_quads(TileUnit& tiles, const TileWeights& w,
+                   const std::int32_t* x, const std::int32_t* bias, int shift,
+                   bool relu, std::int32_t* out) {
+#if FENIX_SIMD_X86
+  tiles.configure(w.kbytes);
+  alignas(64) std::int32_t c[4 * 256];
+  const std::size_t quads = quads_of(w.rows);
+  for (std::size_t r0 = 0; r0 < w.rows; r0 += 64) {
+    tile_group(w, r0, x, c);
+    quads_from_tiles(c, r0, std::min(quads, (r0 + 64) / 4), w.rows, bias,
+                     shift, relu, out);
+  }
+#else
+  (void)tiles, (void)w, (void)x, (void)bias, (void)shift, (void)relu, (void)out;
+#endif
+}
+
+void gemm_acc_i8_quads(TileUnit& tiles, const TileWeights& w,
+                       const std::int32_t* x, std::int32_t* acc) {
+#if FENIX_SIMD_X86
+  tiles.configure(w.kbytes);
+  for (std::size_t r0 = 0; r0 < w.rows; r0 += 64) {
+    tile_group(w, r0, x, acc + r0 * 16);
+  }
+#else
+  (void)tiles, (void)w, (void)x, (void)acc;
+#endif
+}
+
+void avgpool_i8_quads(const std::int32_t* x, std::size_t T, std::size_t cquads,
+                      std::int32_t multiplier, int shift, std::int32_t* out) {
+#if FENIX_SIMD_X86
+  avgpool_quads_avx512(x, T, cquads, multiplier, shift, out);
+#else
+  (void)x, (void)T, (void)cquads, (void)multiplier, (void)shift, (void)out;
+#endif
 }
 
 }  // namespace fenix::nn::kernels

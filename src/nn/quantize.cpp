@@ -518,6 +518,24 @@ void embed_pairs(const QEmbedding& len, const QEmbedding& ipd, const Token& tk,
   }
 }
 
+// An embedding table's rows as the quad words of a width-E [len | ipd]
+// embedding, the table's channels at `offset` and zero bytes elsewhere, so a
+// token's quads are the OR of its len and ipd rows.
+std::vector<std::int32_t> embed_quad_rows(const QEmbedding& e, std::size_t offset,
+                                          std::size_t E) {
+  const std::size_t cq = kernels::quads_of(E);
+  std::vector<std::int32_t> rows(e.table.rows * cq, 0);
+  for (std::size_t r = 0; r < e.table.rows; ++r) {
+    for (std::size_t c = 0; c < e.table.cols; ++c) {
+      const std::size_t ch = offset + c;
+      rows[r * cq + ch / 4] |= static_cast<std::int32_t>(
+          static_cast<std::uint32_t>(static_cast<std::uint8_t>(e.row(r)[c]))
+          << (8 * (ch % 4)));
+    }
+  }
+  return rows;
+}
+
 // Classes of the first n lanes from the head's raw rows x lanes
 // accumulators, requantized as QDense::forward does (no ReLU). The strict >
 // keeps the first maximum, as std::max_element does in predict().
@@ -664,6 +682,18 @@ QuantizedCnn::QuantizedCnn(const CnnClassifier& model,
                                                     f.w.cols, f.w.cols));
     if (requant_shift(f) <= 0) batch_ok_ = false;
   }
+  if (!batch_ok_ || kernels::host_isa() != kernels::Isa::kAmx) return;
+  len_quads_ = embed_quad_rows(len_embed_, 0, config_.embed_dim());
+  ipd_quads_ = embed_quad_rows(ipd_embed_, config_.len_embed_dim,
+                               config_.embed_dim());
+  for (const QConv1D& c : convs_) {
+    conv_tiles_.push_back(kernels::pack_tile_weights(c.w.data.data(), c.out_ch,
+                                                     c.kernel, c.in_ch));
+  }
+  for (const QDense& f : fcs_) {
+    fc_tiles_.push_back(
+        kernels::pack_tile_weights(f.w.data.data(), f.w.rows, 1, f.w.cols));
+  }
 }
 
 const std::vector<std::int32_t>& QuantizedCnn::logits_q(
@@ -808,6 +838,10 @@ void QuantizedCnn::predict_batch(const Token* tokens, std::size_t count,
     }
     return;
   }
+  if (!conv_tiles_.empty() && kernels::active_isa() == kernels::Isa::kAmx) {
+    predict_batch_tiles(tokens, count, s, out);
+    return;
+  }
 
   // Lane-resident pipeline: lane b of every kernel carries inference base+b,
   // and every activation plane stays in the GEMM's operand layout,
@@ -872,6 +906,73 @@ void QuantizedCnn::predict_batch(const Token* tokens, std::size_t count,
     kernels::gemm_acc_i8_batch(fc_wpairs_.back().data(), fcs_.back().w.rows, cp,
                                cur, s.batch_acc_a.data());
     argmax_lanes(fcs_.back(), s.batch_acc_a.data(), lanes, n, out + base);
+  }
+}
+
+void QuantizedCnn::predict_batch_tiles(const Token* tokens, std::size_t count,
+                                       Scratch& s, std::int16_t* out) const {
+  // predict_batch's pipeline at 16 lanes with every plane in quads,
+  // [padded timestep][channel/4][lane] words (kernels.hpp, "AMX tile GEMM"):
+  // a conv timestep's kernel rows are one run of B-tile rows, so each is one
+  // gemm_i8_quads call, and the FC layers chain on one-row quad planes.
+  constexpr std::size_t kLanes = 16;
+  const std::size_t T = config_.seq_len;
+  const std::size_t E = config_.embed_dim();
+  std::size_t pad = 0, max_quads = kernels::quads_of(E);
+  for (const QConv1D& c : convs_) {
+    pad = std::max(pad, c.kernel / 2);
+    max_quads = std::max(max_quads, kernels::quads_of(c.out_ch));
+  }
+  for (const QDense& f : fcs_) {
+    max_quads = std::max(max_quads, kernels::quads_of(f.w.rows));
+  }
+  s.batch_a.resize((T + 2 * pad) * max_quads * kLanes);
+  s.batch_b.resize(s.batch_a.size());
+  s.batch_acc_a.resize((fcs_.back().w.rows + 15) / 16 * 16 * kLanes);
+  const int pool_shift = 15 + (pool_out_exponent_ - pool_in_exponent_);
+  kernels::TileUnit tiles;
+
+  for (std::size_t base = 0; base < count; base += kLanes) {
+    const std::size_t n = std::min(kLanes, count - base);
+    std::int32_t* cur = s.batch_a.data();
+    std::int32_t* nxt = s.batch_b.data();
+    std::size_t cq = kernels::quads_of(E);  // quad words per timestep and lane
+    for (std::size_t b = 0; b < n; ++b) {
+      const Token* tk = tokens + (base + b) * T;
+      for (std::size_t t = 0; t < T; ++t) {
+        const std::int32_t* lq = len_quads_.data() + tk[t][0] * cq;
+        const std::int32_t* iq = ipd_quads_.data() + tk[t][1] * cq;
+        std::int32_t* dst = cur + (pad + t) * cq * kLanes + b;
+        for (std::size_t kq = 0; kq < cq; ++kq) dst[kq * kLanes] = lq[kq] | iq[kq];
+      }
+    }
+    for (std::size_t l = 0; l < convs_.size(); ++l) {
+      const QConv1D& c = convs_[l];
+      const std::size_t row = cq * kLanes;
+      const std::size_t out_row = kernels::quads_of(c.out_ch) * kLanes;
+      const std::size_t k2 = c.kernel / 2;
+      std::fill(cur + (pad - k2) * row, cur + pad * row, 0);
+      std::fill(cur + (pad + T) * row, cur + (pad + T + k2) * row, 0);
+      for (std::size_t t = 0; t < T; ++t) {
+        kernels::gemm_i8_quads(tiles, conv_tiles_[l], cur + (pad + t - k2) * row,
+                               c.bias.data(), requant_shift(c), /*relu=*/true,
+                               nxt + (pad + t) * out_row);
+      }
+      std::swap(cur, nxt);
+      cq = kernels::quads_of(c.out_ch);
+    }
+    kernels::avgpool_i8_quads(cur + pad * cq * kLanes, T, cq, pool_multiplier_,
+                              pool_shift, nxt);
+    std::swap(cur, nxt);
+    for (std::size_t l = 0; l + 1 < fcs_.size(); ++l) {
+      const QDense& f = fcs_[l];
+      kernels::gemm_i8_quads(tiles, fc_tiles_[l], cur, f.bias.data(),
+                             requant_shift(f), /*relu=*/true, nxt);
+      std::swap(cur, nxt);
+    }
+    kernels::gemm_acc_i8_quads(tiles, fc_tiles_.back(), cur,
+                               s.batch_acc_a.data());
+    argmax_lanes(fcs_.back(), s.batch_acc_a.data(), kLanes, n, out + base);
   }
 }
 

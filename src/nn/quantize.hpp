@@ -290,9 +290,11 @@ class QuantizedCnn {
   /// Batched inference over `count` windows laid out row-major as
   /// count * seq_len tokens, writing each window's argmax class to out[i].
   /// gemm_batch_lanes() windows run at once through the batch-lane kernels,
-  /// their activations lane-resident from embedding to head. Bit-identical
-  /// to calling predict() per window — the batch exists to amortize
-  /// dispatch/frame overhead, not to change arithmetic.
+  /// their activations lane-resident from embedding to head; at Isa::kAmx an
+  /// INT8 model runs 16 at once through the tile GEMMs instead, holding the
+  /// calling thread's tile unit only for the call. Bit-identical to calling
+  /// predict() per window — the batch exists to amortize dispatch/frame
+  /// overhead, not to change arithmetic.
   void predict_batch(const Token* tokens, std::size_t count, Scratch& scratch,
                      std::int16_t* out) const;
 
@@ -307,6 +309,9 @@ class QuantizedCnn {
                                                  bool simd) const;
   const std::vector<std::int32_t>& logits_q_fp32(const Token* tokens,
                                                  Scratch& scratch) const;
+  /// predict_batch's AMX body (Isa::kAmx, conv_tiles_ packed).
+  void predict_batch_tiles(const Token* tokens, std::size_t count,
+                           Scratch& scratch, std::int16_t* out) const;
 
   Precision precision_ = Precision::kInt8;
   const CnnClassifier* float_model_ = nullptr;  ///< Set only for kFp32.
@@ -327,6 +332,11 @@ class QuantizedCnn {
   std::vector<std::vector<std::int32_t>> conv_wpairs_;
   std::vector<std::vector<std::int32_t>> fc_wpairs_;
   bool batch_ok_ = false;
+  // The same layers as AMX A tiles, and the embedding tables as quad words
+  // (embed_quad_rows), built only on a host with the AMX rung.
+  std::vector<kernels::TileWeights> conv_tiles_;
+  std::vector<kernels::TileWeights> fc_tiles_;
+  std::vector<std::int32_t> len_quads_, ipd_quads_;
 };
 
 // ------------------------------------------------------------ Quantized RNN

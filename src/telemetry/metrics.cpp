@@ -24,6 +24,7 @@ void MetricRegistry::set_counter(const std::string& name, std::uint64_t value) {
   if (Metric* m = find(name)) {
     m->is_counter = true;
     m->count = value;
+    m->label.clear();
     return;
   }
   metrics_.push_back(Metric{name, /*is_counter=*/true, value, 0.0});
@@ -33,9 +34,15 @@ void MetricRegistry::set_gauge(const std::string& name, double value) {
   if (Metric* m = find(name)) {
     m->is_counter = false;
     m->gauge = value;
+    m->label.clear();
     return;
   }
   metrics_.push_back(Metric{name, /*is_counter=*/false, 0, value});
+}
+
+void MetricRegistry::set_label(const std::string& name, const std::string& text) {
+  set_gauge(name, 0.0);
+  find(name)->label = text;
 }
 
 void MetricRegistry::add_counter(const std::string& name, std::uint64_t delta) {
@@ -56,6 +63,11 @@ double MetricRegistry::gauge(const std::string& name) const {
   return m ? m->gauge : 0.0;
 }
 
+std::string MetricRegistry::label(const std::string& name) const {
+  const Metric* m = find(name);
+  return m ? m->label : std::string();
+}
+
 bool MetricRegistry::contains(const std::string& name) const {
   return find(name) != nullptr;
 }
@@ -63,8 +75,9 @@ bool MetricRegistry::contains(const std::string& name) const {
 std::string MetricRegistry::render() const {
   TextTable table({"Metric", "Value"});
   for (const Metric& m : metrics_) {
-    table.add_row({m.name, m.is_counter ? std::to_string(m.count)
-                                        : TextTable::num(m.gauge)});
+    table.add_row({m.name, m.is_counter       ? std::to_string(m.count)
+                           : !m.label.empty() ? m.label
+                                              : TextTable::num(m.gauge)});
   }
   return table.render();
 }
@@ -73,6 +86,8 @@ void MetricRegistry::merge(const MetricRegistry& other) {
   for (const Metric& m : other.metrics_) {
     if (m.is_counter) {
       add_counter(m.name, m.count);
+    } else if (!m.label.empty()) {
+      set_label(m.name, m.label);
     } else {
       set_gauge(m.name, m.gauge);
     }

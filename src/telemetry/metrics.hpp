@@ -23,12 +23,14 @@ struct ClassMetrics {
 };
 
 /// One named health/failure metric. Counters are exact integers (drops,
-/// retransmits); gauges carry ratios and rates.
+/// retransmits); gauges carry ratios and rates; a label row (non-empty
+/// `label`, a gauge of 0) names a setting the run used.
 struct Metric {
   std::string name;
   bool is_counter = true;
   std::uint64_t count = 0;
   double gauge = 0.0;
+  std::string label;
 
   /// Value rendered for tables / JSON.
   double as_double() const {
@@ -46,11 +48,13 @@ class MetricRegistry {
  public:
   void set_counter(const std::string& name, std::uint64_t value);
   void set_gauge(const std::string& name, double value);
+  void set_label(const std::string& name, const std::string& text);
   void add_counter(const std::string& name, std::uint64_t delta);
 
   /// 0 when absent.
   std::uint64_t counter(const std::string& name) const;
   double gauge(const std::string& name) const;
+  std::string label(const std::string& name) const;  ///< "" when absent.
   bool contains(const std::string& name) const;
 
   const std::vector<Metric>& metrics() const { return metrics_; }
@@ -58,7 +62,8 @@ class MetricRegistry {
   /// Two-column "Metric | Value" text table of every metric in order.
   std::string render() const;
 
-  /// Merges `other` into this registry: counters add, gauges overwrite.
+  /// Merges `other` into this registry: counters add, gauges and labels
+  /// overwrite.
   void merge(const MetricRegistry& other);
 
  private:

@@ -192,6 +192,16 @@ TEST_F(BoundedReplayTest, PeaksTrackEpochSizeNotTraceLength) {
       EXPECT_GT(t.peak_open_records, 0u);
       EXPECT_LE(t.peak_open_records, record_bound) << flows << " flows";
       EXPECT_LE(t.peak_live_batches, batch_bound) << flows << " flows";
+      // The host-time rows beside them: batches were computed and timed,
+      // and the health table names the kernel rung they ran at.
+      EXPECT_GT(t.batch_compute_s, 0.0);
+      EXPECT_GE(t.seal_wait_s, 0.0);
+      const auto health =
+          sys->health_metrics(sys == &serial_sys ? serial : parallel);
+      EXPECT_EQ(health.gauge("batch_compute_s"), t.batch_compute_s);
+      EXPECT_EQ(health.gauge("seal_wait_s"), t.seal_wait_s);
+      EXPECT_EQ(health.label("kernel_isa"),
+                nn::kernels::isa_name(nn::kernels::active_isa()));
     }
     if (flows == 1600) {
       // Keeping every record and batch to the end overshoots both bounds

@@ -5,12 +5,16 @@
 // must produce the same bits as the sequential reference — these tests pin
 // that contract across randomized shapes, including dims that are not a
 // multiple of the 4-wide block. The lane-resident batch kernels and
-// predict_batch are checked the same way at every ISA level the host runs.
+// predict_batch are checked the same way at every ISA level the host runs,
+// the AMX tile rung included when the host grants it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iostream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "nn/kernels.hpp"
@@ -292,42 +296,58 @@ TEST(QuantizedRnnKernels, BlockedPredictMatchesReference) {
 // ------------------------------------------- batched (lane-resident) paths
 //
 // The batch kernels dispatch on the host ISA; kernels::ScopedIsaCap lowers
-// it, so an AVX-512 host also runs the 8-lane AVX2 and 1-lane scalar paths.
+// it, so an AMX host also runs the 16-lane AVX-512 pair path, and an AVX-512
+// host the 8-lane AVX2 and 1-lane scalar paths.
 
-std::vector<kernels::Isa> host_isa_levels() {
+using kernels::isa_name;
+
+// Every rung up to the host's, lowest first; prints which rungs `what` runs.
+std::vector<kernels::Isa> host_isa_levels(const char* what) {
   std::vector<kernels::Isa> levels;
-  for (kernels::Isa isa :
-       {kernels::Isa::kScalar, kernels::Isa::kAvx2, kernels::Isa::kAvx512}) {
-    if (isa <= kernels::host_isa()) levels.push_back(isa);
+  std::string names;
+  for (kernels::Isa isa : {kernels::Isa::kScalar, kernels::Isa::kAvx2,
+                           kernels::Isa::kAvx512, kernels::Isa::kAmx}) {
+    if (isa <= kernels::host_isa()) {
+      levels.push_back(isa);
+      names += std::string(" ") + isa_name(isa);
+    }
   }
+  std::cout << "[ rungs    ] " << what << ":" << names << "\n";
   return levels;
 }
 
-const char* isa_name(kernels::Isa isa) {
-  switch (isa) {
-    case kernels::Isa::kScalar:
-      return "scalar";
-    case kernels::Isa::kAvx2:
-      return "avx2";
-    case kernels::Isa::kAvx512:
-      return "avx512";
-  }
-  return "?";
+// Lanes gemm_batch_lanes() must report at `isa`.
+std::size_t lanes_at(kernels::Isa isa) {
+  return isa >= kernels::Isa::kAvx512 ? 16 : isa == kernels::Isa::kAvx2 ? 8 : 1;
 }
 
 TEST(IsaCap, LowersDispatchAndRestoresOnExit) {
+  const kernels::Isa host = kernels::host_isa();
+  EXPECT_EQ(kernels::active_isa(), host);
   const std::size_t host_lanes = kernels::gemm_batch_lanes();
-  {
-    kernels::ScopedIsaCap avx2(kernels::Isa::kAvx2);
-    const std::size_t avx2_lanes =
-        kernels::host_isa() >= kernels::Isa::kAvx2 ? 8 : 1;
-    EXPECT_EQ(kernels::gemm_batch_lanes(), avx2_lanes);
-    {
-      kernels::ScopedIsaCap scalar(kernels::Isa::kScalar);
-      EXPECT_EQ(kernels::gemm_batch_lanes(), 1u);
-    }
-    EXPECT_EQ(kernels::gemm_batch_lanes(), avx2_lanes);
+  EXPECT_EQ(host_lanes, lanes_at(host));
+  for (kernels::Isa isa : host_isa_levels("IsaCap")) {
+    kernels::ScopedIsaCap cap(isa);
+    EXPECT_EQ(kernels::active_isa(), isa);
+    EXPECT_EQ(kernels::gemm_batch_lanes(), lanes_at(isa)) << isa_name(isa);
   }
+  {
+    kernels::ScopedIsaCap avx512(kernels::Isa::kAvx512);
+    EXPECT_EQ(kernels::active_isa(), std::min(host, kernels::Isa::kAvx512));
+    {
+      kernels::ScopedIsaCap avx2(kernels::Isa::kAvx2);
+      const std::size_t avx2_lanes =
+          kernels::host_isa() >= kernels::Isa::kAvx2 ? 8 : 1;
+      EXPECT_EQ(kernels::gemm_batch_lanes(), avx2_lanes);
+      {
+        kernels::ScopedIsaCap scalar(kernels::Isa::kScalar);
+        EXPECT_EQ(kernels::gemm_batch_lanes(), 1u);
+      }
+      EXPECT_EQ(kernels::gemm_batch_lanes(), avx2_lanes);
+    }
+    EXPECT_EQ(kernels::active_isa(), std::min(host, kernels::Isa::kAvx512));
+  }
+  EXPECT_EQ(kernels::active_isa(), host);
   EXPECT_EQ(kernels::gemm_batch_lanes(), host_lanes);
 }
 
@@ -335,9 +355,10 @@ TEST(IsaCap, LowersDispatchAndRestoresOnExit) {
 // plain scalar loops, on random operands that reach both saturation bounds,
 // odd row counts, and partial 4-row blocks.
 TEST(BatchKernels, PairLayoutMatchesScalarAtEveryIsa) {
-  for (kernels::Isa isa : host_isa_levels()) {
+  for (kernels::Isa isa : host_isa_levels("pair kernels")) {
     kernels::ScopedIsaCap cap(isa);
     const std::size_t lanes = kernels::gemm_batch_lanes();
+    ASSERT_EQ(lanes, lanes_at(isa)) << isa_name(isa);
     sim::RandomStream rng(41);
     for (std::size_t rows : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 13u, 64u}) {
       for (std::size_t K : {1u, 2u, 5u, 16u, 33u, 96u}) {
@@ -428,6 +449,120 @@ TEST(BatchKernels, PairLayoutMatchesScalarAtEveryIsa) {
   }
 }
 
+// The AMX tile GEMMs and the quad average pool against plain scalar loops:
+// K from 4 bytes to several 64-byte K tiles with tails, row counts that leave
+// partial 16-row blocks, partial quads and a second 64-row group.
+TEST(TileKernels, QuadLayoutMatchesScalar) {
+  if (kernels::host_isa() < kernels::Isa::kAmx) {
+    GTEST_SKIP() << "host has no AMX rung (" << isa_name(kernels::host_isa())
+                 << ")";
+  }
+  constexpr std::size_t kLanes = 16;
+  sim::RandomStream rng(42);
+  kernels::TileUnit tiles;
+  auto byte_of = [](std::int32_t word, std::size_t i) {
+    return static_cast<std::int8_t>(static_cast<std::uint32_t>(word) >> (8 * i));
+  };
+  for (std::size_t rows : {1u, 3u, 16u, 24u, 30u, 64u, 72u, 130u}) {
+    for (std::size_t groups : {1u, 3u, 5u}) {
+      for (std::size_t cols : {1u, 4u, 7u, 16u, 24u, 33u}) {
+        const std::size_t K = groups * cols;
+        std::vector<std::int8_t> w(rows * K), x(kLanes * K);
+        fill_i8(w, rng);
+        fill_i8(x, rng);
+        const auto tw = kernels::pack_tile_weights(w.data(), rows, groups, cols);
+        const std::size_t cq = kernels::quads_of(cols);
+        ASSERT_EQ(tw.kbytes, groups * 4 * cq);
+        // Item b's group g sits in quads g * cq ... like a conv window.
+        std::vector<std::int32_t> plane(groups * cq * kLanes, 0);
+        for (std::size_t b = 0; b < kLanes; ++b) {
+          for (std::size_t g = 0; g < groups; ++g) {
+            for (std::size_t kq = 0; kq < cq; ++kq) {
+              auto at = [&](std::size_t c) -> std::int8_t {
+                return c < cols ? x[b * K + g * cols + c] : 0;
+              };
+              plane[(g * cq + kq) * kLanes + b] = kernels::pack_quad(
+                  at(4 * kq), at(4 * kq + 1), at(4 * kq + 2), at(4 * kq + 3));
+            }
+          }
+        }
+        std::vector<std::int32_t> bias(rows);
+        for (auto& v : bias) {
+          v = static_cast<std::int32_t>(rng.uniform_int(1 << 12)) - (1 << 11);
+        }
+        std::vector<std::int32_t> acc((rows + 15) / 16 * 16 * kLanes, -1);
+        kernels::gemm_acc_i8_quads(tiles, tw, plane.data(), acc.data());
+        for (int shift : {1, 9}) {
+          for (bool relu : {false, true}) {
+            std::vector<std::int32_t> out(kernels::quads_of(rows) * kLanes);
+            kernels::gemm_i8_quads(tiles, tw, plane.data(), bias.data(), shift,
+                                   relu, out.data());
+            for (std::size_t b = 0; b < kLanes; ++b) {
+              for (std::size_t r = 0; r < kernels::quads_of(rows) * 4; ++r) {
+                std::int8_t want = 0;
+                if (r < rows) {
+                  std::int32_t dot = 0;
+                  for (std::size_t k = 0; k < K; ++k) {
+                    dot += w[r * K + k] * x[b * K + k];
+                  }
+                  ASSERT_EQ(acc[r * kLanes + b], dot) << "rows=" << rows;
+                  std::int64_t v = rounding_shift_right(
+                      static_cast<std::int64_t>(dot) + bias[r], shift);
+                  if (relu && v < 0) v = 0;
+                  want = saturate_i8(v);
+                }
+                ASSERT_EQ(byte_of(out[(r / 4) * kLanes + b], r % 4), want)
+                    << "rows=" << rows << " groups=" << groups
+                    << " cols=" << cols << " r=" << r << " b=" << b
+                    << " shift=" << shift << " relu=" << relu;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  for (std::size_t T : {1u, 3u, 9u}) {
+    for (std::size_t C : {1u, 6u, 33u}) {
+      const std::size_t cq = kernels::quads_of(C);
+      std::vector<std::int8_t> x(kLanes * T * cq * 4, 0);
+      for (std::size_t b = 0; b < kLanes; ++b) {
+        for (std::size_t t = 0; t < T; ++t) {
+          for (std::size_t c = 0; c < C; ++c) {
+            x[(b * T + t) * cq * 4 + c] = static_cast<std::int8_t>(
+                static_cast<int>(rng.uniform_int(255)) - 127);
+          }
+        }
+      }
+      std::vector<std::int32_t> plane(T * cq * kLanes);
+      for (std::size_t t = 0; t < T; ++t) {
+        for (std::size_t kq = 0; kq < cq; ++kq) {
+          for (std::size_t b = 0; b < kLanes; ++b) {
+            const std::int8_t* q = &x[(b * T + t) * cq * 4 + 4 * kq];
+            plane[(t * cq + kq) * kLanes + b] =
+                kernels::pack_quad(q[0], q[1], q[2], q[3]);
+          }
+        }
+      }
+      const auto multiplier = static_cast<std::int32_t>(std::llround(32768.0 / T));
+      for (int shift : {1, 8, 15}) {
+        std::vector<std::int32_t> out(cq * kLanes);
+        kernels::avgpool_i8_quads(plane.data(), T, cq, multiplier, shift,
+                                  out.data());
+        for (std::size_t b = 0; b < kLanes; ++b) {
+          for (std::size_t c = 0; c < cq * 4; ++c) {
+            std::int64_t sum = 0;
+            for (std::size_t t = 0; t < T; ++t) sum += x[(b * T + t) * cq * 4 + c];
+            ASSERT_EQ(byte_of(out[(c / 4) * kLanes + b], c % 4),
+                      saturate_i8(rounding_shift_right(sum * multiplier, shift)))
+                << "T=" << T << " C=" << C << " c=" << c << " shift=" << shift;
+          }
+        }
+      }
+    }
+  }
+}
+
 std::vector<Token> flatten(const std::vector<SeqSample>& samples) {
   std::vector<Token> flat;
   for (const SeqSample& s : samples) {
@@ -438,11 +573,12 @@ std::vector<Token> flatten(const std::vector<SeqSample>& samples) {
 
 // Runs predict_batch over the first `count` windows for every count in
 // [1, expected.size()] at every host ISA level: full batches, partial final
-// batches and single windows all run at 16, 8 and 1 lanes.
+// batches and single windows all run on the AMX tiles and at 16, 8 and 1
+// lanes.
 template <class Model>
 void expect_batches_match(const Model& qmodel, const std::vector<Token>& flat,
                           const std::vector<std::int16_t>& expected) {
-  for (kernels::Isa isa : host_isa_levels()) {
+  for (kernels::Isa isa : host_isa_levels("predict_batch")) {
     kernels::ScopedIsaCap cap(isa);
     Scratch scratch;
     for (std::size_t count = 1; count <= expected.size(); ++count) {
@@ -463,10 +599,15 @@ TEST(QuantizedCnnKernels, PredictBatchMatchesPerWindowPredict) {
     std::vector<std::size_t> conv, fc;
     std::size_t kernel;
   };
+  // The last two shapes cover the tile edges: kernel x in_ch above 64 (K
+  // tiles plus a tail), out_ch 24 and 72 (partial blocks, a second 64-row
+  // group), channel counts that are not a multiple of 4, and kernel 5.
   const Shape shapes[] = {
       {"perfbench", 12, 4, {16, 32, 64}, {128, 64}, 3},
       {"odd channels", 5, 4, {7, 13}, {9}, 3},
       {"kernel 5", 12, 4, {16, 24}, {32}, 5},
+      {"tile edges", 12, 4, {24, 72, 30}, {72, 24}, 3},
+      {"kernel 5 odd", 7, 6, {10, 33}, {17}, 5},
   };
   const auto train = pattern_samples(20, 76);
   const auto test = pattern_samples(11, 77);  // 33 windows
@@ -497,6 +638,85 @@ TEST(QuantizedCnnKernels, PredictBatchMatchesPerWindowPredict) {
       expected.push_back(cls);
     }
     expect_batches_match(qmodel, flat, expected);
+  }
+}
+
+CnnConfig perfbench_cnn() {
+  CnnConfig config;
+  config.conv_channels = {16, 32, 64};
+  config.fc_dims = {128, 64};
+  config.num_classes = 3;
+  return config;
+}
+
+// Fleet threads call predict_batch at once, each with its own Scratch (and,
+// at the AMX rung, its own tile state): every class must still be
+// predict()'s. Also runs under the `pipeline` label (tests/CMakeLists.txt).
+TEST(QuantizedCnnKernels, PredictBatchOnFourThreadsMatchesPredict) {
+  CnnClassifier model(perfbench_cnn(), 37);
+  const auto train = pattern_samples(20, 80);
+  TrainOptions opts;
+  opts.epochs = 2;
+  model.fit(train, opts);
+  const QuantizedCnn qmodel(model, train);
+  const auto test = pattern_samples(11, 81);  // 33 windows
+  const auto flat = flatten(test);
+  std::vector<std::int16_t> expected;
+  for (const SeqSample& s : test) expected.push_back(qmodel.predict(s.tokens));
+  std::cout << "[ rungs    ] four threads: " << isa_name(kernels::active_isa())
+            << "\n";
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Scratch scratch;
+      for (std::size_t round = 0; round < 50; ++round) {
+        // Each thread walks its own sequence of batch sizes (1-16) and
+        // offsets so the calls interleave differently.
+        const std::size_t count = 1 + (round * 7 + t * 5) % 16;
+        const std::size_t first = (round * 11 + t * 3) % (test.size() - count + 1);
+        std::vector<std::int16_t> out(count, -1);
+        qmodel.predict_batch(flat.data() + first * 9, count, scratch, out.data());
+        for (std::size_t i = 0; i < count; ++i) {
+          if (out[i] != expected[first + i]) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
+}
+
+// The sub-INT8 tiers keep their AVX-512 (VNNI dpbusd) code at the AMX rung:
+// ternary and INT4 classes uncapped equal those at ScopedIsaCap(kAvx512) and
+// predict()'s.
+TEST(QuantizedCnnKernels, SubInt8ClassesMatchUncappedAndAtAvx512) {
+  CnnClassifier model(perfbench_cnn(), 38);
+  const auto train = pattern_samples(20, 82);
+  TrainOptions opts;
+  opts.epochs = 2;
+  model.fit(train, opts);
+  const auto test = pattern_samples(11, 83);  // 33 windows
+  const auto flat = flatten(test);
+  for (Precision p : {Precision::kTernary, Precision::kInt4}) {
+    SCOPED_TRACE(precision_name(p));
+    const QuantizedCnn qmodel(model, train, p);
+    Scratch scratch;
+    std::vector<std::int16_t> uncapped(test.size(), -1);
+    qmodel.predict_batch(flat.data(), test.size(), scratch, uncapped.data());
+    std::vector<std::int16_t> capped(test.size(), -2);
+    {
+      kernels::ScopedIsaCap cap(kernels::Isa::kAvx512);
+      qmodel.predict_batch(flat.data(), test.size(), scratch, capped.data());
+    }
+    EXPECT_EQ(uncapped, capped);
+    for (std::size_t i = 0; i < test.size(); ++i) {
+      ASSERT_EQ(uncapped[i], qmodel.predict(test[i].tokens, scratch)) << i;
+    }
   }
 }
 

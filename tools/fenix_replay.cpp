@@ -107,10 +107,17 @@ int usage() {
 const double kMaxFlagSeconds =
     sim::to_seconds(std::numeric_limits<sim::SimTime>::max()) / 2;
 
-trafficgen::DatasetProfile profile_by_name(const std::string& name) {
-  if (name == "vpn") return trafficgen::DatasetProfile::iscx_vpn();
-  if (name == "tfc") return trafficgen::DatasetProfile::ustc_tfc();
-  throw std::runtime_error("unknown dataset: " + name + " (use vpn or tfc)");
+/// Reads the <vpn|tfc> dataset argument of synth, train and baselines into
+/// `profile`. Returns 0, or 2 after a one-line diagnostic.
+int parse_dataset(const char* name, trafficgen::DatasetProfile& profile) {
+  if (std::strcmp(name, "vpn") == 0) {
+    profile = trafficgen::DatasetProfile::iscx_vpn();
+  } else if (std::strcmp(name, "tfc") == 0) {
+    profile = trafficgen::DatasetProfile::ustc_tfc();
+  } else {
+    return invalid_flag(kTool, "dataset", name, "vpn or tfc");
+  }
+  return 0;
 }
 
 /// Reads the <flows> and optional [seed] arguments of synth, train and
@@ -131,7 +138,8 @@ int parse_flows_and_seed(const char* flows, const char* seed,
 
 int cmd_synth(int argc, char** argv) {
   if (argc < 3) return usage();
-  const auto profile = profile_by_name(argv[0]);
+  trafficgen::DatasetProfile profile;
+  if (const int bad = parse_dataset(argv[0], profile)) return bad;
   trafficgen::SynthesisConfig synth;
   if (const int bad =
           parse_flows_and_seed(argv[1], argc > 3 ? argv[3] : nullptr, synth)) {
@@ -167,7 +175,8 @@ int cmd_info(int argc, char** argv) {
 
 int cmd_train(int argc, char** argv) {
   if (argc < 3) return usage();
-  const auto profile = profile_by_name(argv[0]);
+  trafficgen::DatasetProfile profile;
+  if (const int bad = parse_dataset(argv[0], profile)) return bad;
   const std::string kind = argc > 3 ? argv[3] : "cnn";
   if (kind != "cnn" && kind != "rnn") {
     return invalid_flag(kTool, "model kind", argv[3], "cnn or rnn");
@@ -570,7 +579,8 @@ int cmd_run(int argc, char** argv) {
 
 int cmd_baselines(int argc, char** argv) {
   if (argc < 2) return usage();
-  const auto profile = profile_by_name(argv[0]);
+  trafficgen::DatasetProfile profile;
+  if (const int bad = parse_dataset(argv[0], profile)) return bad;
   trafficgen::SynthesisConfig synth;
   if (const int bad =
           parse_flows_and_seed(argv[1], argc > 2 ? argv[2] : nullptr, synth)) {
