@@ -18,6 +18,7 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -120,5 +121,29 @@ std::vector<std::int16_t> classify_packets_with(const QModel& model,
 
 /// Prints a standard bench banner.
 void print_banner(const std::string& title, const std::string& paper_ref);
+
+/// Replays per configuration in the throughput benches. One replay takes a
+/// fraction of a second, so a single one is at the mercy of the shared
+/// host's scheduling; their median is the configuration's wall time.
+inline constexpr std::size_t kTimedReplays = 5;
+
+/// Calls `replay()` (which builds a system, replays and returns the
+/// RunReport) kTimedReplays times and returns the median wall seconds.
+/// `check(report)` sees every report, outside the timed span.
+template <typename Replay, typename Check>
+double median_replay_seconds(const Replay& replay, const Check& check) {
+  std::vector<double> walls;
+  for (std::size_t i = 0; i < kTimedReplays; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    const auto report = replay();
+    walls.push_back(std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start)
+                        .count());
+    check(report);
+  }
+  std::nth_element(walls.begin(), walls.begin() + kTimedReplays / 2,
+                   walls.end());
+  return walls[kTimedReplays / 2];
+}
 
 }  // namespace fenix::bench

@@ -7,19 +7,23 @@
 // unsatisfiable latency SLO (re-arming promotion so the replay exercises
 // repeated swap cycles). The serial reference and the 1/2/4/8-pipe sharded
 // replays must produce bit-identical RunReports — including every
-// lifecycle_* counter — before any throughput number is accepted.
+// lifecycle_* counter — before any throughput number is accepted. Every
+// configuration is replayed bench::kTimedReplays times, each on a fresh
+// system, and its wall time is the median (`replays_per_config` in the
+// record).
 //
 // Headline metrics (BENCH_PR7.json § lifecycle): packets/sec with the
 // lifecycle armed (serial and 4-pipe) beside the host's worker-thread count
 // (`host_threads`), the swap counts actually exercised, and the identity
 // contract: `lifecycle_bit_identical` must be 1 and
-// `lifecycle_divergence` (the number of sharded configurations whose report
-// diverged from serial) must be 0 — both gated by bench_gate against
-// bench/baselines_lifecycle.json.
-#include <chrono>
+// `lifecycle_divergence` (the number of configurations whose replays
+// diverged from the first serial one) must be 0 — both gated by bench_gate
+// against bench/baselines_lifecycle.json.
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -27,15 +31,6 @@
 #include "core/fenix_system.hpp"
 #include "runtime/thread_pool.hpp"
 #include "telemetry/table.hpp"
-
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-}  // namespace
 
 int main() {
   using namespace fenix;
@@ -76,11 +71,26 @@ int main() {
   };
   const std::size_t classes = dataset.num_classes();
 
-  // Serial reference (also the bit-identity oracle).
-  const auto serial_start = std::chrono::steady_clock::now();
-  core::FenixSystem serial_system(make_config(), primary.qcnn.get(), nullptr);
-  const auto serial_report = serial_system.run(trace, classes);
-  const double serial_s = seconds_since(serial_start);
+  // Serial reference; its first report is the bit-identity oracle.
+  std::optional<core::RunReport> first;
+  std::optional<std::string> serial_divergence;
+  const double serial_s = bench::median_replay_seconds(
+      [&] {
+        core::FenixSystem system(make_config(), primary.qcnn.get(), nullptr);
+        return system.run(trace, classes);
+      },
+      [&](const core::RunReport& report) {
+        if (!first) first = report;
+        if (!serial_divergence) serial_divergence = core::first_divergence(*first, report);
+      });
+  // Configurations whose replays diverged from the first serial one.
+  std::int64_t diverged = 0;
+  if (serial_divergence) {
+    ++diverged;
+    std::cerr << "DIVERGENCE between serial replays: " << *serial_divergence
+              << "\n";
+  }
+  const core::RunReport& serial_report = *first;
   const double serial_pps =
       serial_s > 0 ? static_cast<double>(serial_report.packets) / serial_s : 0.0;
 
@@ -98,6 +108,7 @@ int main() {
   bench::JsonSection perf;
   perf.put("trace_packets", static_cast<std::int64_t>(trace.packets.size()));
   perf.put("host_threads", static_cast<std::int64_t>(host_threads));
+  perf.put("replays_per_config", static_cast<std::int64_t>(bench::kTimedReplays));
   perf.put("serial_wall_s", serial_s);
   perf.put("serial_packets_per_sec", serial_pps);
   perf.put("promotions",
@@ -111,33 +122,37 @@ int main() {
   perf.put("swap_blackout_ms",
            sim::to_milliseconds(serial_report.lifecycle_swap_blackout));
 
-  std::int64_t diverged = 0;
   double pipelined4_pps = 0.0;
   for (const std::size_t pipes :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     core::PipelineOptions opts;
     opts.pipes = pipes;
     opts.batch = 16;
-    const auto start = std::chrono::steady_clock::now();
-    core::FenixSystem system(make_config(), primary.qcnn.get(), nullptr);
-    const auto report = system.run_pipelined(trace, classes, nullptr, {}, opts);
-    const double wall_s = seconds_since(start);
-
-    const auto divergence = core::first_divergence(serial_report, report);
+    std::optional<std::string> divergence;
+    std::uint64_t promotions = 0;
+    std::uint64_t rollbacks = 0;
+    const double wall_s = bench::median_replay_seconds(
+        [&] {
+          core::FenixSystem system(make_config(), primary.qcnn.get(), nullptr);
+          return system.run_pipelined(trace, classes, nullptr, {}, opts);
+        },
+        [&](const core::RunReport& report) {
+          if (!divergence) divergence = core::first_divergence(serial_report, report);
+          promotions = report.lifecycle_promotions;
+          rollbacks = report.lifecycle_rollbacks;
+        });
     if (divergence) {
       ++diverged;
       std::cerr << "DIVERGENCE at pipes=" << pipes << ": " << *divergence
                 << "\n";
     }
     const double pps =
-        wall_s > 0 ? static_cast<double>(report.packets) / wall_s : 0.0;
+        wall_s > 0 ? static_cast<double>(serial_report.packets) / wall_s : 0.0;
     if (pipes == 4) pipelined4_pps = pps;
     const std::string label = "pipes" + std::to_string(pipes);
     table.add_row({label + " batch16", telemetry::TextTable::num(wall_s, 2),
-                   telemetry::TextTable::num(pps, 0),
-                   std::to_string(report.lifecycle_promotions),
-                   std::to_string(report.lifecycle_rollbacks),
-                   divergence ? "NO" : "yes"});
+                   telemetry::TextTable::num(pps, 0), std::to_string(promotions),
+                   std::to_string(rollbacks), divergence ? "NO" : "yes"});
     perf.put(label + "_packets_per_sec", pps);
   }
   std::cout << table.render();

@@ -8,7 +8,9 @@
 // 16 on the replay's worker fleet. Every sharded replay's RunReport is
 // asserted bit-identical to the serial one before its throughput number is
 // accepted: a packets/sec figure from a replay that diverged from the
-// reference semantics is meaningless.
+// reference semantics is meaningless. Every configuration is replayed
+// bench::kTimedReplays times, each on a fresh system, and its wall time is
+// the median (`replays_per_config` in the record).
 //
 // Headline metrics (BENCH_PR6.json § pipeline_throughput): packets/sec for
 // each configuration, the speedup over serial, and the scaling efficiency
@@ -18,10 +20,11 @@
 // actually ran with: scaling efficiency above 1.0 is only physically
 // possible when host_threads > 1, so a flat curve on a 1-core runner is the
 // expected honest result, not a regression.
-#include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -29,15 +32,6 @@
 #include "core/fenix_system.hpp"
 #include "runtime/thread_pool.hpp"
 #include "telemetry/table.hpp"
-
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-}  // namespace
 
 int main() {
   using namespace fenix;
@@ -72,13 +66,23 @@ int main() {
   };
   const std::size_t classes = dataset.num_classes();
 
-  // Serial reference (also the bit-identity oracle).
-  const auto serial_start = std::chrono::steady_clock::now();
-  core::FenixSystem serial_system(make_config(), models.qcnn.get(), nullptr);
-  const auto serial_report = serial_system.run(trace, classes);
-  const double serial_s = seconds_since(serial_start);
+  // Serial reference; its first report is the bit-identity oracle.
+  std::optional<core::RunReport> serial_report;
+  bool all_identical = true;
+  const double serial_s = bench::median_replay_seconds(
+      [&] {
+        core::FenixSystem system(make_config(), models.qcnn.get(), nullptr);
+        return system.run(trace, classes);
+      },
+      [&](const core::RunReport& report) {
+        if (!serial_report) serial_report = report;
+        if (const auto divergence = core::first_divergence(*serial_report, report)) {
+          all_identical = false;
+          std::cerr << "DIVERGENCE between serial replays: " << *divergence << "\n";
+        }
+      });
   const double serial_pps =
-      serial_s > 0 ? static_cast<double>(serial_report.packets) / serial_s : 0.0;
+      serial_s > 0 ? static_cast<double>(serial_report->packets) / serial_s : 0.0;
 
   const std::size_t host_threads = runtime::ThreadPool::default_thread_count();
   std::cout << "Host worker threads: " << host_threads << "\n";
@@ -91,10 +95,10 @@ int main() {
   bench::JsonSection perf;
   perf.put("trace_packets", static_cast<std::int64_t>(trace.packets.size()));
   perf.put("host_threads", static_cast<std::int64_t>(host_threads));
+  perf.put("replays_per_config", static_cast<std::int64_t>(bench::kTimedReplays));
   perf.put("serial_wall_s", serial_s);
   perf.put("serial_packets_per_sec", serial_pps);
 
-  bool all_identical = true;
   double pps_1 = 0.0;
   double speedup_4 = 0.0;
   for (const std::size_t pipes :
@@ -103,19 +107,22 @@ int main() {
     core::PipelineOptions opts;
     opts.pipes = pipes;
     opts.batch = 16;
-    const auto start = std::chrono::steady_clock::now();
-    core::FenixSystem system(make_config(), models.qcnn.get(), nullptr);
-    const auto report = system.run_pipelined(trace, classes, nullptr, {}, opts);
-    const double wall_s = seconds_since(start);
-
-    const auto divergence = core::first_divergence(serial_report, report);
+    std::optional<std::string> divergence;
+    const double wall_s = bench::median_replay_seconds(
+        [&] {
+          core::FenixSystem system(make_config(), models.qcnn.get(), nullptr);
+          return system.run_pipelined(trace, classes, nullptr, {}, opts);
+        },
+        [&](const core::RunReport& report) {
+          if (!divergence) divergence = core::first_divergence(*serial_report, report);
+        });
     const bool identical = !divergence.has_value();
     all_identical = all_identical && identical;
     if (!identical) {
       std::cerr << "DIVERGENCE at pipes=" << pipes << ": " << *divergence << "\n";
     }
     const double pps =
-        wall_s > 0 ? static_cast<double>(report.packets) / wall_s : 0.0;
+        wall_s > 0 ? static_cast<double>(serial_report->packets) / wall_s : 0.0;
     const double speedup = serial_s > 0 && wall_s > 0 ? serial_s / wall_s : 0.0;
     if (pipes == 1) pps_1 = pps;
     if (pipes == 4) speedup_4 = speedup;

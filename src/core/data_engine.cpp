@@ -81,14 +81,15 @@ void DataEngine::install_preliminary_tree(const trees::DecisionTree& tree,
 }
 
 DataEngineOutput DataEngine::on_packet(const net::PacketRecord& packet,
-                                      std::uint32_t slot) {
+                                      std::uint32_t flow_hash) {
   DataEngineOutput out;
+  const std::uint32_t slot = tracker_->slot_of(flow_hash);
   const std::size_t lane = lane_of_slot(slot);
   Lane& L = lanes_[lane];
   ++L.packets_seen;
 
   // Stage 0-3: Flow Tracker update.
-  out.flow = tracker_->on_packet(packet.tuple, slot, packet.timestamp);
+  out.flow = tracker_->on_packet(flow_hash, packet.timestamp);
   if (admission_ && out.flow.new_flow) admission_->on_new_flow(slot);
 
   // Feature computation: IPD from the original capture timestamp register
@@ -166,11 +167,10 @@ bool DataEngine::deliver_result(const net::InferenceResult& result,
   // Any verdict making it back is proof of life, stale or not — the slot may
   // have been recycled, but the FPGA computed and returned it. The heartbeat
   // buffers in the result's lane until the next epoch_reconcile().
-  const std::uint32_t slot =
-      net::flow_index(result.tuple, config_.tracker.index_bits);
-  const std::size_t lane = lane_of_slot(slot);
+  const std::uint32_t flow_hash = net::flow_hash32(result.tuple);
+  const std::size_t lane = lane_of_slot(tracker_->slot_of(flow_hash));
   watchdog_.buffer_result(lane, result.delivered_at);
-  if (tracker_->apply_verdict(result.tuple, slot, symbol)) {
+  if (tracker_->apply_verdict(flow_hash, symbol)) {
     ++lanes_[lane].results_applied;
     return true;
   }

@@ -111,13 +111,14 @@ class DataEngine {
 
   /// Data-plane processing of one packet.
   DataEngineOutput on_packet(const net::PacketRecord& packet) {
-    return on_packet(packet,
-                     net::flow_index(packet.tuple, config_.tracker.index_bits));
+    return on_packet(packet, net::flow_hash32(packet.tuple));
   }
 
-  /// on_packet() for a caller that already hashed the packet to its
-  /// flow-table slot (the replay coordinator does, to pick the pipe).
-  DataEngineOutput on_packet(const net::PacketRecord& packet, std::uint32_t slot);
+  /// on_packet() for a caller that already computed the packet's flow
+  /// fingerprint (net::flow_hash32; the replay coordinator does, to pick the
+  /// pipe). The flow-table slot is derived from it.
+  DataEngineOutput on_packet(const net::PacketRecord& packet,
+                             std::uint32_t flow_hash);
 
   /// Applies an inference result arriving back from the Model Engine and
   /// caches `symbol` as the flow's verdict. The heartbeat is buffered into

@@ -168,7 +168,8 @@ telemetry::MetricRegistry FenixSystem::health_metrics(const RunReport& report) c
   reg.set_counter("device_stalls", device.stalls);
   reg.set_counter("device_resets", device.resets);
   // Decentralized-coordination health: how often the epoch reconcilers ran,
-  // the fleet's fan-in contention and backlog peaks, and the memory peaks.
+  // the inference hand-off (fanin_*, see PipelineTelemetry::fanin) and
+  // backlog peaks, and the memory peaks.
   reg.set_counter("watchdog_reconciles", data_engine_.watchdog().reconciles());
   reg.set_counter("bucket_reconciles", data_engine_.bucket().reconciles());
   reg.set_counter("pipeline_epochs", pipeline_telemetry_.epochs);

@@ -113,7 +113,11 @@ struct PipelineTelemetry {
   std::uint64_t epochs = 0;  ///< Reconciliation barriers executed.
   /// Peak per-epoch packet backlog each pipe worker drained (index = pipe).
   std::vector<std::uint64_t> pipe_queue_peaks;
-  /// Model Engine fan-in queue contention/occupancy counters.
+  /// The inference stage's row hand-off, in the fan-in counters' terms:
+  /// `enqueues` (= `dequeues`) counts the rows handed to the batcher and
+  /// `peak_size` the most one hand-off carried; `cas_retries` and
+  /// `full_stalls` are 0, since no pipe shares a queue or waits for room.
+  /// All are deterministic.
   runtime::MpscQueueStats fanin;
   /// Most inference batches alive at any barrier (before retiring).
   std::uint64_t peak_live_batches = 0;
@@ -124,7 +128,7 @@ struct PipelineTelemetry {
   /// over threads) and the coordinator spent inside the batcher's seal(),
   /// batches it computes while it waits included. They vary run to run,
   /// so first_divergence(), the golden digests and every identity check
-  /// leave them out (like fanin_cas_retries).
+  /// leave them out.
   double batch_compute_s = 0.0;
   double seal_wait_s = 0.0;
   /// The kernel rung the batches ran at (nn::kernels::active_isa()).
@@ -161,8 +165,9 @@ class FenixSystem {
   /// on_packet for them — flow tracking, admission, the lane's link pair,
   /// and Model Engine lane submission all stay pipe-local — and the
   /// coordinator only reconciles the lanes at epoch barriers and merges at
-  /// the end. DNN forward passes are batched through a lock-free MPSC
-  /// fan-in. Packets stream epoch-by-epoch: the coordinator buffers only one
+  /// the end. Pipes tokenize mirrored windows into rows their lanes own,
+  /// which the coordinator hands to the DNN batcher in lane order between
+  /// rounds. Packets stream epoch-by-epoch: the coordinator buffers only one
   /// reconcile quantum's worth of packets at a time. Must be called on a
   /// freshly constructed system (the Data Engine's registers and counters
   /// carry over between runs).

@@ -32,10 +32,10 @@ FlowTracker::FlowTracker(switchsim::ResourceLedger& ledger,
   }
 }
 
-FlowState FlowTracker::on_packet(const net::FiveTuple& tuple, std::uint32_t slot,
-                                 sim::SimTime now) {
+FlowState FlowTracker::on_packet(std::uint32_t flow_hash, sim::SimTime now) {
+  const std::uint32_t slot = slot_of(flow_hash);
   FlowState state;
-  state.flow_hash = net::flow_hash32(tuple);
+  state.flow_hash = flow_hash;
   state.index = slot;
   Lane& L = lanes_[lane_of_slot(slot)];
   const std::size_t i = lane_index(slot);
@@ -99,11 +99,11 @@ void FlowTracker::record_feature_sent(std::uint32_t index, sim::SimTime now) {
   L.bklog_t[i] = to_us(now);
 }
 
-bool FlowTracker::apply_verdict(const net::FiveTuple& tuple, std::uint32_t slot,
-                                VerdictSymbol symbol) {
+bool FlowTracker::apply_verdict(std::uint32_t flow_hash, VerdictSymbol symbol) {
+  const std::uint32_t slot = slot_of(flow_hash);
   Lane& L = lanes_[lane_of_slot(slot)];
   const std::size_t i = lane_index(slot);
-  if (L.hash[i] != net::flow_hash32(tuple)) {
+  if (L.hash[i] != flow_hash) {
     return false;  // slot recycled while the inference was in flight
   }
   L.verdict[i] = symbol;
@@ -113,14 +113,15 @@ bool FlowTracker::apply_verdict(const net::FiveTuple& tuple, std::uint32_t slot,
 bool FlowTracker::apply_classification(const net::FiveTuple& tuple,
                                        std::int16_t cls) {
   if (cls < 0 || cls > 254) return false;
-  return apply_verdict(tuple, net::flow_index(tuple, config_.index_bits), cls);
+  return apply_verdict(net::flow_hash32(tuple), cls);
 }
 
 std::int16_t FlowTracker::classification_of(const net::FiveTuple& tuple) const {
-  const std::uint32_t slot = net::flow_index(tuple, config_.index_bits);
+  const std::uint32_t flow_hash = net::flow_hash32(tuple);
+  const std::uint32_t slot = slot_of(flow_hash);
   const Lane& L = lanes_[lane_of_slot(slot)];
   const std::size_t i = lane_index(slot);
-  if (L.hash[i] != net::flow_hash32(tuple)) return -1;
+  if (L.hash[i] != flow_hash) return -1;
   return static_cast<std::int16_t>(L.verdict[i]);
 }
 

@@ -66,22 +66,26 @@ class FlowTracker {
   /// tracker stores microsecond-truncated 32-bit timestamps, as the switch
   /// does).
   FlowState on_packet(const net::FiveTuple& tuple, sim::SimTime now) {
-    return on_packet(tuple, net::flow_index(tuple, config_.index_bits), now);
+    return on_packet(net::flow_hash32(tuple), now);
   }
 
-  /// on_packet() for a caller that already hashed the tuple to its slot.
-  FlowState on_packet(const net::FiveTuple& tuple, std::uint32_t slot,
-                      sim::SimTime now);
+  /// on_packet() for a caller that already computed the tuple's fingerprint
+  /// (net::flow_hash32); the slot is derived from it.
+  FlowState on_packet(std::uint32_t flow_hash, sim::SimTime now);
+
+  /// The Flow Info Table slot of the flow with fingerprint `flow_hash`.
+  std::uint32_t slot_of(std::uint32_t flow_hash) const {
+    return net::flow_index_of_hash(flow_hash, config_.index_bits);
+  }
 
   /// Marks that the flow in `index` transmitted its features at `now`:
   /// resets bklog_n and bklog_t (the C_i/T_i accumulators).
   void record_feature_sent(std::uint32_t index, sim::SimTime now);
 
-  /// Caches `symbol` for the flow of `tuple` (whose slot is `slot`). Ignored
-  /// when the slot has been recycled to a different flow since the mirror
-  /// left. Returns true when the verdict was stored.
-  bool apply_verdict(const net::FiveTuple& tuple, std::uint32_t slot,
-                     VerdictSymbol symbol);
+  /// Caches `symbol` for the flow with fingerprint `flow_hash`. Ignored when
+  /// the slot has been recycled to a different flow since the mirror left.
+  /// Returns true when the verdict was stored.
+  bool apply_verdict(std::uint32_t flow_hash, VerdictSymbol symbol);
 
   /// apply_verdict() for a class delivered directly; classes outside the
   /// 8-bit flow_class register's range (0..254) are rejected.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
-#include <thread>
 
 namespace fenix::core {
 
@@ -139,19 +138,33 @@ InferenceBatcher::Batch& InferenceBatcher::open_batch() {
   return b;
 }
 
-InferenceBatcher::Ticket InferenceBatcher::enqueue(
-    const std::vector<net::PacketFeature>& sequence) {
+void InferenceBatcher::tokenize_row(
+    std::span<const net::PacketFeature> sequence, nn::Token* row) const {
+  for (std::size_t m = 0; m < model_count_; ++m) {
+    nn::tokenize_into(sequence, std::span<nn::Token>(row, seq_len_[m]));
+    row += seq_len_[m];
+  }
+}
+
+InferenceBatcher::Ticket InferenceBatcher::enqueue(const nn::Token* row) {
   Batch& batch = open_batch();
   const std::size_t offset = static_cast<std::size_t>(next_ticket_ % batch_size_);
   for (std::size_t m = 0; m < model_count_; ++m) {
-    nn::tokenize_into(sequence, seq_len_[m], tmp_tokens_);
-    std::copy(tmp_tokens_.begin(), tmp_tokens_.end(),
-              batch.tokens.begin() + token_base(m) + offset * seq_len_[m]);
+    std::copy_n(row, seq_len_[m],
+                batch.tokens.begin() + token_base(m) + offset * seq_len_[m]);
+    row += seq_len_[m];
   }
   batch.count = offset + 1;
   const Ticket ticket = next_ticket_++;
   if (batch.count == batch_size_) dispatch(batch);
   return ticket;
+}
+
+InferenceBatcher::Ticket InferenceBatcher::enqueue(
+    const std::vector<net::PacketFeature>& sequence) {
+  tmp_row_.resize(row_tokens());
+  tokenize_row(sequence, tmp_row_.data());
+  return enqueue(tmp_row_.data());
 }
 
 InferenceBatcher::Ticket InferenceBatcher::seal(Ticket ticket) {
@@ -188,61 +201,48 @@ void InferenceBatcher::retire(Ticket ticket) {
 
 // ------------------------------------------------------------ InferenceStage
 
-namespace {
-
-/// Fan-in ring depth (admitted mirrors in flight between barriers).
-constexpr std::size_t kFanInDepth = 1 << 14;
-
-}  // namespace
-
 InferenceStage::InferenceStage(ModelEngine& engine, ModelRef shadow,
                                std::size_t batch_size, std::size_t workers)
     : engine_(engine),
-      batcher_(engine.cnn(), engine.rnn(), batch_size, workers, shadow),
-      queue_(kFanInDepth),
-      consumer_(std::this_thread::get_id()) {}
+      batcher_(engine.cnn(), engine.rnn(), batch_size, workers, shadow) {}
 
 std::optional<net::InferenceResult> InferenceStage::submit(
     const net::FeatureVector& vec, sim::SimTime arrival, std::size_t lane,
     VerdictSymbol& symbol) {
   auto result = engine_.submit_timed_lane(lane, vec, arrival);
   if (!result) return std::nullopt;
+  Lane& L = lanes_[lane];
   symbol = static_cast<VerdictSymbol>(
       (generation_ << kSymbolGenerationShift) |
-      (static_cast<std::uint64_t>(lane) << kSymbolSeqBits) | lane_seq_[lane]++);
-  FanInItem item;
-  item.symbol = symbol;
-  item.sequence = vec.sequence;
-  // Full ring: the coordinator (it runs pipes and barrier-time retransmit
-  // pumps) drains it; a worker wakes it and parks until a drain makes room.
-  if (!queue_.try_push(item)) {
-    const bool coordinator = std::this_thread::get_id() == consumer_;
-    fleet().notify();
-    fleet().wait_until([&] { return queue_.try_push(item); },
-                       [&] { return coordinator && drain(); });
-  }
+      (static_cast<std::uint64_t>(lane) << kSymbolSeqBits) | L.next_seq++);
+  const std::size_t at = L.rows.size();
+  L.rows.resize(at + batcher_.row_tokens());
+  batcher_.tokenize_row(vec.sequence, L.rows.data() + at);
+  L.serving.push_back(static_cast<std::uint8_t>(generation_ & 1));
   return result;
 }
 
-bool InferenceStage::drain() {
-  bool drained = false;
-  while (auto item = queue_.try_pop()) {
-    drained = true;
-    const auto bits = static_cast<std::uint64_t>(item->symbol);
-    const auto [lane, seq] = lane_and_seq(bits);
-    auto& issued = issued_[lane];
-    const std::size_t i = seq - classes_[lane].size();
-    if (i >= issued.size()) issued.resize(i + 1);
-    issued[i] = {batcher_.enqueue(item->sequence),
-                 static_cast<std::size_t>((bits >> kSymbolGenerationShift) & 1)};
-    window_end_ = issued[i].ticket + 1;
+void InferenceStage::hand_off() {
+  const std::size_t row_tokens = batcher_.row_tokens();
+  std::uint64_t rows = 0;
+  for (Lane& L : lanes_) {
+    for (std::size_t r = 0; r < L.serving.size(); ++r) {
+      L.issued.push_back(
+          {batcher_.enqueue(L.rows.data() + r * row_tokens), L.serving[r]});
+    }
+    rows += L.serving.size();
+    L.rows.clear();
+    L.serving.clear();
   }
-  if (drained) fleet().notify();  // a worker may be parked on a full ring
-  return drained;
+  if (rows == 0) return;
+  window_end_ = batcher_.next_ticket();
+  fanin_.enqueues += rows;
+  fanin_.dequeues += rows;
+  fanin_.peak_size = std::max(fanin_.peak_size, rows);
 }
 
 ShadowTally InferenceStage::close_window() {
-  drain();
+  hand_off();
   const InferenceBatcher::Ticket next = batcher_.flush();
   ShadowTally tally;
   tally.evals = window_end_ - window_begin_;
@@ -253,10 +253,10 @@ ShadowTally InferenceStage::close_window() {
   return tally;
 }
 
-InferenceStage::Mark InferenceStage::drained() const {
+InferenceStage::Mark InferenceStage::handed_off() const {
   Mark mark{{}, batcher_.next_ticket()};
   for (std::size_t lane = 0; lane < kCoordinationLanes; ++lane) {
-    mark.seq[lane] = classes_[lane].size() + issued_[lane].size();
+    mark.seq[lane] = lanes_[lane].classes.size() + lanes_[lane].issued.size();
   }
   return mark;
 }
@@ -264,8 +264,8 @@ InferenceStage::Mark InferenceStage::drained() const {
 void InferenceStage::settle(const Mark& mark) {
   batcher_.seal(mark.ticket);
   for (std::size_t lane = 0; lane < kCoordinationLanes; ++lane) {
-    auto& classes = classes_[lane];
-    auto& issued = issued_[lane];
+    auto& classes = lanes_[lane].classes;
+    auto& issued = lanes_[lane].issued;
     const std::size_t n = mark.seq[lane] - classes.size();
     for (std::size_t i = 0; i < n; ++i) {
       classes.push_back(batcher_.result(issued[i].ticket, issued[i].model));
@@ -278,9 +278,9 @@ void InferenceStage::settle(const Mark& mark) {
 void InferenceStage::close_epoch() {
   peak_live_batches_ = std::max(peak_live_batches_, batcher_.live_batches());
   settle(marks_[1]);
-  drain();  // the barrier's retransmits
+  hand_off();  // the barrier's retransmits
   marks_[1] = marks_[0];
-  marks_[0] = drained();
+  marks_[0] = handed_off();
 }
 
 }  // namespace fenix::core

@@ -10,7 +10,8 @@
 //
 // The file also holds the functional side of one engine in a replay: the
 // InferenceBatcher that computes forward passes in batches, and the
-// InferenceStage that feeds it from the replay's lanes.
+// InferenceStage that feeds it the rows the replay's lanes tokenize, lane by
+// lane, at every barrier.
 #pragma once
 
 #include <array>
@@ -19,9 +20,9 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -118,16 +119,16 @@ struct ModelRef {
 ///
 /// The replay admits mirrors through ModelEngine::submit_timed_lane (pure
 /// timing/FIFO effects) and routes the functional forward passes here: each
-/// enqueue() tokenizes one feature sequence into the open batch; full batches
-/// go into a fixed claim ring that any idle thread of the batcher's
-/// WorkerFleet computes them from (the owner, when the ring is full); the
-/// predicted class is read back by ticket once the batch completes. This is
-/// the software analogue of the FPGA's async input FIFO feeding the systolic
-/// array back-to-back frames: per-frame dispatch overhead amortizes across
-/// the batch while the arithmetic — nn::predict_batch is bit-identical to
+/// enqueue() copies one tokenized row into the open batch; full batches go
+/// into a fixed claim ring that any idle thread of the batcher's WorkerFleet
+/// computes them from (the owner, when the ring is full); the predicted class
+/// is read back by ticket once the batch completes. This is the software
+/// analogue of the FPGA's async input FIFO feeding the systolic array
+/// back-to-back frames: per-frame dispatch overhead amortizes across the
+/// batch while the arithmetic — nn::predict_batch is bit-identical to
 /// per-window predict() — is unchanged. With a shadow model bound, every
 /// batch is computed by both models, each over its own seq_len tokenization
-/// of the same sequences.
+/// of the same sequences: a row holds model 0's tokens, then model 1's.
 ///
 /// Threading contract: only the owner (the constructing thread) calls the
 /// members; other fleet threads touch only the claim ring and the batches in
@@ -150,8 +151,21 @@ class InferenceBatcher {
   InferenceBatcher(const InferenceBatcher&) = delete;
   InferenceBatcher& operator=(const InferenceBatcher&) = delete;
 
-  /// Tokenizes `sequence` into the open batch and returns the ticket its
-  /// predicted class will be readable under. Dispatches the batch when full.
+  /// Tokens in one row: every bound model's seq_len.
+  std::size_t row_tokens() const { return seq_len_[0] + seq_len_[1]; }
+
+  /// Writes the row of `sequence` to `row` (row_tokens() entries): its
+  /// tokenization at model 0's seq_len, then at model 1's. Reads only the
+  /// models' shapes, so any thread may call it.
+  void tokenize_row(std::span<const net::PacketFeature> sequence,
+                    nn::Token* row) const;
+
+  /// Copies `row` (a tokenize_row() output) into the open batch and returns
+  /// the ticket its predicted class will be readable under. Dispatches the
+  /// batch when full.
+  Ticket enqueue(const nn::Token* row);
+
+  /// enqueue() of the row of `sequence`.
   Ticket enqueue(const std::vector<net::PacketFeature>& sequence);
 
   /// Makes every ticket below `ticket` (at most next_ticket()) readable. The
@@ -175,6 +189,14 @@ class InferenceBatcher {
   std::int16_t result(Ticket ticket, std::size_t model = 0) const {
     const Batch& b = *live_[ticket / batch_size_ - first_batch_];
     return b.out[model * batch_size_ + ticket % batch_size_];
+  }
+
+  /// The tokens `model` reads for `ticket`, until retire() drops its batch.
+  std::span<const nn::Token> tokens(Ticket ticket, std::size_t model = 0) const {
+    const Batch& b = *live_[ticket / batch_size_ - first_batch_];
+    return {b.tokens.data() + token_base(model) +
+                ticket % batch_size_ * seq_len_[model],
+            seq_len_[model]};
   }
 
   /// The ticket the next enqueue() hands out.
@@ -239,7 +261,7 @@ class InferenceBatcher {
   };
   std::vector<ComputeClock> compute_ns_;
   std::uint64_t seal_ns_ = 0;  ///< Owner only.
-  std::vector<nn::Token> tmp_tokens_;  ///< tokenize_into staging.
+  std::vector<nn::Token> tmp_row_;  ///< enqueue(sequence) staging.
   runtime::WorkerFleet fleet_;  ///< Last: joins before the state it reads goes.
 };
 
@@ -258,22 +280,26 @@ struct ShadowTally {
 };
 
 /// The replay's inference stage (DESIGN.md §4.8): one mirror in, one timed
-/// result out. A worker admits the mirror on its lane port
-/// (ModelEngine::submit_timed_lane) and pushes the feature window through a
-/// lock-free MPSC fan-in — the software mirror of the Model Engine's shared
-/// input arbiter — to the coordinator, which drains it into the
-/// InferenceBatcher. Symbols carry (generation, lane, sequence). At every
-/// epoch barrier close_epoch() settles the symbols issued up to the barrier
-/// two back: it reads the class of each symbol's serving model (model
-/// `generation & 1`) into a per-lane class table, which resolve() reads, and
-/// retires their tickets and batches. In lifecycle runs the batcher also
-/// computes the shadow, and close_window() counts the window's disagreements
-/// at each barrier.
+/// result out. A pipe thread admits the mirror on its lane port
+/// (ModelEngine::submit_timed_lane) and tokenizes the feature window into a
+/// row buffer its lane owns, with no lock, CAS or allocation once the buffer
+/// has grown. At every hand-off point the coordinator hands the rows to the
+/// InferenceBatcher lane by lane, each lane's in sequence order — the
+/// software mirror of the Model Engine's input arbiter feeding the systolic
+/// array — so tickets and batch composition are a pure function of the
+/// trace. Symbols carry (generation, lane, sequence). At every epoch barrier
+/// close_epoch() settles the symbols issued up to the barrier two back: it
+/// reads the class of each symbol's serving model (model `generation & 1`)
+/// into a per-lane class table, which resolve() reads, and retires their
+/// tickets and batches. In lifecycle runs the batcher also computes the
+/// shadow, and close_window() counts the window's disagreements at each
+/// barrier.
 ///
 /// Its batcher's fleet is the replay's one pool: the coordinator runs the
 /// pipe rounds on it. submit() may run concurrently on distinct lanes,
 /// never on the same lane; every other member runs on the coordinator (the
-/// constructing thread). The generation flips only between rounds.
+/// constructing thread) between rounds. The generation flips only between
+/// rounds.
 class InferenceStage {
  public:
   /// Binds the engine's current model as model 0 and `shadow` (none in plain
@@ -283,41 +309,50 @@ class InferenceStage {
 
   /// Admits one feature vector arriving at the Model Engine at `arrival` on
   /// `lane`. On admission, returns the timed result (predicted class is a
-  /// placeholder) and sets `symbol` to the verdict symbol accounting should
-  /// carry. nullopt = input FIFO drop.
+  /// placeholder), sets `symbol` to the verdict symbol accounting should
+  /// carry and appends the window's row to the lane. nullopt = input FIFO
+  /// drop.
   std::optional<net::InferenceResult> submit(const net::FeatureVector& vec,
                                              sim::SimTime arrival,
                                              std::size_t lane,
                                              VerdictSymbol& symbol);
 
-  /// Feeds everything queued into the batcher; false if it was empty. Per-
-  /// producer FIFO holds, so each lane's items arrive in sequence order;
-  /// batch composition across lanes is racy, per-item results are not.
-  bool drain();
+  /// Hands every lane's rows to the batcher, lane 0 first, each lane's in
+  /// sequence order. The replay calls it after each round.
+  void hand_off();
 
-  /// Barrier-only (lifecycle runs): drains the fan-in, flushes the batcher
+  /// Barrier-only (lifecycle runs): hands off the rows, flushes the batcher
   /// and waits for it, then tallies the window's mirrors since the previous
   /// call and their primary-vs-shadow disagreements. It runs before the
   /// barrier's close_epoch(), whose seal therefore never splits a window.
   ShadowTally close_window();
 
   /// Barrier-only, after the barrier's last submit: makes every symbol
-  /// drained up to the mark of two barriers back resolvable, retires its
-  /// ticket and batch, then drains the fan-in and marks what it drained.
+  /// handed off up to the mark of two barriers back resolvable, retires its
+  /// ticket and batch, then hands off the rows (the barrier's retransmits)
+  /// and marks what it handed off.
   void close_epoch();
 
   /// Completes every batch and makes every symbol resolvable.
   void finish() {
-    drain();
-    settle(drained());
+    hand_off();
+    settle(handed_off());
   }
 
   runtime::WorkerFleet& fleet() { return batcher_.fleet(); }
+  const InferenceBatcher& batcher() const { return batcher_; }
 
   /// The class a settled symbol's serving model predicted.
   std::int16_t resolve(VerdictSymbol symbol) const {
     const auto [lane, seq] = lane_and_seq(static_cast<std::uint64_t>(symbol));
-    return classes_[lane].at(seq);
+    return lanes_[lane].classes.at(seq);
+  }
+
+  /// The ticket of a symbol handed off and not settled yet.
+  InferenceBatcher::Ticket ticket(VerdictSymbol symbol) const {
+    const auto [lane, seq] = lane_and_seq(static_cast<std::uint64_t>(symbol));
+    const Lane& L = lanes_[lane];
+    return L.issued.at(seq - L.classes.size()).ticket;
   }
 
   /// Serving generation: even generations serve model(0) (the original
@@ -329,7 +364,10 @@ class InferenceStage {
 
   const ModelRef& model(std::size_t i) const { return batcher_.model(i); }
 
-  runtime::MpscQueueStats fanin_stats() const { return queue_.stats(); }
+  /// The hand-off in the fan-in's terms: enqueues (and dequeues) count the
+  /// rows handed off, peak_size is the most one hand_off() carried, and
+  /// nothing retries a CAS or stalls on a full ring.
+  const runtime::MpscQueueStats& fanin_stats() const { return fanin_; }
 
   /// Most batches alive at any close_epoch(), before it retires.
   std::size_t peak_live_batches() const { return peak_live_batches_; }
@@ -340,18 +378,26 @@ class InferenceStage {
   double seal_wait_s() const { return batcher_.seal_seconds(); }
 
  private:
-  /// One admitted mirror crossing the fan-in: the symbol its verdict will be
-  /// published under, plus the feature window the batcher will tokenize.
-  struct FanInItem {
-    VerdictSymbol symbol = kNoVerdict;
-    std::vector<net::PacketFeature> sequence;
-  };
-
-  /// A drained symbol awaiting its class: its ticket and serving model.
+  /// A handed-off symbol awaiting its class: its ticket and serving model.
   struct Issued { InferenceBatcher::Ticket ticket; std::size_t model; };
 
-  /// Per-lane sequences drained into the batcher up to one barrier, and
-  /// the batcher's next ticket then: every lower ticket is a marked one.
+  /// One coordination lane's symbols. Between barriers only the pipe thread
+  /// driving the lane touches it; the coordinator hands off and settles.
+  struct alignas(64) Lane {
+    std::uint64_t next_seq = 0;  ///< Sequence of the lane's next symbol.
+    /// Admitted rows not handed off yet, row_tokens() tokens each, and per
+    /// row its serving model.
+    std::vector<nn::Token> rows;
+    std::vector<std::uint8_t> serving;
+    /// By sequence: each settled symbol's class, kept for the run (a flow
+    /// may forward on a cached verdict for as long as it lives).
+    std::vector<std::int16_t> classes;
+    /// The handed-off symbols from sequence classes.size() on.
+    std::vector<Issued> issued;
+  };
+
+  /// Per-lane sequences handed off up to one barrier, and the batcher's
+  /// next ticket then: every lower ticket is a marked one.
   struct Mark {
     std::array<std::uint64_t, kCoordinationLanes> seq{};
     InferenceBatcher::Ticket ticket = 0;
@@ -365,25 +411,20 @@ class InferenceStage {
             bits & ((std::uint64_t{1} << kSymbolSeqBits) - 1)};
   }
 
-  /// The mark of everything drain() has fed the batcher so far.
-  Mark drained() const;
+  /// The mark of everything hand_off() has fed the batcher so far.
+  Mark handed_off() const;
   /// Seals the batcher to `mark`, moves the classes of every sequence below
-  /// it into classes_, drops their tickets and retires their batches.
+  /// it into the lanes' class tables, drops their tickets and retires their
+  /// batches.
   void settle(const Mark& mark);
 
   ModelEngine& engine_;
   InferenceBatcher batcher_;
-  runtime::MpscQueue<FanInItem> queue_;
-  std::thread::id consumer_;
   std::uint64_t generation_ = 0;  ///< Written at barriers only.
-  std::array<std::uint64_t, kCoordinationLanes> lane_seq_{};
-  /// Per lane, by sequence: each settled symbol's class, kept for the run (a
-  /// flow may forward on a cached verdict for as long as it lives).
-  std::array<std::vector<std::int16_t>, kCoordinationLanes> classes_;
-  /// Per lane: the drained symbols from sequence classes_[lane].size() on.
-  std::array<std::vector<Issued>, kCoordinationLanes> issued_;
+  std::array<Lane, kCoordinationLanes> lanes_;
   /// marks_[0] is the last barrier's mark, marks_[1] the one before.
   std::array<Mark, 2> marks_{};
+  runtime::MpscQueueStats fanin_;
   std::size_t peak_live_batches_ = 0;
   /// Tickets of the open lifecycle window: [window_begin_, window_end_).
   InferenceBatcher::Ticket window_begin_ = 0;

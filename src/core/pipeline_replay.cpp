@@ -15,24 +15,25 @@
 //    lane % pipes == p; each epoch, the fleet thread that claims pipe p runs
 //    DataEngine::on_packet for its packets in trace order, start to finish —
 //    admission decision included.
-//  * The coordinator stages each epoch, runs pipe 0 and claims others too,
-//    and runs the epoch barrier every FenixSystemConfig::reconcile_quantum
-//    of trace time: fire fault hooks, fold the lane-buffered watchdog events
-//    (publishing the degraded flag), rebalance the token sub-budgets, and
-//    run the control-plane window tick. It drains the inference fan-in
-//    meanwhile.
+//  * The coordinator stages each epoch (one CRC per packet: the flow
+//    fingerprint, from which the slot and so the pipe follow), runs pipe 0
+//    and claims others too, and runs the epoch barrier every
+//    FenixSystemConfig::reconcile_quantum of trace time: hand the round's
+//    mirrors to the batcher, fire fault hooks, fold the lane-buffered
+//    watchdog events (publishing the degraded flag), rebalance the token
+//    sub-budgets, and run the control-plane window tick.
 //  * DNN forward passes are batched by the one InferenceStage
 //    (core/model_pool.hpp): pipes admit mirrors with
 //    ModelEngine::submit_timed_lane (pure timing/FIFO effects against the
-//    lane port) and push the feature windows through a lock-free MPSC queue
-//    — the software mirror of the Model Engine's shared input arbiter — to
-//    the coordinator, which feeds an InferenceBatcher; any fleet thread with
-//    no pipe to claim computes its batches. Verdicts flow through
-//    the accounting as (generation, lane, sequence) symbols and resolve to
-//    classes two barriers later (ReplayCore::close_epoch); a predicted
-//    class is pure data (nn::predict_batch is bit-identical to scalar
-//    predict), so the racy drain order never leaks into the replay.
-//    Lifecycle runs batch the shadow model too and flush at every barrier.
+//    lane port) and tokenize each feature window into a row buffer their
+//    lane owns. After the round the coordinator hands the rows to an
+//    InferenceBatcher lane by lane — the software mirror of the Model
+//    Engine's input arbiter — so tickets and batch composition are a pure
+//    function of the trace; any fleet thread with no pipe to claim computes
+//    the batches. Verdicts flow through the accounting as (generation,
+//    lane, sequence) symbols and resolve to classes two barriers later
+//    (ReplayCore::close_epoch). Lifecycle runs batch the shadow model too
+//    and flush at every barrier.
 //
 // Determinism: a lane's state is touched only by its owner between barriers,
 // every packet of a flow hashes to one lane, and the barrier schedule is a
@@ -62,7 +63,7 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   const std::size_t pipes =
       std::min<std::size_t>(kCoordinationLanes,
                             std::max<std::size_t>(1, opts.pipes));
-  const unsigned index_bits = config_.data_engine.tracker.index_bits;
+  const FlowTracker& tracker = data_engine_.tracker();
   const sim::SimDuration quantum =
       std::max<sim::SimDuration>(1, config_.reconcile_quantum);
 
@@ -107,18 +108,18 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   // The buffers are reused across epochs, so steady-state allocation is the
   // peak epoch backlog — independent of workload length.
   std::vector<net::PacketRecord> epoch_pkts;
-  std::vector<std::uint32_t> epoch_slots;
+  std::vector<std::uint32_t> epoch_hashes;  // flow fingerprints
   std::vector<std::vector<std::uint32_t>> pipe_idxs(pipes);
 
   // Full per-packet work for one packet, on its lane's state only.
   const std::function<void(std::size_t)> run_pipe = [&](std::size_t pipe) {
     for (const std::uint32_t k : pipe_idxs[pipe]) {
       const net::PacketRecord& packet = epoch_pkts[k];
-      const std::uint32_t slot = epoch_slots[k];
-      const std::size_t lane = lane_of_slot(slot);
+      const std::uint32_t flow_hash = epoch_hashes[k];
+      const std::size_t lane = lane_of_slot(tracker.slot_of(flow_hash));
       const sim::SimTime ts = packet.timestamp;
       core.begin_packet(ts, lane);
-      const DataEngineOutput out = data_engine_.on_packet(packet, slot);
+      const DataEngineOutput out = data_engine_.on_packet(packet, flow_hash);
       core.account_packet(ts, packet.label, out.forward_class,
                           out.from_model_engine, out.flow.verdict,
                           out.from_fallback_tree, lane);
@@ -129,19 +130,19 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   std::vector<std::uint64_t> pipe_peaks(pipes, 0);
 
   // Replays the buffered epoch as one fleet round (lanes are disjoint, so
-  // any claim order is another interleaving), then clears the staging
-  // buffers. The coordinator runs pipe 0, claims others too and drains the
-  // fan-in while it waits. What on_packet reads is republished only after
-  // the round.
+  // any claim order is another interleaving), hands the round's mirrors to
+  // the batcher, then clears the staging buffers. The coordinator runs
+  // pipe 0 and claims others too. What on_packet reads is republished only
+  // after the round.
   const auto flush_epoch = [&] {
     for (std::size_t p = 0; p < pipes; ++p) {
       pipe_peaks[p] = std::max<std::uint64_t>(pipe_peaks[p],
                                               pipe_idxs[p].size());
     }
-    inference.fleet().run(pipes, run_pipe, [&] { return inference.drain(); });
-    inference.drain();
+    inference.fleet().run(pipes, run_pipe, [] { return false; });
+    inference.hand_off();
     epoch_pkts.clear();
-    epoch_slots.clear();
+    epoch_hashes.clear();
     for (auto& idxs : pipe_idxs) idxs.clear();
   };
 
@@ -173,11 +174,11 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
         first = false;
       }
       last_ts = ts;
-      const std::uint32_t slot = net::flow_index(packet.tuple, index_bits);
-      pipe_idxs[lane_of_slot(slot) % pipes].push_back(
+      const std::uint32_t flow_hash = net::flow_hash32(packet.tuple);
+      pipe_idxs[lane_of_slot(tracker.slot_of(flow_hash)) % pipes].push_back(
           static_cast<std::uint32_t>(epoch_pkts.size()));
       epoch_pkts.push_back(packet);
-      epoch_slots.push_back(slot);
+      epoch_hashes.push_back(flow_hash);
     }
   }
   flush_epoch();  // last (possibly partial) epoch

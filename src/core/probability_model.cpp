@@ -47,7 +47,14 @@ ProbabilityLookupTable::ProbabilityLookupTable(std::size_t t_cells,
       log_scale_t_(log_scale_t),
       c_log_base_(std::pow(c_max_, 1.0 / static_cast<double>(c_cells_))),
       t_log_base_(std::pow(t_max_ / kTMin, 1.0 / static_cast<double>(t_cells_))),
-      cells_(t_cells_ * c_cells_, 0) {}
+      cells_(t_cells_ * c_cells_, 0) {
+  for (std::size_t ti = 0; ti < t_cells_; ++ti) {
+    t_centers_.push_back(t_cell_center(ti));
+  }
+  for (std::size_t ci = 0; ci < c_cells_; ++ci) {
+    c_centers_.push_back(c_cell_center(ci));
+  }
+}
 
 std::size_t ProbabilityLookupTable::c_cell_of(double c_i) const {
   if (c_i <= 1.0) return 0;
@@ -95,9 +102,9 @@ void ProbabilityLookupTable::rebuild(const TrafficStats& stats) {
   stats_ = stats;
   for (std::size_t ti = 0; ti < t_cells_; ++ti) {
     // Cell centers, matching how the control plane samples the model.
-    const double t = t_cell_center(ti);
+    const double t = t_centers_[ti];
     for (std::size_t ci = 0; ci < c_cells_; ++ci) {
-      const double c = c_cell_center(ci);
+      const double c = c_centers_[ci];
       const double p = token_probability(stats, t, c);
       cells_[ti * c_cells_ + ci] =
           static_cast<std::uint16_t>(std::lround(p * 65535.0));

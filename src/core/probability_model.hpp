@@ -52,7 +52,8 @@ class ProbabilityLookupTable {
                          bool log_scale_t = false);
 
   /// Rebuilds the table for new traffic statistics (control-plane refresh at
-  /// each window T_w).
+  /// each window T_w): one Eq. 2 evaluation per cell, at cell centres
+  /// computed once at construction.
   void rebuild(const TrafficStats& stats);
 
   /// Data-plane lookup: 16-bit fixed-point probability (0..65535) for the
@@ -88,6 +89,9 @@ class ProbabilityLookupTable {
   double c_log_base_;  ///< Geometric growth factor per C cell.
   double t_log_base_;  ///< Geometric growth factor per T cell.
   static constexpr double kTMin = 1e-6;  ///< Log-scale T origin (1 us).
+  /// The axes' cell centres, where rebuild() samples the model; they
+  /// depend only on the grid.
+  std::vector<double> t_centers_, c_centers_;
   TrafficStats stats_;
   std::vector<std::uint16_t> cells_;
 };

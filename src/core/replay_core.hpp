@@ -22,11 +22,11 @@
 // barriers after they were issued (confusion increments commute).
 //
 // FenixSystem::run_pipelined() is the one driver: it spreads the lanes over
-// fleet's pipes and calls the one InferenceStage (core/model_pool.hpp), which
-// feeds the mirrors through a lock-free MPSC fan-in into an InferenceBatcher;
-// run() is its one-pipe, one-thread instantiation. The
-// first_divergence() diagnostic pinpoints the first field where two reports
-// differ.
+// the fleet's pipes and calls the one InferenceStage (core/model_pool.hpp),
+// which tokenizes each lane's mirrors into rows the lane owns and hands them
+// to an InferenceBatcher in lane order between rounds; run() is its
+// one-pipe, one-thread instantiation. The first_divergence() diagnostic
+// pinpoints the first field where two reports differ.
 #pragma once
 
 #include <array>
@@ -201,7 +201,7 @@ using LaneLinks = std::array<net::ReliableLink*, kCoordinationLanes>;
 ///   reconcile(ts)                       // at epoch boundaries: hooks + all-lane pump
 ///   close_epoch()                       // after the barrier's other work
 ///   begin_packet(ts, lane)              // lane event pump
-///   DataEngine::on_packet(packet, slot) // flow tracking / admission
+///   DataEngine::on_packet(packet, hash) // flow tracking / admission
 ///   account_packet(ts, truth, ..., lane)// deferred outcome capture
 ///   emit_mirror(vec, ts, lane)          // granted mirrors only
 ///

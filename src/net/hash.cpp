@@ -31,6 +31,19 @@ constexpr std::array<std::uint16_t, 256> make_crc16_table() {
 const std::array<std::uint32_t, 256> kCrc32Table = make_crc32_table();
 const std::array<std::uint16_t, 256> kCrc16Table = make_crc16_table();
 
+/// The CRC32 register after `n` zero bytes from `seed`, before the final XOR.
+constexpr std::uint32_t crc32_register_after_zeros(std::uint32_t seed,
+                                                   std::size_t n) {
+  const auto table = make_crc32_table();
+  for (std::size_t i = 0; i < n; ++i) seed = table[seed & 0xff] ^ (seed >> 8);
+  return seed;
+}
+
+// The index pass and the fingerprint pass over one 13-byte key differ by the
+// zero-data terms of their seeds (the data terms and final XORs cancel).
+static_assert((crc32_register_after_zeros(0xffffffffu, 13) ^
+               crc32_register_after_zeros(0x04c11db7u, 13)) == kFlowIndexXor);
+
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
@@ -75,12 +88,7 @@ std::uint32_t flow_hash32(const FiveTuple& t) {
 }
 
 std::uint32_t flow_index(const FiveTuple& t, unsigned index_bits) {
-  const auto key = pack_five_tuple(t);
-  // Independent seed so the index is not a truncation of the fingerprint:
-  // a collision in the index does not imply a fingerprint match.
-  const std::uint32_t h = crc32(key, 0x04c11db7u);
-  if (index_bits >= 32) return h;
-  return h & ((1u << index_bits) - 1u);
+  return flow_index_of_hash(flow_hash32(t), index_bits);
 }
 
 }  // namespace fenix::net

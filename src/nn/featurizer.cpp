@@ -16,11 +16,17 @@ std::vector<Token> tokenize(std::span<const net::PacketFeature> features,
 
 void tokenize_into(std::span<const net::PacketFeature> features,
                    std::size_t seq_len, std::vector<Token>& out) {
-  out.assign(seq_len, Token{0, 0});
+  out.resize(seq_len);
+  tokenize_into(features, std::span<Token>(out));
+}
+
+void tokenize_into(std::span<const net::PacketFeature> features,
+                   std::span<Token> out) {
   const std::size_t n = features.size();
-  const std::size_t take = std::min(n, seq_len);
+  const std::size_t take = std::min(n, out.size());
   const std::size_t src_start = n - take;
-  const std::size_t dst_start = seq_len - take;
+  const std::size_t dst_start = out.size() - take;
+  std::fill_n(out.begin(), dst_start, Token{0, 0});
   for (std::size_t i = 0; i < take; ++i) {
     const net::PacketFeature& f = features[src_start + i];
     out[dst_start + i] = Token{length_token(f.length), ipd_token(f.ipd_code)};

@@ -55,6 +55,10 @@ std::vector<Token> tokenize(std::span<const net::PacketFeature> features,
 void tokenize_into(std::span<const net::PacketFeature> features,
                    std::size_t seq_len, std::vector<Token>& out);
 
+/// tokenize() into `out`, whose size is the sequence length.
+void tokenize_into(std::span<const net::PacketFeature> features,
+                   std::span<Token> out);
+
 /// Continuous per-flow statistics for tree models / binary MLPs: summary of
 /// the same length+IPD sequence (min/mean/max/stddev of lengths, of IPDs,
 /// packet count so far, total bytes). 10 features.

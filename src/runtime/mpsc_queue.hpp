@@ -1,12 +1,10 @@
 // Bounded multi-producer / single-consumer ring queue.
 //
-// The decentralized replay's Model Engine fan-in uses one of these: every
-// pipe worker (producer) pushes admitted feature sequences tagged with their
-// lane symbol, and the coordinator (the single consumer) drains them into the
-// InferenceBatcher while it waits at the epoch barrier. This is the software
-// mirror of the Model Engine's shared input arbiter (§5.2): per-slot sequence
-// numbers serialize producers without a lock, and the consumer observes
-// completed slots in claim order.
+// The replay does not use it (pipes hand their mirrors to
+// core::InferenceStage in lane-owned rows, whose telemetry keeps the
+// MpscQueueStats shape); perfbench's runtime.mpsc_ns drives it. Per-slot
+// sequence numbers serialize producers without a lock, and the consumer
+// observes completed slots in claim order.
 //
 // The algorithm is the classic bounded MPMC ring (Vyukov) restricted to one
 // consumer: producers CAS a shared head cursor to claim a slot, publish the
@@ -29,9 +27,10 @@
 
 namespace fenix::runtime {
 
-/// Contention / occupancy counters for the fan-in. `cas_retries` counts lost
-/// claim races between producers (the contention signal the health table
-/// exports); `full_stalls` counts try_push calls rejected on a full ring.
+/// Contention / occupancy counters of a queue. `cas_retries` counts lost
+/// claim races between producers; `full_stalls` counts try_push calls
+/// rejected on a full ring. The replay's hand-off reports in the same shape
+/// (core::PipelineTelemetry::fanin), with both of those at 0.
 struct MpscQueueStats {
   std::uint64_t enqueues = 0;
   std::uint64_t dequeues = 0;

@@ -1,7 +1,6 @@
-// runtime::MpscQueue — the lock-free Model Engine fan-in of the
-// decentralized replay. Multi-producer stress, per-producer FIFO, the
-// drain-on-shutdown pattern the coordinator runs at epoch barriers, and the
-// full-ring / stats contracts core::InferenceStage relies on.
+// runtime::MpscQueue, the lock-free ring perfbench's runtime.mpsc_ns drives.
+// Multi-producer stress, per-producer FIFO, drain-on-shutdown, and the
+// full-ring / stats contracts.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <random>
 #include <set>
 
 #include "net/feature.hpp"
@@ -83,8 +84,10 @@ TEST(Hash, FlowIndexRespectsBitWidth) {
 }
 
 TEST(Hash, IndexNotTruncationOfFingerprint) {
-  // The index must come from an independent hash pass, otherwise every index
-  // collision would also be a fingerprint collision.
+  // The index is not the fingerprint's own low bits: it is the fingerprint
+  // XOR kFlowIndexXor (FlowIndexIsFingerprintXorConstant), whose low 16 bits
+  // are nonzero. Two flows in one slot therefore still share the
+  // fingerprint's low index_bits bits.
   int diff = 0;
   for (std::uint16_t port = 1000; port < 1100; ++port) {
     FiveTuple t = sample_tuple();
@@ -92,6 +95,33 @@ TEST(Hash, IndexNotTruncationOfFingerprint) {
     if ((flow_hash32(t) & 0xffff) != flow_index(t, 16)) ++diff;
   }
   EXPECT_GT(diff, 90);
+}
+
+TEST(Hash, FlowIndexIsFingerprintXorConstant) {
+  // The index pass is a CRC32 of the same key from seed 0x04c11db7; by CRC
+  // linearity it equals the fingerprint XOR one constant, so the replay
+  // derives each from the other with one CRC per packet and per verdict.
+  std::mt19937_64 rng(7);
+  for (unsigned bits : {1u, 15u, 17u, 24u, 32u}) {
+    const std::uint32_t mask =
+        bits >= 32 ? 0xffffffffu : (std::uint32_t{1} << bits) - 1;
+    for (int i = 0; i < 20000; ++i) {
+      FiveTuple t;
+      const std::uint64_t r = rng();
+      t.src_ip = static_cast<std::uint32_t>(r);
+      t.dst_ip = static_cast<std::uint32_t>(r >> 32);
+      const std::uint64_t q = rng();
+      t.src_port = static_cast<std::uint16_t>(q);
+      t.dst_port = static_cast<std::uint16_t>(q >> 16);
+      t.proto = static_cast<std::uint8_t>(q >> 32);
+      const std::uint32_t index_pass = crc32(pack_five_tuple(t), 0x04c11db7u);
+      ASSERT_EQ(flow_index(t, bits), index_pass & mask) << "bits=" << bits;
+      ASSERT_EQ(flow_index(t, bits), (flow_hash32(t) ^ 0xd190c8c5u) & mask)
+          << "bits=" << bits;
+      ASSERT_EQ(flow_index_of_hash(flow_hash32(t), bits), index_pass & mask)
+          << "bits=" << bits;
+    }
+  }
 }
 
 TEST(Hash, IndexDistributionSpreads) {

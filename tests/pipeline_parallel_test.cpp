@@ -1,16 +1,20 @@
 // Multi-pipe sharded replay parity: run_pipelined() must produce a
 // bit-identical RunReport to run() at every shard/thread/batch count,
 // including under fault schedules (deadline misses, watchdog degradation,
-// channel brownouts), with per-phase accounting enabled, and with the
-// fan-in overfilled inside one epoch. A pipes-4 replay at threads 4 runs on
-// one fleet of three workers plus the caller.
+// channel brownouts), with per-phase accounting enabled, and with every
+// mirror handed off in one epoch. The inference stage hands its lanes' rows
+// to the batcher in lane order at every pipes x threads setting. A pipes-4
+// replay at threads 4 runs on one fleet of three workers plus the caller.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -326,6 +330,114 @@ TEST_F(PipelineParallelTest, InferenceBatcherMatchesScalarPredict) {
   }
 }
 
+TEST_F(PipelineParallelTest, HandOffIsLaneOrderedAndPipeInvariant) {
+  // Pipes tokenize admitted windows into rows their lanes own; after each
+  // round the coordinator hands the rows to the batcher lane by lane, each
+  // lane's in sequence order. So the ticket of every (lane, sequence) is a
+  // function of what each lane admitted in each round, never of pipes or
+  // threads, and each row holds the window's tokens at each model's
+  // seq_len. A CNN primary and an RNN shadow of another seq_len check both
+  // halves of the row; two generation flips check each row's serving model.
+  nn::RnnConfig rnn_config;
+  rnn_config.seq_len = 6;
+  rnn_config.units = 8;
+  rnn_config.num_classes = profile_->num_classes();
+  const nn::QuantizedRnn shadow(nn::RnnClassifier(rnn_config, 29),
+                                trafficgen::make_packet_samples(*flows_, 6, 6, 3));
+  const std::size_t seq_len[2] = {quantized_->config().seq_len,
+                                  rnn_config.seq_len};
+  ASSERT_NE(seq_len[0], seq_len[1]);
+
+  // rounds[r][lane]: the windows the lane admits in round r.
+  constexpr std::size_t kRounds = 12;
+  std::mt19937 rng(3);
+  std::vector<std::array<std::vector<net::FeatureVector>, kCoordinationLanes>>
+      rounds(kRounds);
+  for (auto& round : rounds) {
+    for (auto& lane : round) {
+      lane.resize(rng() % 6);
+      for (net::FeatureVector& vec : lane) {
+        vec.sequence.resize(1 + rng() % 12);
+        for (net::PacketFeature& f : vec.sequence) {
+          f.length = static_cast<std::uint16_t>(40 + rng() % 1460);
+          f.ipd_code = static_cast<std::uint16_t>(rng() % 1024);
+        }
+      }
+    }
+  }
+
+  // (ticket, lane, sequence) of every row, in ticket order.
+  using Order = std::vector<std::array<std::uint64_t, 3>>;
+  std::optional<Order> reference;
+  nn::Scratch scratch;
+  for (std::size_t pipes : {1, 2, 4, 8}) {
+    for (std::size_t threads : {1, 4}) {
+      SCOPED_TRACE("pipes " + std::to_string(pipes) + " threads " +
+                   std::to_string(threads));
+      ModelEngine engine(ModelEngineConfig{}, quantized_, nullptr);
+      InferenceStage stage(engine, ModelRef{nullptr, &shadow}, 16, threads - 1);
+      Order order;
+      std::array<std::vector<VerdictSymbol>, kCoordinationLanes> symbols;
+      // Per lane, by sequence: the window and the model that serves it.
+      std::array<std::vector<std::pair<const net::FeatureVector*, std::size_t>>,
+                 kCoordinationLanes>
+          admitted;
+      for (std::size_t r = 0; r < kRounds; ++r) {
+        if (r == 5 || r == 9) stage.swap_models();
+        const std::function<void(std::size_t)> pipe = [&](std::size_t p) {
+          for (std::size_t lane = p; lane < kCoordinationLanes; lane += pipes) {
+            for (std::size_t i = 0; i < rounds[r][lane].size(); ++i) {
+              // A lane's arrivals 1 ms apart: its port never drops.
+              const sim::SimTime arrival =
+                  sim::milliseconds(8 * r + i + 1);
+              VerdictSymbol symbol = kNoVerdict;
+              EXPECT_TRUE(stage.submit(rounds[r][lane][i], arrival, lane, symbol));
+              symbols[lane].push_back(symbol);
+            }
+          }
+        };
+        stage.fleet().run(pipes, pipe, [] { return false; });
+        InferenceBatcher::Ticket ticket = stage.batcher().next_ticket();
+        stage.hand_off();
+        for (std::size_t lane = 0; lane < kCoordinationLanes; ++lane) {
+          for (const net::FeatureVector& vec : rounds[r][lane]) {
+            const std::uint64_t seq = admitted[lane].size();
+            admitted[lane].emplace_back(&vec, stage.generation() & 1);
+            ASSERT_EQ(stage.ticket(symbols[lane][seq]), ticket)
+                << "lane " << lane << " seq " << seq;
+            for (std::size_t m = 0; m < 2; ++m) {
+              const auto row = stage.batcher().tokens(ticket, m);
+              EXPECT_EQ(std::vector<nn::Token>(row.begin(), row.end()),
+                        nn::tokenize(vec.sequence, seq_len[m]))
+                  << "lane " << lane << " seq " << seq << " model " << m;
+            }
+            order.push_back({ticket++, lane, seq});
+          }
+        }
+        stage.close_epoch();
+      }
+      stage.finish();
+      for (std::size_t lane = 0; lane < kCoordinationLanes; ++lane) {
+        for (std::size_t seq = 0; seq < admitted[lane].size(); ++seq) {
+          const auto& [vec, model] = admitted[lane][seq];
+          const std::int16_t expected =
+              model == 0
+                  ? quantized_->predict(nn::tokenize(vec->sequence, seq_len[0]),
+                                        scratch)
+                  : shadow.predict(nn::tokenize(vec->sequence, seq_len[1]),
+                                   scratch);
+          EXPECT_EQ(stage.resolve(symbols[lane][seq]), expected)
+              << "lane " << lane << " seq " << seq;
+        }
+      }
+      if (!reference) reference = order;
+      EXPECT_EQ(order, *reference);
+    }
+  }
+  ASSERT_TRUE(reference.has_value());
+  EXPECT_GT(reference->size(), 200u);
+}
+
 /// Threads of this process, from /proc/self/task.
 std::size_t live_threads() {
   std::size_t n = 0;
@@ -360,9 +472,11 @@ TEST_F(PipelineParallelTest, ReplayRunsOnOneFleetOfThreadsMinusOneWorkers) {
 }
 
 TEST_F(PipelineParallelTest, OneEpochOverfilledFanInMatchesSerial) {
-  // One reconcile quantum covers the whole trace, so every mirror crosses
-  // the 16,384-slot fan-in within one round, while the coordinator also runs
-  // pipes: workers fill the ring and park until it drains.
+  // One reconcile quantum covers the whole trace, so every mirror of the
+  // run lands in its lane's row buffer within one round, which grows from
+  // empty to thousands of rows per lane, and one hand-off carries them all
+  // to the batcher. (The name dates from a bounded fan-in ring that these
+  // mirrors overfilled.)
   trafficgen::SynthesisConfig synth;
   synth.total_flows = 1500;
   synth.seed = 17;
@@ -392,11 +506,13 @@ TEST_F(PipelineParallelTest, OneEpochOverfilledFanInMatchesSerial) {
       const auto div = first_divergence(serial, parallel);
       EXPECT_EQ(div, std::nullopt) << "pipes=" << pipes << " threads=" << threads
                                    << ": " << div.value_or("");
-      // Scheduling decides how often the ring fills, so this is only shown.
-      std::printf("pipes=%zu threads=%zu fanin.full_stalls=%llu\n", pipes,
-                  threads,
-                  static_cast<unsigned long long>(
-                      par_sys.pipeline_telemetry().fanin.full_stalls));
+      // The round's one hand-off carries more rows than the old ring held.
+      const runtime::MpscQueueStats& fanin = par_sys.pipeline_telemetry().fanin;
+      EXPECT_GT(fanin.peak_size, std::uint64_t{1} << 14);
+      EXPECT_EQ(fanin.cas_retries + fanin.full_stalls, 0u);
+      std::printf("pipes=%zu threads=%zu rows handed off at once=%llu\n",
+                  pipes, threads,
+                  static_cast<unsigned long long>(fanin.peak_size));
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/probability_model.hpp"
 #include "sim/random.hpp"
@@ -150,6 +151,52 @@ TEST(LookupTable, SramFootprint) {
 
 // Appendix A: over a population of heterogeneous flows, the expected
 // feature-transmission period averages to N/V.
+TEST(LookupTable, RebuildMatchesPerCallCentreFormula) {
+  // rebuild() samples Eq. 2 at cell centres computed once at construction;
+  // every cell must equal a rebuild that computes each centre per cell, on
+  // log and linear axes and across traffic settings.
+  constexpr double kTMin = 1e-6;
+  struct Grid {
+    std::size_t t_cells, c_cells;
+    double t_max, c_max;
+    bool log_c, log_t;
+  };
+  const Grid grids[] = {{64, 64, 0.2, 4096, true, true},
+                        {64, 64, 0.2, 4096, false, false},
+                        {32, 48, 0.05, 600, true, false},
+                        {48, 32, 1.0, 100, false, true}};
+  std::vector<TrafficStats> settings = {figure6_stats(), TrafficStats{}};
+  settings.push_back({2e5, 3e6, 7000});
+  settings.push_back({5e4, 1e5, 3});
+  for (const Grid& g : grids) {
+    ProbabilityLookupTable table(g.t_cells, g.c_cells, g.t_max, g.c_max,
+                                 g.log_c, g.log_t);
+    const double c_base = std::pow(g.c_max, 1.0 / static_cast<double>(g.c_cells));
+    const double t_base =
+        std::pow(g.t_max / kTMin, 1.0 / static_cast<double>(g.t_cells));
+    for (const TrafficStats& stats : settings) {
+      table.rebuild(stats);
+      for (std::size_t ti = 0; ti < g.t_cells; ++ti) {
+        const double t =
+            g.log_t ? kTMin * std::pow(t_base, static_cast<double>(ti) + 0.5)
+                    : (static_cast<double>(ti) + 0.5) * g.t_max /
+                          static_cast<double>(g.t_cells);
+        for (std::size_t ci = 0; ci < g.c_cells; ++ci) {
+          const double c =
+              g.log_c ? std::pow(c_base, static_cast<double>(ci) + 0.5)
+                      : 1.0 + (static_cast<double>(ci) + 0.5) * (g.c_max - 1.0) /
+                                  static_cast<double>(g.c_cells);
+          const auto expected = static_cast<std::uint16_t>(
+              std::lround(token_probability(stats, t, c) * 65535.0));
+          ASSERT_EQ(table.lookup_fixed(t, c), expected)
+              << "grid " << g.t_cells << "x" << g.c_cells << " log_t " << g.log_t
+              << " log_c " << g.log_c << " cell (" << ti << ", " << ci << ")";
+        }
+      }
+    }
+  }
+}
+
 TEST(Fairness, ExpectedPeriodAveragesToFairShare) {
   TrafficStats stats;
   stats.flow_count_n = 200;
