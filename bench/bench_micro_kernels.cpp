@@ -5,9 +5,12 @@
 // the cycle models report); they gate how large a Figure 10 sweep the
 // harness can replay per second.
 //
-// After the google-benchmark suite, main() hand-times the blocked INT8
-// kernels against their scalar references and records ns/op + speedup in
-// the "kernels" section of BENCH_PR1.json (see bench_json.hpp).
+// The per-window INT8 GEMV / conv1d benchmarks and BM_CnnPredictBatch16 are
+// registered once per kernel rung the host runs (label = rung). After the
+// google-benchmark suite, main() hand-times the blocked scalar INT8 kernels
+// (Isa::kScalar) and the sub-INT8 layers at the host rung against their
+// references and records ns/op + speedup in the "kernels" section of
+// BENCH_PR1.json (see bench_json.hpp).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -214,20 +217,23 @@ void BM_CnnPredictBatch16(benchmark::State& state, nn::kernels::Isa isa) {
   state.SetLabel(nn::kernels::isa_name(isa));
 }
 
-void BM_GemvInt8Blocked(benchmark::State& state) {
+// QDense::forward (n x n) at kernel rung `isa`, registered in main() per rung.
+void BM_GemvInt8(benchmark::State& state, nn::kernels::Isa isa) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto layer = make_qdense(n, n, 0x6e3);
   std::vector<std::int8_t> x(n), y(n);
   sim::RandomStream rng(0x6e4);
   fill_i8(x, rng);
+  nn::kernels::ScopedIsaCap cap(isa);
   for (auto _ : state) {
     layer.forward(x.data(), y.data(), true);
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * n));
+  state.SetLabel(nn::kernels::isa_name(isa));
 }
-BENCHMARK(BM_GemvInt8Blocked)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_GemvInt8Reference(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -244,19 +250,22 @@ void BM_GemvInt8Reference(benchmark::State& state) {
 }
 BENCHMARK(BM_GemvInt8Reference)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_Conv1dInt8Blocked(benchmark::State& state) {
+// QConv1D::forward (32 -> 64 channels, kernel 3, T 9) at kernel rung `isa`.
+void BM_Conv1dInt8(benchmark::State& state, nn::kernels::Isa isa) {
   constexpr std::size_t kT = 9;
   const auto layer = make_qconv(32, 64, 3, 0xc0b);
   std::vector<std::int8_t> x(kT * 32), y(kT * 64);
   sim::RandomStream rng(0xc0c);
   fill_i8(x, rng);
+  nn::kernels::ScopedIsaCap cap(isa);
   for (auto _ : state) {
     layer.forward(x.data(), kT, y.data(), true);
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetLabel(nn::kernels::isa_name(isa));
 }
-BENCHMARK(BM_Conv1dInt8Blocked);
 
 void BM_Conv1dInt8Reference(benchmark::State& state) {
   constexpr std::size_t kT = 9;
@@ -353,14 +362,16 @@ double time_ns_per_op(F&& fn, std::size_t min_iters, double min_seconds) {
   return elapsed * 1e9 / static_cast<double>(iters);
 }
 
-/// Times blocked vs reference INT8 kernels and writes the "kernels" section
-/// of BENCH_PR1.json. Speedup = reference_ns / blocked_ns.
+/// Times the blocked scalar INT8 kernels (Isa::kScalar) and the sub-INT8
+/// layers' forward (host rung) against their references and writes the
+/// "kernels" section of BENCH_PR1.json. Speedup = reference_ns / blocked_ns.
 void report_kernel_speedups(bool smoke) {
   const std::size_t min_iters = smoke ? 10 : 200;
   const double min_seconds = smoke ? 0.005 : 0.15;
   bench::JsonSection section;
 
   {
+    nn::kernels::ScopedIsaCap cap(nn::kernels::Isa::kScalar);
     constexpr std::size_t kN = 128;
     const auto layer = make_qdense(kN, kN, 0x6e3);
     std::vector<std::int8_t> x(kN), y(kN);
@@ -386,6 +397,7 @@ void report_kernel_speedups(bool smoke) {
   }
 
   {
+    nn::kernels::ScopedIsaCap cap(nn::kernels::Isa::kScalar);
     constexpr std::size_t kT = 9;
     const auto layer = make_qconv(32, 64, 3, 0xc0b);
     std::vector<std::int8_t> x(kT * 32), y(kT * 64);
@@ -410,8 +422,9 @@ void report_kernel_speedups(bool smoke) {
                 blocked, reference, blocked > 0 ? reference / blocked : 0.0);
   }
 
-  // Sub-INT8 tiers: the vectorized biased-plane path vs the packed-reading
-  // sequential reference, same 128x128 shape as the INT8 row above.
+  // Sub-INT8 tiers: forward at the host rung (the biased-plane path above
+  // kScalar) vs the packed-reading sequential reference, same 128x128 shape
+  // as the INT8 row above.
   for (const nn::Precision p : {nn::Precision::kTernary, nn::Precision::kInt4}) {
     constexpr std::size_t kN = 128;
     sim::RandomStream rng(0x51b + static_cast<std::uint64_t>(p));
@@ -426,7 +439,7 @@ void report_kernel_speedups(bool smoke) {
     fill_i8(x, rng);
     const double blocked = time_ns_per_op(
         [&] {
-          layer.forward_simd(x.data(), y.data(), true);
+          layer.forward(x.data(), y.data(), true);
           benchmark::DoNotOptimize(y.data());
         },
         min_iters, min_seconds);
@@ -447,6 +460,7 @@ void report_kernel_speedups(bool smoke) {
   }
 
   {
+    nn::kernels::ScopedIsaCap cap(nn::kernels::Isa::kScalar);
     const auto model = make_quantized_cnn();
     std::vector<nn::Token> tokens(9, nn::Token{10, 3});
     nn::Scratch scratch;
@@ -474,9 +488,16 @@ int main(int argc, char** argv) {
   using nn::kernels::Isa;
   for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512, Isa::kAmx}) {
     if (isa > nn::kernels::host_isa()) break;
-    const std::string name =
-        std::string("BM_CnnPredictBatch16/") + nn::kernels::isa_name(isa);
-    benchmark::RegisterBenchmark(name.c_str(), BM_CnnPredictBatch16, isa);
+    const std::string rung = nn::kernels::isa_name(isa);
+    benchmark::RegisterBenchmark(("BM_GemvInt8/" + rung).c_str(), BM_GemvInt8,
+                                 isa)
+        ->Arg(64)
+        ->Arg(128)
+        ->Arg(256);
+    benchmark::RegisterBenchmark(("BM_Conv1dInt8/" + rung).c_str(),
+                                 BM_Conv1dInt8, isa);
+    benchmark::RegisterBenchmark(("BM_CnnPredictBatch16/" + rung).c_str(),
+                                 BM_CnnPredictBatch16, isa);
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

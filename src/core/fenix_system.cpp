@@ -174,8 +174,6 @@ telemetry::MetricRegistry FenixSystem::health_metrics(const RunReport& report) c
   reg.set_counter("bucket_reconciles", data_engine_.bucket().reconciles());
   reg.set_counter("pipeline_epochs", pipeline_telemetry_.epochs);
   reg.set_counter("fanin_enqueues", pipeline_telemetry_.fanin.enqueues);
-  reg.set_counter("fanin_cas_retries", pipeline_telemetry_.fanin.cas_retries);
-  reg.set_counter("fanin_full_stalls", pipeline_telemetry_.fanin.full_stalls);
   reg.set_counter("fanin_peak_size", pipeline_telemetry_.fanin.peak_size);
   reg.set_counter("peak_live_batches", pipeline_telemetry_.peak_live_batches);
   reg.set_counter("peak_open_records", pipeline_telemetry_.peak_open_records);

@@ -116,8 +116,8 @@ struct PipelineTelemetry {
   /// The inference stage's row hand-off, in the fan-in counters' terms:
   /// `enqueues` (= `dequeues`) counts the rows handed to the batcher and
   /// `peak_size` the most one hand-off carried; `cas_retries` and
-  /// `full_stalls` are 0, since no pipe shares a queue or waits for room.
-  /// All are deterministic.
+  /// `full_stalls` are 0, since no pipe shares a queue or waits for room, so
+  /// health_metrics() exports only the first two. All are deterministic.
   runtime::MpscQueueStats fanin;
   /// Most inference batches alive at any barrier (before retiring).
   std::uint64_t peak_live_batches = 0;

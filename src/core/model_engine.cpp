@@ -6,20 +6,26 @@ namespace fenix::core {
 
 ModelEngine::ModelEngine(const ModelEngineConfig& config, const nn::QuantizedCnn* cnn,
                          const nn::QuantizedRnn* rnn)
-    : config_(config), cnn_(cnn), rnn_(rnn), device_(config.device),
-      timer_(config.systolic) {
-  if ((cnn_ == nullptr) == (rnn_ == nullptr)) {
-    throw std::invalid_argument("ModelEngine: exactly one model must be bound");
-  }
-  const auto [latency, slowest_stage] = compute_cycles();
-  cycles_per_inference_ = latency;
-  ii_cycles_ = config_.layer_pipelined ? slowest_stage : latency;
-  if (config_.ii_override_cycles != 0) ii_cycles_ = config_.ii_override_cycles;
+    : config_(config), device_(config.device), timer_(config.systolic) {
+  bind_model(cnn, rnn);
   sync_latency_ = timer_.clock().cycles(config_.sync_cycles);
   // A card reset loses everything staged in the fabric: every lane's input
   // FIFO and the flow identifiers parked with it.
   device_.set_reset_hook(
       [this](sim::SimTime) { clear_ports(device_.down_until()); });
+}
+
+void ModelEngine::bind_model(const nn::QuantizedCnn* cnn,
+                             const nn::QuantizedRnn* rnn) {
+  if ((cnn == nullptr) == (rnn == nullptr)) {
+    throw std::invalid_argument("ModelEngine: exactly one model must be bound");
+  }
+  cnn_ = cnn;
+  rnn_ = rnn;
+  const auto [latency, slowest_stage] = compute_cycles();
+  cycles_per_inference_ = latency;
+  ii_cycles_ = config_.layer_pipelined ? slowest_stage : latency;
+  if (config_.ii_override_cycles != 0) ii_cycles_ = config_.ii_override_cycles;
 }
 
 void ModelEngine::clear_ports(sim::SimTime free_at) {
@@ -83,16 +89,7 @@ double ModelEngine::inference_rate_hz() const {
 void ModelEngine::begin_reconfiguration(sim::SimTime now, const nn::QuantizedCnn* cnn,
                                         const nn::QuantizedRnn* rnn,
                                         sim::SimDuration duration) {
-  if ((cnn == nullptr) == (rnn == nullptr)) {
-    throw std::invalid_argument(
-        "ModelEngine::begin_reconfiguration: exactly one model must be bound");
-  }
-  cnn_ = cnn;
-  rnn_ = rnn;
-  const auto [latency, slowest_stage] = compute_cycles();
-  cycles_per_inference_ = latency;
-  ii_cycles_ = config_.layer_pipelined ? slowest_stage : latency;
-  if (config_.ii_override_cycles != 0) ii_cycles_ = config_.ii_override_cycles;
+  bind_model(cnn, rnn);
   reconfig_until_ = now + duration;
   // In-flight work is abandoned with the old bitstream region.
   clear_ports(reconfig_until_);

@@ -166,10 +166,14 @@ class ModelEngine {
  private:
   /// Computes (total latency cycles, slowest layer-stage cycles).
   std::pair<std::uint64_t, std::uint64_t> compute_cycles() const;
+  /// Binds exactly one of `cnn` / `rnn` (else throws std::invalid_argument,
+  /// changing nothing) and derives the latency and initiation interval from
+  /// it, ii_override_cycles winning when set.
+  void bind_model(const nn::QuantizedCnn* cnn, const nn::QuantizedRnn* rnn);
 
   ModelEngineConfig config_;
-  const nn::QuantizedCnn* cnn_;
-  const nn::QuantizedRnn* rnn_;
+  const nn::QuantizedCnn* cnn_ = nullptr;
+  const nn::QuantizedRnn* rnn_ = nullptr;
   fpgasim::Device device_;  ///< Runtime card state (fault hooks live here).
   fpgasim::SystolicTimer timer_;
   std::uint64_t cycles_per_inference_ = 0;

@@ -136,7 +136,6 @@ void ReplayCore::send_vector(const net::FeatureVector& vec, sim::SimTime emitted
   p.result = *result;
   p.result.delivered_at = p.delivered_at;
   p.mirror_emitted = emitted;
-  p.fpga_arrival = *fwd.delivered_at;
   p.symbol = symbol;
   p.epoch = back.epoch;
   p.vec = vec;

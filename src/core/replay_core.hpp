@@ -286,7 +286,6 @@ class ReplayCore {
     sim::SimTime delivered_at;
     net::InferenceResult result;
     sim::SimTime mirror_emitted;
-    sim::SimTime fpga_arrival;
     VerdictSymbol symbol = kNoVerdict;
     /// Return-path frame epoch; a reboot between stamp and delivery makes
     /// the verdict stale (discarded, and the deadline miss fires instead).

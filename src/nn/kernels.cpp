@@ -78,85 +78,6 @@ std::int32_t dot_i8(const std::int8_t* a, const std::int8_t* b, std::size_t n) {
   return p0 + p1 + p2 + p3;
 }
 
-void gemv_acc_i8(const std::int8_t* w, std::size_t rows, std::size_t row_stride,
-                 std::size_t cols, const std::int8_t* x, std::int32_t* acc) {
-  std::size_t r = 0;
-  // 4-row blocks: one pass over x feeds four accumulators, so x stays in
-  // registers / L1 while the weight rows stream through.
-  for (; r + 4 <= rows; r += 4) {
-    const std::int8_t* w0 = w + (r + 0) * row_stride;
-    const std::int8_t* w1 = w + (r + 1) * row_stride;
-    const std::int8_t* w2 = w + (r + 2) * row_stride;
-    const std::int8_t* w3 = w + (r + 3) * row_stride;
-    std::int32_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;
-    for (std::size_t c = 0; c < cols; ++c) {
-      const auto xv = static_cast<std::int32_t>(x[c]);
-      a0 += static_cast<std::int32_t>(w0[c]) * xv;
-      a1 += static_cast<std::int32_t>(w1[c]) * xv;
-      a2 += static_cast<std::int32_t>(w2[c]) * xv;
-      a3 += static_cast<std::int32_t>(w3[c]) * xv;
-    }
-    acc[r + 0] = a0;
-    acc[r + 1] = a1;
-    acc[r + 2] = a2;
-    acc[r + 3] = a3;
-  }
-  for (; r < rows; ++r) {
-    acc[r] = dot_i8(w + r * row_stride, x, cols);
-  }
-}
-
-void gemv_i8(const std::int8_t* w, std::size_t rows, std::size_t row_stride,
-             std::size_t cols, const std::int8_t* x, const std::int32_t* bias,
-             int shift, bool relu, std::int8_t* y) {
-  std::size_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    const std::int8_t* w0 = w + (r + 0) * row_stride;
-    const std::int8_t* w1 = w + (r + 1) * row_stride;
-    const std::int8_t* w2 = w + (r + 2) * row_stride;
-    const std::int8_t* w3 = w + (r + 3) * row_stride;
-    std::int32_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;
-    for (std::size_t c = 0; c < cols; ++c) {
-      const auto xv = static_cast<std::int32_t>(x[c]);
-      a0 += static_cast<std::int32_t>(w0[c]) * xv;
-      a1 += static_cast<std::int32_t>(w1[c]) * xv;
-      a2 += static_cast<std::int32_t>(w2[c]) * xv;
-      a3 += static_cast<std::int32_t>(w3[c]) * xv;
-    }
-    y[r + 0] = requantize(static_cast<std::int64_t>(bias[r + 0]) + a0, shift, relu);
-    y[r + 1] = requantize(static_cast<std::int64_t>(bias[r + 1]) + a1, shift, relu);
-    y[r + 2] = requantize(static_cast<std::int64_t>(bias[r + 2]) + a2, shift, relu);
-    y[r + 3] = requantize(static_cast<std::int64_t>(bias[r + 3]) + a3, shift, relu);
-  }
-  for (; r < rows; ++r) {
-    const std::int32_t a = dot_i8(w + r * row_stride, x, cols);
-    y[r] = requantize(static_cast<std::int64_t>(bias[r]) + a, shift, relu);
-  }
-}
-
-void conv1d_i8(const std::int8_t* w, std::size_t out_ch, std::size_t in_ch,
-               std::size_t kernel, const std::int8_t* x, std::size_t T,
-               const std::int32_t* bias, int shift, bool relu, std::int8_t* y) {
-  const auto pad = static_cast<std::ptrdiff_t>(kernel / 2);
-  const std::size_t row_stride = in_ch * kernel;
-  for (std::size_t t = 0; t < T; ++t) {
-    // Valid tap range [k_lo, k_hi]: taps falling outside [0, T) contribute
-    // nothing, and the survivors address one contiguous span of both the
-    // input and each weight row.
-    const auto ti = static_cast<std::ptrdiff_t>(t);
-    std::ptrdiff_t k_lo = pad - ti;
-    if (k_lo < 0) k_lo = 0;
-    std::ptrdiff_t k_hi = static_cast<std::ptrdiff_t>(T) - 1 + pad - ti;
-    if (k_hi > static_cast<std::ptrdiff_t>(kernel) - 1) {
-      k_hi = static_cast<std::ptrdiff_t>(kernel) - 1;
-    }
-    const std::size_t span = static_cast<std::size_t>(k_hi - k_lo + 1) * in_ch;
-    const std::int8_t* xs = x + static_cast<std::size_t>(ti + k_lo - pad) * in_ch;
-    const std::int8_t* ws = w + static_cast<std::size_t>(k_lo) * in_ch;
-    gemv_i8(ws, out_ch, row_stride, span, xs, bias, shift, relu, y + t * out_ch);
-  }
-}
-
 // ---- Sub-INT8 reference kernels (read the packed bytes directly) ----
 
 std::int32_t dot_ternary_packed(const std::uint8_t* row, const std::int8_t* x,
@@ -292,47 +213,6 @@ void gemv_acc_i4(const std::int8_t* plane, std::size_t rows,
       a += shift_add_mul_i4(wr[c], static_cast<std::int32_t>(x[c]));
     }
     acc[r] = a;
-  }
-}
-
-void gemv_i4(const std::int8_t* plane, std::size_t rows, std::size_t row_stride,
-             std::size_t cols, const std::int8_t* x, const std::int32_t* bias,
-             const std::int32_t* shift, bool relu, std::int8_t* y) {
-  std::int32_t acc[4];
-  std::size_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    gemv_acc_i4(plane + r * row_stride, 4, row_stride, cols, x, acc);
-    for (int i = 0; i < 4; ++i) {
-      y[r + i] = requantize(static_cast<std::int64_t>(bias[r + i]) + acc[i],
-                            shift[r + i], relu);
-    }
-  }
-  for (; r < rows; ++r) {
-    gemv_acc_i4(plane + r * row_stride, 1, row_stride, cols, x, acc);
-    y[r] = requantize(static_cast<std::int64_t>(bias[r]) + acc[0], shift[r], relu);
-  }
-}
-
-void conv1d_i4(const std::int8_t* plane, std::size_t out_ch, std::size_t in_ch,
-               std::size_t kernel, const std::int8_t* x, std::size_t T,
-               const std::int32_t* bias, const std::int32_t* shift, bool relu,
-               std::int8_t* y) {
-  const auto pad = static_cast<std::ptrdiff_t>(kernel / 2);
-  const std::size_t row_stride = in_ch * kernel;
-  for (std::size_t t = 0; t < T; ++t) {
-    // Same valid-tap-span trick as conv1d_i8: survivors are one contiguous
-    // span of both the input and each weight row.
-    const auto ti = static_cast<std::ptrdiff_t>(t);
-    std::ptrdiff_t k_lo = pad - ti;
-    if (k_lo < 0) k_lo = 0;
-    std::ptrdiff_t k_hi = static_cast<std::ptrdiff_t>(T) - 1 + pad - ti;
-    if (k_hi > static_cast<std::ptrdiff_t>(kernel) - 1) {
-      k_hi = static_cast<std::ptrdiff_t>(kernel) - 1;
-    }
-    const std::size_t span = static_cast<std::size_t>(k_hi - k_lo + 1) * in_ch;
-    const std::int8_t* xs = x + static_cast<std::size_t>(ti + k_lo - pad) * in_ch;
-    const std::int8_t* ws = plane + static_cast<std::size_t>(k_lo) * in_ch;
-    gemv_i4(ws, out_ch, row_stride, span, xs, bias, shift, relu, y + t * out_ch);
   }
 }
 

@@ -1,15 +1,16 @@
-// Blocked + unrolled INT8 inference kernels for the host-side hot path.
+// INT8 and sub-INT8 inference kernels for the host-side hot path, one entry
+// point per operation at the ISA rung the host runs (Isa, below).
 //
 // Every mirrored packet pays one quantized forward pass, so these kernels
 // gate how many Figure-10-scale replays the harness can run per second. The
 // kernels keep the exact fixed-point semantics of the scalar reference loops
 // retained in quantize.cpp (INT8 multiplies, integer accumulation,
 // rounding-right-shift requantization): integer addition is associative, so
-// reordering the accumulation into 4-row blocks and 4-way-unrolled partial
-// sums is bit-identical as long as the INT32 partials cannot overflow. Each
-// partial sum covers at most ceil(cols/4) products of magnitude <= 128*127,
-// so any layer with fewer than ~500k inputs — orders of magnitude beyond the
-// paper's models — is safe.
+// reordering the accumulation into 4-row blocks, 4-way-unrolled partial sums
+// or vector lanes is bit-identical as long as the INT32 partials cannot
+// overflow. Each partial sum covers at most ceil(cols/4) products of
+// magnitude <= 128*127, so any layer with fewer than ~500k inputs — orders
+// of magnitude beyond the paper's models — is safe.
 #pragma once
 
 #include <cstddef>
@@ -38,22 +39,24 @@ namespace kernels {
 /// INT8 dot product with 4-way-unrolled INT32 partial accumulators.
 std::int32_t dot_i8(const std::int8_t* a, const std::int8_t* b, std::size_t n);
 
-/// Blocked GEMV: y[r] = requantize(bias[r] + w_r . x) for r in [0, rows),
-/// processing 4 weight rows per pass over x. Row r starts at w + r *
-/// row_stride and is `cols` long (row_stride == cols for a dense matrix;
-/// conv1d uses a larger stride to address a kernel-tap window). ReLU is
-/// applied before saturation when `relu` is set.
+/// GEMV: y[r] = requantize(bias[r] + w_r . x) for r in [0, rows). Row r
+/// starts at w + r * row_stride and is `cols` long (row_stride == cols for a
+/// dense matrix; conv1d uses a larger stride to address a kernel-tap window).
+/// ReLU is applied before saturation when `relu` is set. Runs at
+/// active_isa(): at Isa::kScalar 4 weight rows per pass over x with
+/// 4-way-unrolled sums, above it the widen-and-madd ladder (AVX2, or AVX-512
+/// at kAvx512 and kAmx).
 void gemv_i8(const std::int8_t* w, std::size_t rows, std::size_t row_stride,
              std::size_t cols, const std::int8_t* x, const std::int32_t* bias,
              int shift, bool relu, std::int8_t* y);
 
-/// Blocked GEMV without requantization: acc[r] = w_r . x as raw INT32
+/// gemv_i8 without requantization: acc[r] = w_r . x as raw INT32
 /// accumulators (the recurrent path merges two of these before its LUT
 /// activation).
 void gemv_acc_i8(const std::int8_t* w, std::size_t rows, std::size_t row_stride,
                  std::size_t cols, const std::int8_t* x, std::int32_t* acc);
 
-/// Blocked 1-D convolution, 'same' padding, stride 1. x is T x in_ch
+/// 1-D convolution, 'same' padding, stride 1, at active_isa(). x is T x in_ch
 /// row-major, w is out_ch x (in_ch * kernel), y is T x out_ch. Each output
 /// timestep reduces to one gemv_i8 over the valid (contiguous) tap window,
 /// so the edge handling costs no branches in the inner loops.
@@ -78,12 +81,13 @@ void conv1d_i8(const std::int8_t* w, std::size_t out_ch, std::size_t in_ch,
 // exact integer arithmetic — the packed-reading reference, the multiply-free
 // optimized forms, and the SIMD lowering all compute the same INT32 dot
 // product, so bit-identity holds by associativity (no overflow at these
-// layer sizes).
+// layer sizes). QPackedDense / QPackedConv1D::forward pick the form from the
+// rung: the multiply-free kernels at Isa::kScalar, the biased plane above.
 //
 // Operand forms (all derived deterministically from the packed bytes):
 //  * packed      — the 2-bit / nibble rows themselves (reference kernels).
-//  * plane       — nibble-/code-unpacked INT8 weights (shift/add kernels and
-//                  scalar fallbacks).
+//  * plane       — nibble-/code-unpacked INT8 weights (the INT4 shift/add
+//                  kernels).
 //  * idx/seg     — ternary sparse form: per row, the +1 column indices then
 //                  the -1 column indices, each ascending. seg has 2*rows+1
 //                  entries: row r's plus run is idx[seg[2r]..seg[2r+1]) and
@@ -91,8 +95,9 @@ void conv1d_i8(const std::int8_t* w, std::size_t out_ch, std::size_t in_ch,
 //                  is sum(x[plus]) - sum(x[minus]) — two loads and an add
 //                  per nonzero weight, nothing else.
 //  * biased      — plane + B as unsigned bytes (B = 1 ternary, 8 INT4), the
-//                  unsigned operand of the AVX-512VNNI dpbusd path:
-//                  sum((w+B)*x) - B*sum(x) == sum(w*x) exactly.
+//                  operand of every rung above kScalar (the unsigned operand
+//                  of AVX-512VNNI dpbusd): sum((w+B)*x) - B*sum(x) ==
+//                  sum(w*x) exactly.
 
 /// Reference dot products reading the packed rows directly (these pin the
 /// packed bytes as the source of truth for every other operand form).
@@ -146,13 +151,13 @@ void conv1d_i4(const std::int8_t* plane, std::size_t out_ch, std::size_t in_ch,
                const std::int32_t* bias, const std::int32_t* shift, bool relu,
                std::int8_t* y);
 
-/// SIMD sub-INT8 kernels (kernels_simd.cpp) over the biased unsigned plane.
-/// weight_bias is B (1 for ternary, 8 for INT4). With AVX-512VNNI each step
-/// is one dpbusd per row per 64 columns — about a quarter of the INT8 madd
-/// ladder's work — and the B*sum(x) correction restores the exact signed dot
-/// product. Without VNNI the biased plane runs through the same
-/// widen-and-madd ladder as the INT8 kernels; without AVX2 a scalar loop
-/// computes the identical sums. Results never depend on the ISA.
+/// SIMD sub-INT8 kernels (kernels_simd.cpp) over the biased unsigned plane;
+/// they require active_isa() >= Isa::kAvx2. weight_bias is B (1 for
+/// ternary, 8 for INT4). With AVX-512VNNI each step is one dpbusd per row per
+/// 64 columns — about a quarter of the INT8 madd ladder's work — and the
+/// B*sum(x) correction restores the exact signed dot product. Without VNNI
+/// the biased plane runs through the same widen-and-madd ladder as the INT8
+/// kernels. Results never depend on the ISA.
 void gemv_sub8_simd(const std::uint8_t* biased, std::size_t rows,
                     std::size_t row_stride, std::size_t cols, int weight_bias,
                     const std::int8_t* x, const std::int32_t* bias,
@@ -167,18 +172,18 @@ void conv1d_sub8_simd(const std::uint8_t* biased, std::size_t out_ch,
                       const std::int32_t* bias, const std::int32_t* shift,
                       bool relu, std::int8_t* y);
 
-// ---- SIMD variants (kernels_simd.cpp) ----
+// ---- ISA rungs (kernels_simd.cpp) ----
 //
-// Explicitly vectorized AVX2 / AVX-512 versions of the kernels above, used
-// by the batched Model Engine submission path. They widen INT8 operands to
-// INT16, multiply-accumulate pairs into INT32 lanes (vpmaddwd: each product
-// is at most 128*127, so a pair sum fits INT32 with enormous margin), and
-// reduce the lanes to the same exact INT32 dot product the scalar loops
-// compute — integer addition is associative and overflow-free at these layer
-// sizes, so any lane partitioning is bit-identical. Requantization reuses
-// rounding_shift_right/saturate_i8 verbatim. On hosts without AVX2 every
-// entry point falls back to the scalar kernel, so results never depend on
-// the ISA, only speed does.
+// The INT8 kernels above, the packed layers' choice of operand form and the
+// batch kernels below all run at one rung. Above kScalar the per-window
+// kernels widen INT8 (or biased unsigned) operands to INT16,
+// multiply-accumulate pairs into INT32 lanes (vpmaddwd: each product is at
+// most 128*127, so a pair sum fits INT32 with enormous margin), and reduce
+// the lanes to the same exact INT32 dot product the scalar loops compute —
+// integer addition is associative and overflow-free at these layer sizes, so
+// any lane partitioning is bit-identical. Requantization reuses
+// rounding_shift_right/saturate_i8 verbatim, so results never depend on the
+// rung, only speed does.
 
 /// Vector ISA levels the kernels dispatch on, lowest first. kAmx is AVX-512
 /// plus the AMX-INT8 tile unit: every AVX-512 kernel runs unchanged at kAmx,
@@ -198,13 +203,13 @@ Isa active_isa();
 /// "scalar", "avx2", "avx512" or "amx".
 const char* isa_name(Isa isa);
 
-/// Test seam: while alive, every dispatch in this file (isa-selected kernels,
-/// gemm_batch_lanes(), the VNNI sub-INT8 path, the AMX rung) runs at
-/// most `cap`, so one host can exercise the lower tiers. Caps nest; the
-/// destructor restores the previous one. Not for production code: a cap
-/// changes speed only, never results. Create and destroy one only while no
-/// other thread runs these kernels — a batch sized for one lane width must
-/// not run at another.
+/// Test seam: while alive, every dispatch on the rung (the kernels in this
+/// file, gemm_batch_lanes(), the VNNI sub-INT8 path, the packed layers'
+/// operand form, the AMX rung) runs at most `cap`, so one host can exercise
+/// the lower tiers. Caps nest; the destructor restores the previous one. Not
+/// for production code: a cap changes speed only, never results. Create and
+/// destroy one only while no other thread runs these kernels — a batch sized
+/// for one lane width must not run at another.
 class ScopedIsaCap {
  public:
   explicit ScopedIsaCap(Isa cap);
@@ -215,17 +220,6 @@ class ScopedIsaCap {
  private:
   Isa previous_;
 };
-
-/// Bit-identical SIMD counterparts of gemv_i8 / gemv_acc_i8 / conv1d_i8.
-void gemv_i8_simd(const std::int8_t* w, std::size_t rows, std::size_t row_stride,
-                  std::size_t cols, const std::int8_t* x, const std::int32_t* bias,
-                  int shift, bool relu, std::int8_t* y);
-void gemv_acc_i8_simd(const std::int8_t* w, std::size_t rows,
-                      std::size_t row_stride, std::size_t cols,
-                      const std::int8_t* x, std::int32_t* acc);
-void conv1d_i8_simd(const std::int8_t* w, std::size_t out_ch, std::size_t in_ch,
-                    std::size_t kernel, const std::int8_t* x, std::size_t T,
-                    const std::int32_t* bias, int shift, bool relu, std::int8_t* y);
 
 // ---- Batch-lane GEMM (kernels_simd.cpp) ----
 //

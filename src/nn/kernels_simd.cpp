@@ -1,21 +1,24 @@
-// Explicit AVX2 / AVX-512 / AMX lowering of the INT8 kernels.
+// The ISA rungs and the kernels that dispatch on them: the per-window GEMV
+// and conv1d entry points (INT8, the INT4 plane and the biased sub-INT8
+// plane), the batch-lane GEMMs and the AMX tile GEMMs.
 //
-// The scalar kernels in kernels.cpp stay the semantic reference; everything
-// here must agree with them bit-for-bit. The vector strategy is the standard
-// INT8 pmaddwd ladder: sign-extend 8-bit operands to 16 bits, vpmaddwd
-// multiplies lane pairs and adds each pair into an INT32 lane (products are
-// <= 128*127 so a pair sum is <= 32512 — no saturation possible), and the
-// INT32 lanes accumulate across the row before one horizontal reduction per
-// output. Integer addition is associative and these layers are far too small
-// to overflow INT32, so the lane partitioning is exact, not approximate.
+// The reference loops (quantize.cpp, kernels.cpp) stay the semantic anchor;
+// every rung here must agree with them bit-for-bit. The vector strategy is
+// the standard INT8 pmaddwd ladder: widen 8-bit operands to 16 bits,
+// vpmaddwd multiplies lane pairs and adds each pair into an INT32 lane
+// (products are <= 128*127 so a pair sum is <= 32512 — no saturation
+// possible), and the INT32 lanes accumulate across the row before one
+// horizontal reduction per output. Integer addition is associative and these
+// layers are far too small to overflow INT32, so the lane partitioning is
+// exact, not approximate.
 //
 // Four weight rows are processed per pass so each widened x chunk is reused
-// four times, mirroring the blocking of the scalar kernels. Tails shorter
+// four times, mirroring the blocking of the scalar kernel. Tails shorter
 // than a vector chunk fall back to scalar multiplies feeding the same INT32
 // accumulator. ISA selection happens once via __builtin_cpu_supports and is
 // cached; compilation uses per-function target attributes so no global
 // -mavx* flags leak into the rest of the build (the baseline stays plain
-// x86-64 and non-AVX hosts still run everything through the scalar path).
+// x86-64 and non-AVX hosts still run everything through the scalar rung).
 // The AMX rung (Isa::kAmx) adds tile GEMMs for the batched CNN; everything
 // else runs its AVX-512 code there.
 #include <algorithm>
@@ -27,7 +30,20 @@
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define FENIX_SIMD_X86 1
+// GCC 12's avx512fintrin.h leaves `__Y` uninitialized inside several of its
+// own intrinsics, and every inlined use warns (about 90 `may be used
+// uninitialized` per -O3 compile of this file). Silence only that header, so
+// a real uninitialized read in the kernels below still warns. Clang lacks
+// -Wmaybe-uninitialized.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <immintrin.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 #if defined(__linux__)
 #include <sys/syscall.h>
 #include <unistd.h>
@@ -78,10 +94,20 @@ bool has_vnni() {
 // ---- AVX2: 16 columns per step (128-bit INT8 loads widened to 256-bit
 // INT16, vpmaddwd into 8 INT32 lanes). The bench models' layer widths are
 // all multiples of 16, so the scalar tail is usually empty.
+//
+// The dot bodies are templates over the weight byte type W: signed INT8
+// weights sign-extend, the biased sub-INT8 plane's unsigned bytes
+// zero-extend (widen16_* overloads); products and sums are the same.
 
 __attribute__((target("avx2"))) inline __m256i widen16_avx2(
     const std::int8_t* p) {
   return _mm256_cvtepi8_epi16(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+
+__attribute__((target("avx2"))) inline __m256i widen16_avx2(
+    const std::uint8_t* p) {
+  return _mm256_cvtepu8_epi16(
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
 }
 
@@ -95,10 +121,12 @@ __attribute__((target("avx2"))) inline std::int32_t hsum_avx2(__m256i v) {
 }
 
 // Dot products of four weight rows against x, sharing the widened x chunks.
-__attribute__((target("avx2"))) void dot4_avx2(
-    const std::int8_t* w0, const std::int8_t* w1, const std::int8_t* w2,
-    const std::int8_t* w3, const std::int8_t* x, std::size_t cols,
-    std::int32_t out[4]) {
+template <class W>
+__attribute__((target("avx2"))) void dot4_avx2(const W* w0, const W* w1,
+                                               const W* w2, const W* w3,
+                                               const std::int8_t* x,
+                                               std::size_t cols,
+                                               std::int32_t out[4]) {
   __m256i acc0 = _mm256_setzero_si256();
   __m256i acc1 = _mm256_setzero_si256();
   __m256i acc2 = _mm256_setzero_si256();
@@ -124,7 +152,8 @@ __attribute__((target("avx2"))) void dot4_avx2(
   }
 }
 
-__attribute__((target("avx2"))) void dot1_avx2(const std::int8_t* w,
+template <class W>
+__attribute__((target("avx2"))) void dot1_avx2(const W* w,
                                                const std::int8_t* x,
                                                std::size_t cols,
                                                std::int32_t* out) {
@@ -141,20 +170,6 @@ __attribute__((target("avx2"))) void dot1_avx2(const std::int8_t* w,
   *out = sum;
 }
 
-__attribute__((target("avx2"))) void gemv_acc_avx2(
-    const std::int8_t* w, std::size_t rows, std::size_t row_stride,
-    std::size_t cols, const std::int8_t* x, std::int32_t* acc) {
-  std::size_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    const std::int8_t* base = w + r * row_stride;
-    dot4_avx2(base, base + row_stride, base + 2 * row_stride,
-              base + 3 * row_stride, x, cols, acc + r);
-  }
-  for (; r < rows; ++r) {
-    dot1_avx2(w + r * row_stride, x, cols, acc + r);
-  }
-}
-
 // ---- AVX-512BW: 32 columns per step (256-bit INT8 loads widened to 512-bit
 // INT16, vpmaddwd into 16 INT32 lanes), with a 16-column AVX2 step for the
 // remainder before the scalar tail. target("avx512bw") implies AVX2, so the
@@ -166,10 +181,18 @@ __attribute__((target("avx512bw"))) inline __m512i widen16_avx512(
       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
 }
 
-__attribute__((target("avx512bw"))) void dot4_avx512(
-    const std::int8_t* w0, const std::int8_t* w1, const std::int8_t* w2,
-    const std::int8_t* w3, const std::int8_t* x, std::size_t cols,
-    std::int32_t out[4]) {
+__attribute__((target("avx512bw"))) inline __m512i widen16_avx512(
+    const std::uint8_t* p) {
+  return _mm512_cvtepu8_epi16(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+}
+
+template <class W>
+__attribute__((target("avx512bw"))) void dot4_avx512(const W* w0, const W* w1,
+                                                     const W* w2, const W* w3,
+                                                     const std::int8_t* x,
+                                                     std::size_t cols,
+                                                     std::int32_t out[4]) {
   __m512i acc0 = _mm512_setzero_si512();
   __m512i acc1 = _mm512_setzero_si512();
   __m512i acc2 = _mm512_setzero_si512();
@@ -207,7 +230,8 @@ __attribute__((target("avx512bw"))) void dot4_avx512(
   }
 }
 
-__attribute__((target("avx512bw"))) void dot1_avx512(const std::int8_t* w,
+template <class W>
+__attribute__((target("avx512bw"))) void dot1_avx512(const W* w,
                                                      const std::int8_t* x,
                                                      std::size_t cols,
                                                      std::int32_t* out) {
@@ -227,20 +251,6 @@ __attribute__((target("avx512bw"))) void dot1_avx512(const std::int8_t* w,
     sum += static_cast<std::int32_t>(w[c]) * static_cast<std::int32_t>(x[c]);
   }
   *out = sum;
-}
-
-__attribute__((target("avx512bw"))) void gemv_acc_avx512(
-    const std::int8_t* w, std::size_t rows, std::size_t row_stride,
-    std::size_t cols, const std::int8_t* x, std::int32_t* acc) {
-  std::size_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    const std::int8_t* base = w + r * row_stride;
-    dot4_avx512(base, base + row_stride, base + 2 * row_stride,
-                base + 3 * row_stride, x, cols, acc + r);
-  }
-  for (; r < rows; ++r) {
-    dot1_avx512(w + r * row_stride, x, cols, acc + r);
-  }
 }
 
 // ---- batch-lane GEMM ----
@@ -482,8 +492,9 @@ __attribute__((target("avx2"))) void avgpool_batch_avx2(
 //
 // The biased plane stores w + B as unsigned bytes (B = 1 ternary, 8 INT4).
 // Accumulating sum((w+B)*x) and subtracting B*sum(x) yields sum(w*x) as an
-// exact integer identity — no tolerance involved. All ISA levels accumulate
-// in the biased domain so one correction per row finishes the job.
+// exact integer identity — no tolerance involved. Every rung above kScalar
+// accumulates in the biased domain, so one correction per row finishes the
+// job. Without VNNI the plane runs the madd ladder above as W = uint8_t.
 
 // AVX-512VNNI: one dpbusd per row per 64 columns (u8 weights x s8
 // activations, 4-wide dot into each INT32 lane). This is the kernel that
@@ -535,136 +546,6 @@ __attribute__((target("avx512vnni,avx512bw"))) void dot1_sub8_vnni(
                               _mm512_maskz_loadu_epi8(m, x + c));
   }
   *out = _mm512_reduce_add_epi32(acc);
-}
-
-// AVX-512BW without VNNI: zero-extend the biased bytes and run the same madd
-// ladder as the INT8 kernels (pairs of (w+B)*x fit INT16 products easily).
-
-__attribute__((target("avx512bw"))) inline __m512i widenu16_avx512(
-    const std::uint8_t* p) {
-  return _mm512_cvtepu8_epi16(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
-}
-
-__attribute__((target("avx2"))) inline __m256i widenu16_avx2(
-    const std::uint8_t* p) {
-  return _mm256_cvtepu8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-}
-
-__attribute__((target("avx512bw"))) void dot4_sub8_avx512(
-    const std::uint8_t* w0, const std::uint8_t* w1, const std::uint8_t* w2,
-    const std::uint8_t* w3, const std::int8_t* x, std::size_t cols,
-    std::int32_t out[4]) {
-  __m512i acc0 = _mm512_setzero_si512();
-  __m512i acc1 = _mm512_setzero_si512();
-  __m512i acc2 = _mm512_setzero_si512();
-  __m512i acc3 = _mm512_setzero_si512();
-  std::size_t c = 0;
-  for (; c + 32 <= cols; c += 32) {
-    const __m512i xv = widen16_avx512(x + c);
-    acc0 = _mm512_add_epi32(acc0, _mm512_madd_epi16(widenu16_avx512(w0 + c), xv));
-    acc1 = _mm512_add_epi32(acc1, _mm512_madd_epi16(widenu16_avx512(w1 + c), xv));
-    acc2 = _mm512_add_epi32(acc2, _mm512_madd_epi16(widenu16_avx512(w2 + c), xv));
-    acc3 = _mm512_add_epi32(acc3, _mm512_madd_epi16(widenu16_avx512(w3 + c), xv));
-  }
-  out[0] = _mm512_reduce_add_epi32(acc0);
-  out[1] = _mm512_reduce_add_epi32(acc1);
-  out[2] = _mm512_reduce_add_epi32(acc2);
-  out[3] = _mm512_reduce_add_epi32(acc3);
-  for (; c < cols; ++c) {
-    const std::int32_t xv = x[c];
-    out[0] += static_cast<std::int32_t>(w0[c]) * xv;
-    out[1] += static_cast<std::int32_t>(w1[c]) * xv;
-    out[2] += static_cast<std::int32_t>(w2[c]) * xv;
-    out[3] += static_cast<std::int32_t>(w3[c]) * xv;
-  }
-}
-
-__attribute__((target("avx512bw"))) void dot1_sub8_avx512(
-    const std::uint8_t* w, const std::int8_t* x, std::size_t cols,
-    std::int32_t* out) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t c = 0;
-  for (; c + 32 <= cols; c += 32) {
-    acc = _mm512_add_epi32(
-        acc, _mm512_madd_epi16(widenu16_avx512(w + c), widen16_avx512(x + c)));
-  }
-  std::int32_t sum = _mm512_reduce_add_epi32(acc);
-  for (; c < cols; ++c) {
-    sum += static_cast<std::int32_t>(w[c]) * static_cast<std::int32_t>(x[c]);
-  }
-  *out = sum;
-}
-
-__attribute__((target("avx2"))) void dot4_sub8_avx2(
-    const std::uint8_t* w0, const std::uint8_t* w1, const std::uint8_t* w2,
-    const std::uint8_t* w3, const std::int8_t* x, std::size_t cols,
-    std::int32_t out[4]) {
-  __m256i acc0 = _mm256_setzero_si256();
-  __m256i acc1 = _mm256_setzero_si256();
-  __m256i acc2 = _mm256_setzero_si256();
-  __m256i acc3 = _mm256_setzero_si256();
-  std::size_t c = 0;
-  for (; c + 16 <= cols; c += 16) {
-    const __m256i xv = widen16_avx2(x + c);
-    acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(widenu16_avx2(w0 + c), xv));
-    acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(widenu16_avx2(w1 + c), xv));
-    acc2 = _mm256_add_epi32(acc2, _mm256_madd_epi16(widenu16_avx2(w2 + c), xv));
-    acc3 = _mm256_add_epi32(acc3, _mm256_madd_epi16(widenu16_avx2(w3 + c), xv));
-  }
-  out[0] = hsum_avx2(acc0);
-  out[1] = hsum_avx2(acc1);
-  out[2] = hsum_avx2(acc2);
-  out[3] = hsum_avx2(acc3);
-  for (; c < cols; ++c) {
-    const std::int32_t xv = x[c];
-    out[0] += static_cast<std::int32_t>(w0[c]) * xv;
-    out[1] += static_cast<std::int32_t>(w1[c]) * xv;
-    out[2] += static_cast<std::int32_t>(w2[c]) * xv;
-    out[3] += static_cast<std::int32_t>(w3[c]) * xv;
-  }
-}
-
-__attribute__((target("avx2"))) void dot1_sub8_avx2(const std::uint8_t* w,
-                                                    const std::int8_t* x,
-                                                    std::size_t cols,
-                                                    std::int32_t* out) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t c = 0;
-  for (; c + 16 <= cols; c += 16) {
-    acc = _mm256_add_epi32(
-        acc, _mm256_madd_epi16(widenu16_avx2(w + c), widen16_avx2(x + c)));
-  }
-  std::int32_t sum = hsum_avx2(acc);
-  for (; c < cols; ++c) {
-    sum += static_cast<std::int32_t>(w[c]) * static_cast<std::int32_t>(x[c]);
-  }
-  *out = sum;
-}
-
-// Dispatches one 4-row / 1-row biased-domain dot to the best ISA.
-void dot4_sub8(const std::uint8_t* w0, const std::uint8_t* w1,
-               const std::uint8_t* w2, const std::uint8_t* w3,
-               const std::int8_t* x, std::size_t cols, std::int32_t out[4]) {
-  if (has_vnni()) {
-    dot4_sub8_vnni(w0, w1, w2, w3, x, cols, out);
-  } else if (isa() >= Isa::kAvx512) {
-    dot4_sub8_avx512(w0, w1, w2, w3, x, cols, out);
-  } else {
-    dot4_sub8_avx2(w0, w1, w2, w3, x, cols, out);
-  }
-}
-
-void dot1_sub8(const std::uint8_t* w, const std::int8_t* x, std::size_t cols,
-               std::int32_t* out) {
-  if (has_vnni()) {
-    dot1_sub8_vnni(w, x, cols, out);
-  } else if (isa() >= Isa::kAvx512) {
-    dot1_sub8_avx512(w, x, cols, out);
-  } else {
-    dot1_sub8_avx2(w, x, cols, out);
-  }
 }
 
 // ---- AMX-INT8 tile GEMM ----
@@ -857,20 +738,140 @@ std::int32_t sum_x_i32(const std::int8_t* x, std::size_t cols) {
   return s;
 }
 
-// Scalar sub-INT8 fallback: multiply out the biased plane directly. Same
-// integer sums, so non-AVX hosts stay bit-identical.
-void gemv_acc_sub8_scalar(const std::uint8_t* biased, std::size_t rows,
-                          std::size_t row_stride, std::size_t cols,
-                          int weight_bias, const std::int8_t* x,
-                          std::int32_t* acc) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::uint8_t* wr = biased + r * row_stride;
-    std::int32_t a = 0;
+// ---- Per-window GEMV rungs ----
+//
+// A rung's accumulate function writes acc[r] = w_r . x for rows [0, rows),
+// four weight rows per pass over x; gemv_rows and conv1d_rows below turn any
+// of them into the requantizing GEMV and the 'same'-padded conv1d.
+
+template <class W>
+using RowsFn = void (*)(const W* w, std::size_t rows, std::size_t row_stride,
+                        std::size_t cols, const std::int8_t* x,
+                        std::int32_t* acc);
+
+// kScalar INT8: 4-row blocks, so one pass over x feeds four accumulators
+// while the weight rows stream through (-O3 vectorizes the column loop at
+// the baseline ISA); leftover rows take dot_i8.
+void blocked_rows(const std::int8_t* w, std::size_t rows,
+                  std::size_t row_stride, std::size_t cols,
+                  const std::int8_t* x, std::int32_t* acc) {
+  std::size_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    const std::int8_t* w0 = w + (r + 0) * row_stride;
+    const std::int8_t* w1 = w + (r + 1) * row_stride;
+    const std::int8_t* w2 = w + (r + 2) * row_stride;
+    const std::int8_t* w3 = w + (r + 3) * row_stride;
+    std::int32_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;
     for (std::size_t c = 0; c < cols; ++c) {
-      a += (static_cast<std::int32_t>(wr[c]) - weight_bias) *
-           static_cast<std::int32_t>(x[c]);
+      const auto xv = static_cast<std::int32_t>(x[c]);
+      a0 += static_cast<std::int32_t>(w0[c]) * xv;
+      a1 += static_cast<std::int32_t>(w1[c]) * xv;
+      a2 += static_cast<std::int32_t>(w2[c]) * xv;
+      a3 += static_cast<std::int32_t>(w3[c]) * xv;
     }
-    acc[r] = a;
+    acc[r + 0] = a0;
+    acc[r + 1] = a1;
+    acc[r + 2] = a2;
+    acc[r + 3] = a3;
+  }
+  for (; r < rows; ++r) acc[r] = dot_i8(w + r * row_stride, x, cols);
+}
+
+#if FENIX_SIMD_X86
+// The rungs above kScalar: `dot4` takes four rows per pass and `dot1` the
+// leftover rows.
+template <class W, auto dot4, auto dot1>
+void ladder_rows(const W* w, std::size_t rows, std::size_t row_stride,
+                 std::size_t cols, const std::int8_t* x, std::int32_t* acc) {
+  std::size_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    const W* base = w + r * row_stride;
+    dot4(base, base + row_stride, base + 2 * row_stride, base + 3 * row_stride,
+         x, cols, acc + r);
+  }
+  for (; r < rows; ++r) dot1(w + r * row_stride, x, cols, acc + r);
+}
+#endif
+
+// The INT8 accumulate of the active rung; kAmx runs the AVX-512 ladder.
+RowsFn<std::int8_t> int8_rows() {
+#if FENIX_SIMD_X86
+  switch (isa()) {
+    case Isa::kAmx:
+    case Isa::kAvx512:
+      return ladder_rows<std::int8_t, dot4_avx512<std::int8_t>,
+                         dot1_avx512<std::int8_t>>;
+    case Isa::kAvx2:
+      return ladder_rows<std::int8_t, dot4_avx2<std::int8_t>,
+                         dot1_avx2<std::int8_t>>;
+    case Isa::kScalar:
+      break;
+  }
+#endif
+  return blocked_rows;
+}
+
+// The biased plane's accumulate, for rungs above kScalar only (below them
+// the packed layers run the multiply-free kernels): VNNI dpbusd when the host
+// has it, else the madd ladder over zero-extended bytes.
+RowsFn<std::uint8_t> biased_rows() {
+#if FENIX_SIMD_X86
+  if (has_vnni()) {
+    return ladder_rows<std::uint8_t, dot4_sub8_vnni, dot1_sub8_vnni>;
+  }
+  if (isa() >= Isa::kAvx512) {
+    return ladder_rows<std::uint8_t, dot4_avx512<std::uint8_t>,
+                       dot1_avx512<std::uint8_t>>;
+  }
+  return ladder_rows<std::uint8_t, dot4_avx2<std::uint8_t>,
+                     dot1_avx2<std::uint8_t>>;
+#else
+  return nullptr;  // Off x86-64 no rung is above kScalar.
+#endif
+}
+
+// The requantizing GEMV of every rung and weight form: y[r] =
+// requantize(bias[r] + w_r . x - B * sum(x)), with row r's shift at
+// shift[r * shift_step] (step 0: one layer shift; 1: per-row shifts; a
+// template argument, so a layer shift stays loop-invariant). B is the biased
+// plane's weight bias, 0 for signed weights. Rows go through acc_rows 64 at
+// a time, so its indirect call is paid per chunk, not per 4-row block.
+template <std::size_t shift_step, class W>
+void gemv_rows(RowsFn<W> acc_rows, const W* w, std::size_t rows,
+               std::size_t row_stride, std::size_t cols, int weight_bias,
+               const std::int8_t* x, const std::int32_t* bias,
+               const std::int32_t* shift, bool relu, std::int8_t* y) {
+  constexpr std::size_t kChunk = 64;
+  const std::int32_t corr =
+      weight_bias == 0 ? 0 : weight_bias * sum_x_i32(x, cols);
+  std::int32_t acc[kChunk] = {};
+  for (std::size_t r = 0; r < rows; r += kChunk) {
+    const std::size_t n = std::min(kChunk, rows - r);
+    acc_rows(w + r * row_stride, n, row_stride, cols, x, acc);
+    for (std::size_t i = 0; i < n; ++i) {
+      y[r + i] = requantize(acc[i] - corr, bias[r + i],
+                            shift[(r + i) * shift_step], relu);
+    }
+  }
+}
+
+// 1-D convolution, 'same' padding, stride 1: one gemv_rows per output
+// timestep over its valid taps. Taps outside [0, T) contribute nothing, and
+// the survivors address one contiguous span of both x and each weight row
+// (row stride in_ch * kernel), so edges cost no branches in the inner loops.
+template <std::size_t shift_step, class W>
+void conv1d_rows(RowsFn<W> acc_rows, const W* w, std::size_t out_ch,
+                 std::size_t in_ch, std::size_t kernel, int weight_bias,
+                 const std::int8_t* x, std::size_t T, const std::int32_t* bias,
+                 const std::int32_t* shift, bool relu, std::int8_t* y) {
+  const std::size_t pad = kernel / 2;
+  for (std::size_t t = 0; t < T; ++t) {
+    const std::size_t k_lo = pad > t ? pad - t : 0;
+    const std::size_t k_hi = t + (kernel - pad) <= T ? kernel : T + pad - t;
+    gemv_rows<shift_step>(acc_rows, w + k_lo * in_ch, out_ch, in_ch * kernel,
+                          (k_hi - k_lo) * in_ch, weight_bias,
+                          x + (t + k_lo - pad) * in_ch, bias, shift, relu,
+                          y + t * out_ch);
   }
 }
 
@@ -933,121 +934,57 @@ ScopedIsaCap::~ScopedIsaCap() {
   g_isa_cap.store(previous_, std::memory_order_relaxed);
 }
 
-
-void gemv_acc_i8_simd(const std::int8_t* w, std::size_t rows,
-                      std::size_t row_stride, std::size_t cols,
-                      const std::int8_t* x, std::int32_t* acc) {
-#if FENIX_SIMD_X86
-  switch (isa()) {
-    case Isa::kAmx:
-    case Isa::kAvx512:
-      gemv_acc_avx512(w, rows, row_stride, cols, x, acc);
-      return;
-    case Isa::kAvx2:
-      gemv_acc_avx2(w, rows, row_stride, cols, x, acc);
-      return;
-    case Isa::kScalar:
-      break;
-  }
-#endif
-  gemv_acc_i8(w, rows, row_stride, cols, x, acc);
+void gemv_acc_i8(const std::int8_t* w, std::size_t rows, std::size_t row_stride,
+                 std::size_t cols, const std::int8_t* x, std::int32_t* acc) {
+  int8_rows()(w, rows, row_stride, cols, x, acc);
 }
 
-void gemv_i8_simd(const std::int8_t* w, std::size_t rows,
-                  std::size_t row_stride, std::size_t cols,
-                  const std::int8_t* x, const std::int32_t* bias, int shift,
-                  bool relu, std::int8_t* y) {
-#if FENIX_SIMD_X86
-  if (isa() != Isa::kScalar) {
-    std::size_t r = 0;
-    std::int32_t acc[4];
-    for (; r + 4 <= rows; r += 4) {
-      const std::int8_t* base = w + r * row_stride;
-      if (isa() >= Isa::kAvx512) {
-        dot4_avx512(base, base + row_stride, base + 2 * row_stride,
-                    base + 3 * row_stride, x, cols, acc);
-      } else {
-        dot4_avx2(base, base + row_stride, base + 2 * row_stride,
-                  base + 3 * row_stride, x, cols, acc);
-      }
-      for (int i = 0; i < 4; ++i) {
-        y[r + i] = requantize(acc[i], bias[r + i], shift, relu);
-      }
-    }
-    for (; r < rows; ++r) {
-      if (isa() >= Isa::kAvx512) {
-        dot1_avx512(w + r * row_stride, x, cols, acc);
-      } else {
-        dot1_avx2(w + r * row_stride, x, cols, acc);
-      }
-      y[r] = requantize(acc[0], bias[r], shift, relu);
-    }
-    return;
-  }
-#endif
-  gemv_i8(w, rows, row_stride, cols, x, bias, shift, relu, y);
+void gemv_i8(const std::int8_t* w, std::size_t rows, std::size_t row_stride,
+             std::size_t cols, const std::int8_t* x, const std::int32_t* bias,
+             int shift, bool relu, std::int8_t* y) {
+  const std::int32_t layer_shift = shift;
+  gemv_rows<0>(int8_rows(), w, rows, row_stride, cols, 0, x, bias,
+               &layer_shift, relu, y);
+}
+
+void conv1d_i8(const std::int8_t* w, std::size_t out_ch, std::size_t in_ch,
+               std::size_t kernel, const std::int8_t* x, std::size_t T,
+               const std::int32_t* bias, int shift, bool relu, std::int8_t* y) {
+  const std::int32_t layer_shift = shift;
+  conv1d_rows<0>(int8_rows(), w, out_ch, in_ch, kernel, 0, x, T, bias,
+                 &layer_shift, relu, y);
+}
+
+void gemv_i4(const std::int8_t* plane, std::size_t rows, std::size_t row_stride,
+             std::size_t cols, const std::int8_t* x, const std::int32_t* bias,
+             const std::int32_t* shift, bool relu, std::int8_t* y) {
+  gemv_rows<1>(gemv_acc_i4, plane, rows, row_stride, cols, 0, x, bias, shift,
+               relu, y);
+}
+
+void conv1d_i4(const std::int8_t* plane, std::size_t out_ch, std::size_t in_ch,
+               std::size_t kernel, const std::int8_t* x, std::size_t T,
+               const std::int32_t* bias, const std::int32_t* shift, bool relu,
+               std::int8_t* y) {
+  conv1d_rows<1>(gemv_acc_i4, plane, out_ch, in_ch, kernel, 0, x, T, bias,
+                 shift, relu, y);
 }
 
 void gemv_acc_sub8_simd(const std::uint8_t* biased, std::size_t rows,
                         std::size_t row_stride, std::size_t cols,
                         int weight_bias, const std::int8_t* x,
                         std::int32_t* acc) {
-#if FENIX_SIMD_X86
-  if (isa() != Isa::kScalar) {
-    const std::int32_t corr = weight_bias * sum_x_i32(x, cols);
-    std::size_t r = 0;
-    for (; r + 4 <= rows; r += 4) {
-      const std::uint8_t* base = biased + r * row_stride;
-      std::int32_t raw[4];
-      dot4_sub8(base, base + row_stride, base + 2 * row_stride,
-                base + 3 * row_stride, x, cols, raw);
-      acc[r + 0] = raw[0] - corr;
-      acc[r + 1] = raw[1] - corr;
-      acc[r + 2] = raw[2] - corr;
-      acc[r + 3] = raw[3] - corr;
-    }
-    for (; r < rows; ++r) {
-      std::int32_t raw;
-      dot1_sub8(biased + r * row_stride, x, cols, &raw);
-      acc[r] = raw - corr;
-    }
-    return;
-  }
-#endif
-  gemv_acc_sub8_scalar(biased, rows, row_stride, cols, weight_bias, x, acc);
+  biased_rows()(biased, rows, row_stride, cols, x, acc);
+  const std::int32_t corr = weight_bias * sum_x_i32(x, cols);
+  for (std::size_t r = 0; r < rows; ++r) acc[r] -= corr;
 }
 
 void gemv_sub8_simd(const std::uint8_t* biased, std::size_t rows,
                     std::size_t row_stride, std::size_t cols, int weight_bias,
                     const std::int8_t* x, const std::int32_t* bias,
                     const std::int32_t* shift, bool relu, std::int8_t* y) {
-#if FENIX_SIMD_X86
-  if (isa() != Isa::kScalar) {
-    const std::int32_t corr = weight_bias * sum_x_i32(x, cols);
-    std::size_t r = 0;
-    std::int32_t raw[4];
-    for (; r + 4 <= rows; r += 4) {
-      const std::uint8_t* base = biased + r * row_stride;
-      dot4_sub8(base, base + row_stride, base + 2 * row_stride,
-                base + 3 * row_stride, x, cols, raw);
-      for (int i = 0; i < 4; ++i) {
-        y[r + i] =
-            requantize(raw[i] - corr, bias[r + i], shift[r + i], relu);
-      }
-    }
-    for (; r < rows; ++r) {
-      dot1_sub8(biased + r * row_stride, x, cols, raw);
-      y[r] = requantize(raw[0] - corr, bias[r], shift[r], relu);
-    }
-    return;
-  }
-#endif
-  std::int32_t a;
-  for (std::size_t r = 0; r < rows; ++r) {
-    gemv_acc_sub8_scalar(biased + r * row_stride, 1, row_stride, cols,
-                         weight_bias, x, &a);
-    y[r] = requantize(a, bias[r], shift[r], relu);
-  }
+  gemv_rows<1>(biased_rows(), biased, rows, row_stride, cols, weight_bias, x,
+               bias, shift, relu, y);
 }
 
 void conv1d_sub8_simd(const std::uint8_t* biased, std::size_t out_ch,
@@ -1055,19 +992,8 @@ void conv1d_sub8_simd(const std::uint8_t* biased, std::size_t out_ch,
                       const std::int8_t* x, std::size_t T,
                       const std::int32_t* bias, const std::int32_t* shift,
                       bool relu, std::int8_t* y) {
-  const std::size_t pad = kernel / 2;
-  const std::size_t row_stride = in_ch * kernel;
-  for (std::size_t ti = 0; ti < T; ++ti) {
-    // Valid tap window, as in conv1d_i8_simd: survivors form one contiguous
-    // span of both x and each (biased) weight row.
-    const std::size_t k_lo = pad > ti ? pad - ti : 0;
-    const std::size_t k_hi = ti + (kernel - pad) <= T ? kernel : T + pad - ti;
-    const std::size_t span = (k_hi - k_lo) * in_ch;
-    const std::int8_t* xs = x + (ti + k_lo - pad) * in_ch;
-    const std::uint8_t* ws = biased + k_lo * in_ch;
-    gemv_sub8_simd(ws, out_ch, row_stride, span, weight_bias, xs, bias, shift,
-                   relu, y + ti * out_ch);
-  }
+  conv1d_rows<1>(biased_rows(), biased, out_ch, in_ch, kernel, weight_bias, x,
+                 T, bias, shift, relu, y);
 }
 
 std::size_t gemm_batch_lanes() {
@@ -1174,31 +1100,6 @@ void avgpool_i8_batch(const std::int32_t* x, std::size_t T, std::size_t cpairs,
     out[kp] = pack_pair(saturate_i8(rounding_shift_right(lo * multiplier, shift)),
                         saturate_i8(rounding_shift_right(hi * multiplier, shift)));
   }
-}
-
-void conv1d_i8_simd(const std::int8_t* w, std::size_t out_ch,
-                    std::size_t in_ch, std::size_t kernel, const std::int8_t* x,
-                    std::size_t T, const std::int32_t* bias, int shift,
-                    bool relu, std::int8_t* y) {
-#if FENIX_SIMD_X86
-  if (isa() != Isa::kScalar) {
-    const std::size_t pad = kernel / 2;
-    for (std::size_t ti = 0; ti < T; ++ti) {
-      // Valid tap window [k_lo, k_hi): taps that stay inside [0, T). Matches
-      // the scalar conv1d_i8 edge handling exactly.
-      const std::size_t k_lo = pad > ti ? pad - ti : 0;
-      const std::size_t k_hi =
-          ti + (kernel - pad) <= T ? kernel : T + pad - ti;
-      const std::size_t span = (k_hi - k_lo) * in_ch;
-      const std::int8_t* xs = x + (ti + k_lo - pad) * in_ch;
-      const std::int8_t* ws = w + k_lo * in_ch;
-      gemv_i8_simd(ws, out_ch, in_ch * kernel, span, xs, bias, shift, relu,
-                   y + ti * out_ch);
-    }
-    return;
-  }
-#endif
-  conv1d_i8(w, out_ch, in_ch, kernel, x, T, bias, shift, relu, y);
 }
 
 TileWeights pack_tile_weights(const std::int8_t* w, std::size_t rows,

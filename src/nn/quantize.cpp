@@ -90,6 +90,20 @@ void sub8_bias_shift(const QPackedMatrix& w, const std::vector<float>& fbias,
   }
 }
 
+// acc[r] = w_r . x over a packed matrix: the multiply-free kernels at
+// Isa::kScalar, the biased-plane ladder above it.
+void packed_gemv_acc(const QPackedMatrix& w, const PackedOperands& ops,
+                     const std::int8_t* x, std::int32_t* acc) {
+  if (kernels::active_isa() != kernels::Isa::kScalar) {
+    kernels::gemv_acc_sub8_simd(ops.biased.data(), w.rows, w.cols, w.cols,
+                                sub8_weight_bias(w.precision), x, acc);
+  } else if (w.precision == Precision::kTernary) {
+    kernels::gemv_acc_ternary(ops.idx.data(), ops.seg.data(), w.rows, x, acc);
+  } else {
+    kernels::gemv_acc_i4(ops.plane.data(), w.rows, w.cols, w.cols, x, acc);
+  }
+}
+
 }  // namespace
 
 QPackedMatrix QPackedMatrix::from(const Matrix& m, Precision p) {
@@ -234,20 +248,17 @@ QPackedDense QPackedDense::from(const Dense& d, Precision p, int in_exponent,
 
 void QPackedDense::forward(const std::int8_t* x, std::int8_t* y,
                            bool relu) const {
-  if (w.precision == Precision::kTernary) {
+  if (kernels::active_isa() != kernels::Isa::kScalar) {
+    kernels::gemv_sub8_simd(ops.biased.data(), w.rows, w.cols, w.cols,
+                            sub8_weight_bias(w.precision), x, bias.data(),
+                            shift.data(), relu, y);
+  } else if (w.precision == Precision::kTernary) {
     kernels::gemv_ternary(ops.idx.data(), ops.seg.data(), w.rows, x,
                           bias.data(), shift.data(), relu, y);
   } else {
     kernels::gemv_i4(ops.plane.data(), w.rows, w.cols, w.cols, x, bias.data(),
                      shift.data(), relu, y);
   }
-}
-
-void QPackedDense::forward_simd(const std::int8_t* x, std::int8_t* y,
-                                bool relu) const {
-  kernels::gemv_sub8_simd(ops.biased.data(), w.rows, w.cols, w.cols,
-                          sub8_weight_bias(w.precision), x, bias.data(),
-                          shift.data(), relu, y);
 }
 
 void QPackedDense::forward_reference(const std::int8_t* x, std::int8_t* y,
@@ -280,20 +291,17 @@ QPackedConv1D QPackedConv1D::from(const Conv1D& c, Precision p, int in_exponent,
 
 void QPackedConv1D::forward(const std::int8_t* x, std::size_t T, std::int8_t* y,
                             bool relu) const {
-  if (w.precision == Precision::kTernary) {
+  if (kernels::active_isa() != kernels::Isa::kScalar) {
+    kernels::conv1d_sub8_simd(ops.biased.data(), out_ch, in_ch, kernel,
+                              sub8_weight_bias(w.precision), x, T, bias.data(),
+                              shift.data(), relu, y);
+  } else if (w.precision == Precision::kTernary) {
     kernels::conv1d_ternary(ops.idx.data(), ops.seg.data(), out_ch, in_ch,
                             kernel, x, T, bias.data(), shift.data(), relu, y);
   } else {
     kernels::conv1d_i4(ops.plane.data(), out_ch, in_ch, kernel, x, T,
                        bias.data(), shift.data(), relu, y);
   }
-}
-
-void QPackedConv1D::forward_simd(const std::int8_t* x, std::size_t T,
-                                 std::int8_t* y, bool relu) const {
-  kernels::conv1d_sub8_simd(ops.biased.data(), out_ch, in_ch, kernel,
-                            sub8_weight_bias(w.precision), x, T, bias.data(),
-                            shift.data(), relu, y);
 }
 
 void QPackedConv1D::forward_reference(const std::int8_t* x, std::size_t T,
@@ -354,12 +362,6 @@ void QDense::forward(const std::int8_t* x, std::int8_t* y, bool relu) const {
                    relu, y);
 }
 
-void QDense::forward_simd(const std::int8_t* x, std::int8_t* y, bool relu) const {
-  const int shift = out_exponent - (w.exponent + in_exponent);
-  kernels::gemv_i8_simd(w.data.data(), w.rows, w.cols, w.cols, x, bias.data(),
-                        shift, relu, y);
-}
-
 void QDense::forward_reference(const std::int8_t* x, std::int8_t* y, bool relu) const {
   const int shift = out_exponent - (w.exponent + in_exponent);
   for (std::size_t r = 0; r < w.rows; ++r) {
@@ -399,13 +401,6 @@ void QConv1D::forward(const std::int8_t* x, std::size_t T, std::int8_t* y,
   const int shift = out_exponent - (w.exponent + in_exponent);
   kernels::conv1d_i8(w.data.data(), out_ch, in_ch, kernel, x, T, bias.data(),
                      shift, relu, y);
-}
-
-void QConv1D::forward_simd(const std::int8_t* x, std::size_t T, std::int8_t* y,
-                           bool relu) const {
-  const int shift = out_exponent - (w.exponent + in_exponent);
-  kernels::conv1d_i8_simd(w.data.data(), out_ch, in_ch, kernel, x, T,
-                          bias.data(), shift, relu, y);
 }
 
 void QConv1D::forward_reference(const std::int8_t* x, std::size_t T, std::int8_t* y,
@@ -698,112 +693,58 @@ QuantizedCnn::QuantizedCnn(const CnnClassifier& model,
 
 const std::vector<std::int32_t>& QuantizedCnn::logits_q(
     const std::vector<Token>& tokens, Scratch& s) const {
-  return logits_q_impl(tokens.data(), s, /*simd=*/false);
+  return logits_q_impl(tokens.data(), s);
 }
 
 const std::vector<std::int32_t>& QuantizedCnn::logits_q_impl(
-    const Token* tokens, Scratch& s, bool simd) const {
+    const Token* tokens, Scratch& s) const {
   if (precision_ == Precision::kFp32) return logits_q_fp32(tokens, s);
-  if (precision_ != Precision::kInt8) return logits_q_sub8(tokens, s, simd);
   const std::size_t T = config_.seq_len;
   const std::size_t E = config_.embed_dim();
 
-  // One sizing pass: the two activation planes ping-pong through every layer,
-  // so each is sized to the widest plane the pipeline ever holds.
-  std::size_t max_elems = T * E;
-  for (const QConv1D& conv : convs_) max_elems = std::max(max_elems, T * conv.out_ch);
-  for (const QDense& fc : fcs_) max_elems = std::max(max_elems, fc.w.rows);
-  s.act_a.resize(max_elems);
-  s.act_b.resize(max_elems);
+  // One pipeline for the INT8 (convs_, fcs_) and packed sub-INT8 (pconvs_,
+  // pfcs_) layers: the two differ only in type.
+  const auto run = [&](const auto& convs,
+                       const auto& fcs) -> const std::vector<std::int32_t>& {
+    // One sizing pass: the two activation planes ping-pong through every
+    // layer, so each is sized to the widest plane the pipeline ever holds.
+    std::size_t max_elems = T * E;
+    for (const auto& conv : convs) max_elems = std::max(max_elems, T * conv.out_ch);
+    for (const auto& fc : fcs) max_elems = std::max(max_elems, fc.w.rows);
+    s.act_a.resize(max_elems);
+    s.act_b.resize(max_elems);
 
-  std::int8_t* cur = s.act_a.data();
-  std::int8_t* next = s.act_b.data();
-  for (std::size_t t = 0; t < T; ++t) {
-    std::memcpy(cur + t * E, len_embed_.row(tokens[t][0]), config_.len_embed_dim);
-    std::memcpy(cur + t * E + config_.len_embed_dim, ipd_embed_.row(tokens[t][1]),
-                config_.ipd_embed_dim);
-  }
-  for (const QConv1D& conv : convs_) {
-    if (simd) {
-      conv.forward_simd(cur, T, next, /*relu=*/true);
-    } else {
+    std::int8_t* cur = s.act_a.data();
+    std::int8_t* next = s.act_b.data();
+    for (std::size_t t = 0; t < T; ++t) {
+      std::memcpy(cur + t * E, len_embed_.row(tokens[t][0]), config_.len_embed_dim);
+      std::memcpy(cur + t * E + config_.len_embed_dim, ipd_embed_.row(tokens[t][1]),
+                  config_.ipd_embed_dim);
+    }
+    for (const auto& conv : convs) {
       conv.forward(cur, T, next, /*relu=*/true);
+      std::swap(cur, next);
+    }
+    // Average pool: integer sum, fixed-point multiply by 1/T, requantize.
+    const std::size_t C = convs.empty() ? E : convs.back().out_ch;
+    const int shift = 15 + (pool_out_exponent_ - pool_in_exponent_);
+    for (std::size_t c = 0; c < C; ++c) {
+      std::int64_t sum = 0;
+      for (std::size_t t = 0; t < T; ++t) sum += cur[t * C + c];
+      const std::int64_t scaled = sum * pool_multiplier_;
+      next[c] = saturate_i8(rounding_shift_right(scaled, shift));
     }
     std::swap(cur, next);
-  }
-  // Average pool: integer sum, fixed-point multiply by 1/T, requantize.
-  const std::size_t C = convs_.empty() ? E : convs_.back().out_ch;
-  const int shift = 15 + (pool_out_exponent_ - pool_in_exponent_);
-  for (std::size_t c = 0; c < C; ++c) {
-    std::int64_t sum = 0;
-    for (std::size_t t = 0; t < T; ++t) sum += cur[t * C + c];
-    const std::int64_t scaled = sum * pool_multiplier_;
-    next[c] = saturate_i8(rounding_shift_right(scaled, shift));
-  }
-  std::swap(cur, next);
-  for (std::size_t i = 0; i < fcs_.size(); ++i) {
-    if (simd) {
-      fcs_[i].forward_simd(cur, next, /*relu=*/i + 1 < fcs_.size());
-    } else {
-      fcs_[i].forward(cur, next, /*relu=*/i + 1 < fcs_.size());
+    for (std::size_t i = 0; i < fcs.size(); ++i) {
+      fcs[i].forward(cur, next, /*relu=*/i + 1 < fcs.size());
+      std::swap(cur, next);
     }
-    std::swap(cur, next);
-  }
-  const std::size_t out_dim = fcs_.empty() ? C : fcs_.back().w.rows;
-  s.logits.resize(fcs_.empty() ? 0 : out_dim);
-  for (std::size_t i = 0; i < s.logits.size(); ++i) s.logits[i] = cur[i];
-  return s.logits;
-}
-
-const std::vector<std::int32_t>& QuantizedCnn::logits_q_sub8(
-    const Token* tokens, Scratch& s, bool simd) const {
-  const std::size_t T = config_.seq_len;
-  const std::size_t E = config_.embed_dim();
-
-  std::size_t max_elems = T * E;
-  for (const QPackedConv1D& conv : pconvs_) {
-    max_elems = std::max(max_elems, T * conv.out_ch);
-  }
-  for (const QPackedDense& fc : pfcs_) max_elems = std::max(max_elems, fc.w.rows);
-  s.act_a.resize(max_elems);
-  s.act_b.resize(max_elems);
-
-  std::int8_t* cur = s.act_a.data();
-  std::int8_t* next = s.act_b.data();
-  for (std::size_t t = 0; t < T; ++t) {
-    std::memcpy(cur + t * E, len_embed_.row(tokens[t][0]), config_.len_embed_dim);
-    std::memcpy(cur + t * E + config_.len_embed_dim, ipd_embed_.row(tokens[t][1]),
-                config_.ipd_embed_dim);
-  }
-  for (const QPackedConv1D& conv : pconvs_) {
-    if (simd) {
-      conv.forward_simd(cur, T, next, /*relu=*/true);
-    } else {
-      conv.forward(cur, T, next, /*relu=*/true);
-    }
-    std::swap(cur, next);
-  }
-  const std::size_t C = pconvs_.empty() ? E : pconvs_.back().out_ch;
-  const int shift = 15 + (pool_out_exponent_ - pool_in_exponent_);
-  for (std::size_t c = 0; c < C; ++c) {
-    std::int64_t sum = 0;
-    for (std::size_t t = 0; t < T; ++t) sum += cur[t * C + c];
-    const std::int64_t scaled = sum * pool_multiplier_;
-    next[c] = saturate_i8(rounding_shift_right(scaled, shift));
-  }
-  std::swap(cur, next);
-  for (std::size_t i = 0; i < pfcs_.size(); ++i) {
-    if (simd) {
-      pfcs_[i].forward_simd(cur, next, /*relu=*/i + 1 < pfcs_.size());
-    } else {
-      pfcs_[i].forward(cur, next, /*relu=*/i + 1 < pfcs_.size());
-    }
-    std::swap(cur, next);
-  }
-  const std::size_t out_dim = pfcs_.empty() ? C : pfcs_.back().w.rows;
-  s.logits.resize(pfcs_.empty() ? 0 : out_dim);
-  for (std::size_t i = 0; i < s.logits.size(); ++i) s.logits[i] = cur[i];
-  return s.logits;
+    const std::size_t out_dim = fcs.empty() ? C : fcs.back().w.rows;
+    s.logits.resize(fcs.empty() ? 0 : out_dim);
+    for (std::size_t i = 0; i < s.logits.size(); ++i) s.logits[i] = cur[i];
+    return s.logits;
+  };
+  return precision_ == Precision::kInt8 ? run(convs_, fcs_) : run(pconvs_, pfcs_);
 }
 
 const std::vector<std::int32_t>& QuantizedCnn::logits_q_fp32(
@@ -832,7 +773,7 @@ void QuantizedCnn::predict_batch(const Token* tokens, std::size_t count,
   const std::size_t T = config_.seq_len;
   if (!batch_ok_) {
     for (std::size_t i = 0; i < count; ++i) {
-      const auto& q = logits_q_impl(tokens + i * T, s, /*simd=*/true);
+      const auto& q = logits_q_impl(tokens + i * T, s);
       out[i] = static_cast<std::int16_t>(std::max_element(q.begin(), q.end()) -
                                          q.begin());
     }
@@ -1211,7 +1152,7 @@ QuantizedRnn::QuantizedRnn(const RnnClassifier& model,
 
 std::int16_t QuantizedRnn::predict(const std::vector<Token>& tokens,
                                    Scratch& s) const {
-  return predict_impl(tokens.data(), s, /*simd=*/false);
+  return predict_impl(tokens.data(), s);
 }
 
 void QuantizedRnn::predict_batch(const Token* tokens, std::size_t count,
@@ -1219,7 +1160,7 @@ void QuantizedRnn::predict_batch(const Token* tokens, std::size_t count,
   const std::size_t T = config_.seq_len;
   if (!batch_ok_) {
     for (std::size_t i = 0; i < count; ++i) {
-      out[i] = predict_impl(tokens + i * T, s, /*simd=*/true);
+      out[i] = predict_impl(tokens + i * T, s);
     }
     return;
   }
@@ -1284,18 +1225,18 @@ void QuantizedRnn::predict_batch(const Token* tokens, std::size_t count,
   }
 }
 
-std::int16_t QuantizedRnn::predict_impl(const Token* tokens, Scratch& s,
-                                        bool simd) const {
+std::int16_t QuantizedRnn::predict_impl(const Token* tokens, Scratch& s) const {
   if (precision_ == Precision::kFp32) {
     const std::vector<Token> seq(tokens, tokens + config_.seq_len);
     return float_model_->predict(seq);
   }
-  if (precision_ != Precision::kInt8) return predict_sub8(tokens, s, simd);
+  const bool int8 = precision_ == Precision::kInt8;
   const std::size_t T = config_.seq_len;
   const std::size_t E = config_.embed_dim();
   const std::size_t U = config_.units;
   std::size_t max_elems = std::max(E, U);
   for (const QDense& fc : fcs_) max_elems = std::max(max_elems, fc.w.rows);
+  for (const QPackedDense& fc : pfcs_) max_elems = std::max(max_elems, fc.w.rows);
   s.act_a.resize(max_elems);            // x, then the FC ping plane
   s.act_b.resize(max_elems);            // h, then the FC pong plane
   s.act_c.resize(U);                    // h_next
@@ -1310,16 +1251,20 @@ std::int16_t QuantizedRnn::predict_impl(const Token* tokens, Scratch& s,
     std::memcpy(x, len_embed_.row(tokens[t][0]), config_.len_embed_dim);
     std::memcpy(x + config_.len_embed_dim, ipd_embed_.row(tokens[t][1]),
                 config_.ipd_embed_dim);
-    if (simd) {
-      kernels::gemv_acc_i8_simd(wx_.data.data(), U, wx_.cols, E, x, s.acc_a.data());
-      kernels::gemv_acc_i8_simd(wh_.data.data(), U, wh_.cols, U, h, s.acc_b.data());
-    } else {
+    if (int8) {
       kernels::gemv_acc_i8(wx_.data.data(), U, wx_.cols, E, x, s.acc_a.data());
       kernels::gemv_acc_i8(wh_.data.data(), U, wh_.cols, U, h, s.acc_b.data());
+    } else {
+      packed_gemv_acc(wx_p_, wx_ops_, x, s.acc_a.data());
+      packed_gemv_acc(wh_p_, wh_ops_, h, s.acc_b.data());
     }
+    // INT8 Wx x already sits at the cell's exponent and Wh h needs one
+    // shift; sub-INT8 rows carry their own shifts.
     for (std::size_t u = 0; u < U; ++u) {
-      std::int64_t acc = static_cast<std::int64_t>(cell_bias_[u]) + s.acc_a[u];
-      acc += rounding_shift_right(s.acc_b[u], wh_acc_shift_);
+      std::int64_t acc = static_cast<std::int64_t>(cell_bias_[u]) +
+                         (int8 ? s.acc_a[u]
+                               : rounding_shift_right(s.acc_a[u], sub8_wx_shift_[u]));
+      acc += rounding_shift_right(s.acc_b[u], int8 ? wh_acc_shift_ : sub8_wh_shift_[u]);
       h_next[u] = tanh_lut_.apply(acc);
     }
     std::swap(h, h_next);
@@ -1330,81 +1275,17 @@ std::int16_t QuantizedRnn::predict_impl(const Token* tokens, Scratch& s,
   std::int8_t* cur = s.act_b.data();
   std::int8_t* next = s.act_a.data();
   std::size_t dim = U;
-  for (std::size_t i = 0; i < fcs_.size(); ++i) {
-    if (simd) {
-      fcs_[i].forward_simd(cur, next, /*relu=*/i + 1 < fcs_.size());
-    } else {
-      fcs_[i].forward(cur, next, /*relu=*/i + 1 < fcs_.size());
+  const auto head = [&](const auto& fcs) {
+    for (std::size_t i = 0; i < fcs.size(); ++i) {
+      fcs[i].forward(cur, next, /*relu=*/i + 1 < fcs.size());
+      dim = fcs[i].w.rows;
+      std::swap(cur, next);
     }
-    dim = fcs_[i].w.rows;
-    std::swap(cur, next);
-  }
-  std::int16_t best = 0;
-  for (std::size_t i = 1; i < dim; ++i) {
-    if (cur[i] > cur[static_cast<std::size_t>(best)]) {
-      best = static_cast<std::int16_t>(i);
-    }
-  }
-  return best;
-}
-
-std::int16_t QuantizedRnn::predict_sub8(const Token* tokens, Scratch& s,
-                                        bool simd) const {
-  const std::size_t T = config_.seq_len;
-  const std::size_t E = config_.embed_dim();
-  const std::size_t U = config_.units;
-  std::size_t max_elems = std::max(E, U);
-  for (const QPackedDense& fc : pfcs_) max_elems = std::max(max_elems, fc.w.rows);
-  s.act_a.resize(max_elems);
-  s.act_b.resize(max_elems);
-  s.act_c.resize(U);
-  s.acc_a.resize(U);
-  s.acc_b.resize(U);
-
-  const bool ternary = precision_ == Precision::kTernary;
-  const int B = ternary ? 1 : 8;
-  std::int8_t* x = s.act_a.data();
-  std::int8_t* h = s.act_b.data();
-  std::int8_t* h_next = s.act_c.data();
-  std::memset(h, 0, U);
-  for (std::size_t t = 0; t < T; ++t) {
-    std::memcpy(x, len_embed_.row(tokens[t][0]), config_.len_embed_dim);
-    std::memcpy(x + config_.len_embed_dim, ipd_embed_.row(tokens[t][1]),
-                config_.ipd_embed_dim);
-    if (simd) {
-      kernels::gemv_acc_sub8_simd(wx_ops_.biased.data(), U, E, E, B, x,
-                                  s.acc_a.data());
-      kernels::gemv_acc_sub8_simd(wh_ops_.biased.data(), U, U, U, B, h,
-                                  s.acc_b.data());
-    } else if (ternary) {
-      kernels::gemv_acc_ternary(wx_ops_.idx.data(), wx_ops_.seg.data(), U, x,
-                                s.acc_a.data());
-      kernels::gemv_acc_ternary(wh_ops_.idx.data(), wh_ops_.seg.data(), U, h,
-                                s.acc_b.data());
-    } else {
-      kernels::gemv_acc_i4(wx_ops_.plane.data(), U, E, E, x, s.acc_a.data());
-      kernels::gemv_acc_i4(wh_ops_.plane.data(), U, U, U, h, s.acc_b.data());
-    }
-    for (std::size_t u = 0; u < U; ++u) {
-      std::int64_t acc = static_cast<std::int64_t>(cell_bias_[u]) +
-                         rounding_shift_right(s.acc_a[u], sub8_wx_shift_[u]);
-      acc += rounding_shift_right(s.acc_b[u], sub8_wh_shift_[u]);
-      h_next[u] = tanh_lut_.apply(acc);
-    }
-    std::swap(h, h_next);
-  }
-  if (h != s.act_b.data()) std::memcpy(s.act_b.data(), h, U);
-  std::int8_t* cur = s.act_b.data();
-  std::int8_t* next = s.act_a.data();
-  std::size_t dim = U;
-  for (std::size_t i = 0; i < pfcs_.size(); ++i) {
-    if (simd) {
-      pfcs_[i].forward_simd(cur, next, /*relu=*/i + 1 < pfcs_.size());
-    } else {
-      pfcs_[i].forward(cur, next, /*relu=*/i + 1 < pfcs_.size());
-    }
-    dim = pfcs_[i].w.rows;
-    std::swap(cur, next);
+  };
+  if (int8) {
+    head(fcs_);
+  } else {
+    head(pfcs_);
   }
   std::int16_t best = 0;
   for (std::size_t i = 1; i < dim; ++i) {

@@ -68,16 +68,13 @@ struct QDense {
   int out_exponent = 0;
 
   /// y = requantize(W x + b); optionally applies ReLU before saturation.
-  /// Blocked + 4x-unrolled GEMV (kernels::gemv_i8).
+  /// kernels::gemv_i8 at the active rung: the blocked + 4x-unrolled GEMV at
+  /// Isa::kScalar, the widen-and-madd ladder above it.
   void forward(const std::int8_t* x, std::int8_t* y, bool relu) const;
 
-  /// Scalar triple-loop reference, retained for bit-exactness testing; the
-  /// blocked path must match it bit for bit.
+  /// Scalar triple-loop reference, retained for bit-exactness testing;
+  /// forward() must match it bit for bit at every rung.
   void forward_reference(const std::int8_t* x, std::int8_t* y, bool relu) const;
-
-  /// Explicitly vectorized GEMV (kernels::gemv_i8_simd), bit-identical to
-  /// forward(); falls back to the blocked scalar kernel without AVX2.
-  void forward_simd(const std::int8_t* x, std::int8_t* y, bool relu) const;
 
   static QDense from(const Dense& d, int in_exponent, int out_exponent);
 };
@@ -90,18 +87,13 @@ struct QConv1D {
   int in_exponent = 0;
   int out_exponent = 0;
 
-  /// x: T*in_ch row-major, y: T*out_ch. ReLU folded in. Blocked kernel
-  /// (kernels::conv1d_i8).
+  /// x: T*in_ch row-major, y: T*out_ch. ReLU folded in. kernels::conv1d_i8
+  /// at the active rung, like QDense::forward.
   void forward(const std::int8_t* x, std::size_t T, std::int8_t* y, bool relu) const;
 
   /// Scalar reference with per-tap bounds checks, retained for testing.
   void forward_reference(const std::int8_t* x, std::size_t T, std::int8_t* y,
                          bool relu) const;
-
-  /// Explicitly vectorized convolution (kernels::conv1d_i8_simd),
-  /// bit-identical to forward().
-  void forward_simd(const std::int8_t* x, std::size_t T, std::int8_t* y,
-                    bool relu) const;
 
   static QConv1D from(const Conv1D& c, int in_exponent, int out_exponent);
 };
@@ -157,12 +149,12 @@ struct QPackedDense {
   int in_exponent = 0;
   int out_exponent = 0;
 
-  /// Multiply-free scalar path (sparse ternary / shift-add INT4 kernels).
+  /// At Isa::kScalar the multiply-free kernels (sparse ternary / shift-add
+  /// INT4); above it the biased-plane ladder (kernels::gemv_sub8_simd, VNNI
+  /// dpbusd when the host has it). Bit-identical at every rung.
   void forward(const std::int8_t* x, std::int8_t* y, bool relu) const;
   /// Packed-reading sequential reference (bit-exactness anchor).
   void forward_reference(const std::int8_t* x, std::int8_t* y, bool relu) const;
-  /// Vectorized biased-plane path (kernels::gemv_sub8_simd), bit-identical.
-  void forward_simd(const std::int8_t* x, std::int8_t* y, bool relu) const;
 
   static QPackedDense from(const Dense& d, Precision p, int in_exponent,
                            int out_exponent);
@@ -179,12 +171,12 @@ struct QPackedConv1D {
   int in_exponent = 0;
   int out_exponent = 0;
 
+  /// Per rung as QPackedDense::forward (kernels::conv1d_ternary /
+  /// conv1d_i4 at Isa::kScalar, conv1d_sub8_simd above).
   void forward(const std::int8_t* x, std::size_t T, std::int8_t* y,
                bool relu) const;
   void forward_reference(const std::int8_t* x, std::size_t T, std::int8_t* y,
                          bool relu) const;
-  void forward_simd(const std::int8_t* x, std::size_t T, std::int8_t* y,
-                    bool relu) const;
 
   static QPackedConv1D from(const Conv1D& c, Precision p, int in_exponent,
                             int out_exponent);
@@ -273,8 +265,8 @@ class QuantizedCnn {
 
   Precision precision() const { return precision_; }
 
-  /// Allocation-free hot path: runs the blocked kernels inside `scratch` and
-  /// returns scratch.logits.
+  /// Allocation-free hot path: runs the layers' forward() (the active
+  /// rung's kernels) inside `scratch` and returns scratch.logits.
   const std::vector<std::int32_t>& logits_q(const std::vector<Token>& tokens,
                                             Scratch& scratch) const;
   std::int16_t predict(const std::vector<Token>& tokens, Scratch& scratch) const;
@@ -284,7 +276,7 @@ class QuantizedCnn {
   std::vector<std::int32_t> logits_q(const std::vector<Token>& tokens) const;
 
   /// Scalar reference pipeline (forward_reference layers, allocating),
-  /// retained for bit-exactness testing against the blocked path.
+  /// retained for bit-exactness testing against logits_q at every rung.
   std::vector<std::int32_t> logits_q_reference(const std::vector<Token>& tokens) const;
 
   /// Batched inference over `count` windows laid out row-major as
@@ -303,10 +295,8 @@ class QuantizedCnn {
   std::uint64_t macs_per_inference() const;
 
  private:
-  const std::vector<std::int32_t>& logits_q_impl(const Token* tokens, Scratch& scratch,
-                                                 bool simd) const;
-  const std::vector<std::int32_t>& logits_q_sub8(const Token* tokens, Scratch& scratch,
-                                                 bool simd) const;
+  const std::vector<std::int32_t>& logits_q_impl(const Token* tokens,
+                                                 Scratch& scratch) const;
   const std::vector<std::int32_t>& logits_q_fp32(const Token* tokens,
                                                  Scratch& scratch) const;
   /// predict_batch's AMX body (Isa::kAmx, conv_tiles_ packed).
@@ -352,7 +342,7 @@ class QuantizedRnn {
 
   Precision precision() const { return precision_; }
 
-  /// Allocation-free hot path (blocked recurrent + FC kernels).
+  /// Allocation-free hot path (recurrent + FC kernels at the active rung).
   std::int16_t predict(const std::vector<Token>& tokens, Scratch& scratch) const;
 
   /// Convenience wrapper paying for a fresh Scratch per call.
@@ -370,8 +360,7 @@ class QuantizedRnn {
   std::uint64_t macs_per_inference() const;
 
  private:
-  std::int16_t predict_impl(const Token* tokens, Scratch& scratch, bool simd) const;
-  std::int16_t predict_sub8(const Token* tokens, Scratch& scratch, bool simd) const;
+  std::int16_t predict_impl(const Token* tokens, Scratch& scratch) const;
 
   Precision precision_ = Precision::kInt8;
   const RnnClassifier* float_model_ = nullptr;  ///< Set only for kFp32.

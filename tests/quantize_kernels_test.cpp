@@ -1,12 +1,14 @@
-// Bit-exactness tests for the blocked INT8 kernels against their scalar
-// references. The blocked GEMV/conv1d paths reorder int32 partial
-// accumulations; integer addition is associative, so as long as partials
-// cannot overflow (guaranteed for the layer sizes here) every reordering
-// must produce the same bits as the sequential reference — these tests pin
-// that contract across randomized shapes, including dims that are not a
-// multiple of the 4-wide block. The lane-resident batch kernels and
-// predict_batch are checked the same way at every ISA level the host runs,
-// the AMX tile rung included when the host grants it.
+// Bit-exactness tests for the INT8 kernels against their scalar
+// references. The per-window GEMV/conv1d rungs (blocked scalar, AVX2,
+// AVX-512) reorder int32 partial accumulations; integer addition is
+// associative, so as long as partials cannot overflow (guaranteed for the
+// layer sizes here) every reordering must produce the same bits as the
+// sequential reference — these tests pin that contract at every ISA level
+// the host runs, across randomized shapes, including dims that are not a
+// multiple of the 4-wide block or a vector chunk. The lane-resident batch
+// kernels and predict_batch are checked the same way, the AMX tile rung
+// included when the host grants it, and so are the whole per-window INT8,
+// INT4 and ternary pipelines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "isa_levels.hpp"
 #include "nn/kernels.hpp"
 #include "nn/quantize.hpp"
 #include "sim/random.hpp"
@@ -138,66 +141,79 @@ TEST(QDenseKernels, RandomizedShapesBitExact) {
   }
 }
 
-// --------------------------------------------------------- SIMD variants
+// --------------------------------------------------------- every rung
 //
-// The AVX2/AVX-512 kernels must agree with the scalar blocked kernels bit
-// for bit on every shape, including tails shorter than a vector chunk. On a
-// host without AVX2 the _simd entry points forward to the scalar kernels, so
-// these tests degenerate to identity checks there (still worth running: they
-// pin the dispatch path).
+// gemv_acc_i8, QDense::forward and QConv1D::forward run at the active rung;
+// kernels::ScopedIsaCap walks them down the host's ladder, so the blocked
+// scalar, AVX2 and AVX-512 bodies must each agree with the naive sum and the
+// triple-loop references bit for bit on every shape, including tails shorter
+// than a vector chunk.
+
+using kernels::isa_name;
 
 TEST(SimdKernels, GemvAccMatchesScalarBitExact) {
-  sim::RandomStream rng(21);
-  for (std::size_t rows : {1u, 2u, 3u, 4u, 5u, 9u, 16u, 31u, 64u}) {
-    for (std::size_t cols : {1u, 3u, 15u, 16u, 17u, 31u, 32u, 33u, 48u, 64u, 100u, 128u}) {
-      std::vector<std::int8_t> w(rows * cols), x(cols);
-      fill_i8(w, rng);
-      fill_i8(x, rng);
-      std::vector<std::int32_t> scalar(rows, 0), simd(rows, 0);
-      kernels::gemv_acc_i8(w.data(), rows, cols, cols, x.data(), scalar.data());
-      kernels::gemv_acc_i8_simd(w.data(), rows, cols, cols, x.data(), simd.data());
-      ASSERT_EQ(simd, scalar) << rows << "x" << cols;
+  for (kernels::Isa isa : host_isa_levels("gemv_acc_i8")) {
+    kernels::ScopedIsaCap cap(isa);
+    sim::RandomStream rng(21);
+    for (std::size_t rows : {1u, 2u, 3u, 4u, 5u, 9u, 16u, 31u, 64u}) {
+      for (std::size_t cols : {1u, 3u, 15u, 16u, 17u, 31u, 32u, 33u, 48u, 64u, 100u, 128u}) {
+        std::vector<std::int8_t> w(rows * cols), x(cols);
+        fill_i8(w, rng);
+        fill_i8(x, rng);
+        std::vector<std::int32_t> naive(rows, 0), got(rows, 0);
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t c = 0; c < cols; ++c) naive[r] += w[r * cols + c] * x[c];
+        }
+        kernels::gemv_acc_i8(w.data(), rows, cols, cols, x.data(), got.data());
+        ASSERT_EQ(got, naive) << isa_name(isa) << " " << rows << "x" << cols;
+      }
     }
   }
 }
 
 TEST(SimdKernels, GemvMatchesScalarBitExact) {
-  sim::RandomStream rng(22);
   const std::size_t shapes[][2] = {{1, 1},   {1, 16},  {3, 17},  {4, 48},
                                    {5, 33},  {7, 31},  {16, 64}, {31, 65},
                                    {64, 128}, {130, 50}};
-  for (const auto& shape : shapes) {
-    const auto layer = random_qdense(shape[0], shape[1], rng);
-    std::vector<std::int8_t> x(shape[1]);
-    fill_i8(x, rng);
-    for (bool relu : {false, true}) {
-      std::vector<std::int8_t> y_scalar(shape[0]), y_simd(shape[0]);
-      layer.forward(x.data(), y_scalar.data(), relu);
-      layer.forward_simd(x.data(), y_simd.data(), relu);
-      ASSERT_EQ(y_simd, y_scalar)
-          << shape[0] << "x" << shape[1] << " relu=" << relu;
+  for (kernels::Isa isa : host_isa_levels("QDense::forward")) {
+    kernels::ScopedIsaCap cap(isa);
+    sim::RandomStream rng(22);
+    for (const auto& shape : shapes) {
+      const auto layer = random_qdense(shape[0], shape[1], rng);
+      std::vector<std::int8_t> x(shape[1]);
+      fill_i8(x, rng);
+      for (bool relu : {false, true}) {
+        std::vector<std::int8_t> y(shape[0]), y_reference(shape[0]);
+        layer.forward(x.data(), y.data(), relu);
+        layer.forward_reference(x.data(), y_reference.data(), relu);
+        ASSERT_EQ(y, y_reference) << isa_name(isa) << " " << shape[0] << "x"
+                                  << shape[1] << " relu=" << relu;
+      }
     }
   }
 }
 
 TEST(SimdKernels, Conv1dMatchesScalarBitExact) {
-  sim::RandomStream rng(23);
   const std::size_t shapes[][3] = {{1, 1, 1},   {1, 4, 3},  {3, 5, 3},
                                    {16, 16, 3}, {16, 32, 5}, {7, 9, 5},
                                    {32, 64, 3}};
-  for (const auto& shape : shapes) {
-    const auto layer = random_qconv(shape[0], shape[1], shape[2], rng);
-    for (std::size_t T : {1u, 2u, 3u, 5u, 9u, 17u}) {
-      std::vector<std::int8_t> x(T * shape[0]);
-      fill_i8(x, rng);
-      for (bool relu : {false, true}) {
-        std::vector<std::int8_t> y_scalar(T * shape[1]);
-        std::vector<std::int8_t> y_simd(T * shape[1]);
-        layer.forward(x.data(), T, y_scalar.data(), relu);
-        layer.forward_simd(x.data(), T, y_simd.data(), relu);
-        ASSERT_EQ(y_simd, y_scalar)
-            << "in=" << shape[0] << " out=" << shape[1] << " k=" << shape[2]
-            << " T=" << T << " relu=" << relu;
+  for (kernels::Isa isa : host_isa_levels("QConv1D::forward")) {
+    kernels::ScopedIsaCap cap(isa);
+    sim::RandomStream rng(23);
+    for (const auto& shape : shapes) {
+      const auto layer = random_qconv(shape[0], shape[1], shape[2], rng);
+      for (std::size_t T : {1u, 2u, 3u, 5u, 9u, 17u}) {
+        std::vector<std::int8_t> x(T * shape[0]);
+        fill_i8(x, rng);
+        for (bool relu : {false, true}) {
+          std::vector<std::int8_t> y(T * shape[1]);
+          std::vector<std::int8_t> y_reference(T * shape[1]);
+          layer.forward(x.data(), T, y.data(), relu);
+          layer.forward_reference(x.data(), T, y_reference.data(), relu);
+          ASSERT_EQ(y, y_reference)
+              << isa_name(isa) << " in=" << shape[0] << " out=" << shape[1]
+              << " k=" << shape[2] << " T=" << T << " relu=" << relu;
+        }
       }
     }
   }
@@ -298,23 +314,6 @@ TEST(QuantizedRnnKernels, BlockedPredictMatchesReference) {
 // The batch kernels dispatch on the host ISA; kernels::ScopedIsaCap lowers
 // it, so an AMX host also runs the 16-lane AVX-512 pair path, and an AVX-512
 // host the 8-lane AVX2 and 1-lane scalar paths.
-
-using kernels::isa_name;
-
-// Every rung up to the host's, lowest first; prints which rungs `what` runs.
-std::vector<kernels::Isa> host_isa_levels(const char* what) {
-  std::vector<kernels::Isa> levels;
-  std::string names;
-  for (kernels::Isa isa : {kernels::Isa::kScalar, kernels::Isa::kAvx2,
-                           kernels::Isa::kAvx512, kernels::Isa::kAmx}) {
-    if (isa <= kernels::host_isa()) {
-      levels.push_back(isa);
-      names += std::string(" ") + isa_name(isa);
-    }
-  }
-  std::cout << "[ rungs    ] " << what << ":" << names << "\n";
-  return levels;
-}
 
 // Lanes gemm_batch_lanes() must report at `isa`.
 std::size_t lanes_at(kernels::Isa isa) {
@@ -756,6 +755,99 @@ TEST(QuantizedRnnKernels, PredictBatchMatchesPerWindowPredict) {
       expected.push_back(cls);
     }
     expect_batches_match(qmodel, flat, expected);
+  }
+}
+
+// The whole per-window pipelines at every rung: logits_q and predict against
+// logits_q_reference / predict_reference for INT8, INT4 and ternary CNNs and
+// RNNs, on the test shapes above and on odd widths that leave tails in every
+// 4-row block and vector chunk.
+TEST(PerWindowPipelines, MatchReferencesAtEveryRungAndPrecision) {
+  const auto train = pattern_samples(20, 90);
+  const auto test = pattern_samples(5, 91);  // 15 windows
+  TrainOptions opts;
+  opts.epochs = 2;
+  const Precision precisions[] = {Precision::kInt8, Precision::kInt4,
+                                  Precision::kTernary};
+  const auto levels = host_isa_levels("per-window pipelines");
+
+  struct CnnShape {
+    const char* name;
+    std::size_t len_embed, ipd_embed;
+    std::vector<std::size_t> conv, fc;
+    std::size_t kernel;
+  };
+  const CnnShape cnn_shapes[] = {
+      {"cnn", 12, 4, {16, 24}, {32}, 3},
+      {"cnn odd widths", 5, 4, {7, 13}, {9}, 5},
+  };
+  for (const CnnShape& shape : cnn_shapes) {
+    CnnConfig config;
+    config.len_embed_dim = shape.len_embed;
+    config.ipd_embed_dim = shape.ipd_embed;
+    config.conv_channels = shape.conv;
+    config.fc_dims = shape.fc;
+    config.kernel = shape.kernel;
+    config.num_classes = 3;
+    CnnClassifier model(config, 39);
+    model.fit(train, opts);
+    for (Precision p : precisions) {
+      SCOPED_TRACE(std::string(shape.name) + " " + precision_name(p));
+      const QuantizedCnn qmodel(model, train, p);
+      std::vector<std::vector<std::int32_t>> reference;
+      for (const SeqSample& s : test) {
+        reference.push_back(qmodel.logits_q_reference(s.tokens));
+      }
+      for (kernels::Isa isa : levels) {
+        kernels::ScopedIsaCap cap(isa);
+        Scratch scratch;
+        for (std::size_t i = 0; i < test.size(); ++i) {
+          ASSERT_EQ(qmodel.logits_q(test[i].tokens, scratch), reference[i])
+              << isa_name(isa) << " window " << i;
+          const auto cls = std::max_element(reference[i].begin(),
+                                            reference[i].end()) -
+                           reference[i].begin();
+          ASSERT_EQ(qmodel.predict(test[i].tokens, scratch), cls)
+              << isa_name(isa) << " window " << i;
+        }
+      }
+    }
+  }
+
+  struct RnnShape {
+    const char* name;
+    std::size_t len_embed, ipd_embed, units;
+    std::vector<std::size_t> fc;
+  };
+  const RnnShape rnn_shapes[] = {
+      {"rnn", 12, 4, 24, {16}},
+      {"rnn odd widths", 5, 4, 15, {9}},
+  };
+  for (const RnnShape& shape : rnn_shapes) {
+    RnnConfig config;
+    config.len_embed_dim = shape.len_embed;
+    config.ipd_embed_dim = shape.ipd_embed;
+    config.units = shape.units;
+    config.fc_dims = shape.fc;
+    config.num_classes = 3;
+    RnnClassifier model(config, 40);
+    model.fit(train, opts);
+    for (Precision p : precisions) {
+      SCOPED_TRACE(std::string(shape.name) + " " + precision_name(p));
+      const QuantizedRnn qmodel(model, train, p);
+      std::vector<std::int16_t> reference;
+      for (const SeqSample& s : test) {
+        reference.push_back(qmodel.predict_reference(s.tokens));
+      }
+      for (kernels::Isa isa : levels) {
+        kernels::ScopedIsaCap cap(isa);
+        Scratch scratch;
+        for (std::size_t i = 0; i < test.size(); ++i) {
+          ASSERT_EQ(qmodel.predict(test[i].tokens, scratch), reference[i])
+              << isa_name(isa) << " window " << i;
+        }
+      }
+    }
   }
 }
 

@@ -9,8 +9,9 @@
 //      slab-size mismatches with typed QuantizeError (never an assert), and
 //      all-zero ternary rows quantize without dividing by zero in the
 //      absmean scale (they pin exponent -7 with an all-zero row).
-//   3. Kernels: the multiply-free scalar paths (sparse ternary index runs,
-//      INT4 shift/add) and the vectorized biased-plane path are bit-identical
+//   3. Kernels: forward() at every ISA rung the host runs — the multiply-free
+//      scalar paths (sparse ternary index runs, INT4 shift/add) at kScalar,
+//      the biased-plane AVX2 / AVX-512 / VNNI paths above — is bit-identical
 //      to the packed-reading sequential reference across odd shapes that are
 //      not multiples of any SIMD block, and the full QuantizedCnn /
 //      QuantizedRnn sub-INT8 pipelines agree with their references.
@@ -20,6 +21,7 @@
 #include <cstring>
 #include <vector>
 
+#include "isa_levels.hpp"
 #include "nn/layers.hpp"
 #include "nn/models.hpp"
 #include "nn/quantize.hpp"
@@ -221,53 +223,53 @@ QPackedConv1D random_pconv(std::size_t in_ch, std::size_t out_ch,
 }
 
 TEST(PackedKernels, DenseForwardPathsBitExactAcrossOddShapes) {
-  sim::RandomStream rng(421);
   const std::size_t shapes[][2] = {{1, 1},  {1, 7},   {3, 5},   {5, 9},
                                    {7, 33}, {31, 65}, {64, 3},  {130, 50}};
-  for (Precision p : {Precision::kTernary, Precision::kInt4}) {
-    for (const auto& shape : shapes) {
-      const std::size_t in = shape[1], out = shape[0];
-      const QPackedDense layer = random_pdense(in, out, p, rng);
-      std::vector<std::int8_t> x(in);
-      fill_i8(x, rng);
-      for (bool relu : {false, true}) {
-        std::vector<std::int8_t> y_scalar(out), y_ref(out), y_simd(out);
-        layer.forward(x.data(), y_scalar.data(), relu);
-        layer.forward_reference(x.data(), y_ref.data(), relu);
-        layer.forward_simd(x.data(), y_simd.data(), relu);
-        EXPECT_EQ(y_scalar, y_ref) << precision_name(p) << " in=" << in
-                                   << " out=" << out << " relu=" << relu;
-        EXPECT_EQ(y_simd, y_ref) << precision_name(p) << " in=" << in
-                                 << " out=" << out << " relu=" << relu;
+  for (kernels::Isa isa : host_isa_levels("QPackedDense::forward")) {
+    kernels::ScopedIsaCap cap(isa);
+    sim::RandomStream rng(421);
+    for (Precision p : {Precision::kTernary, Precision::kInt4}) {
+      for (const auto& shape : shapes) {
+        const std::size_t in = shape[1], out = shape[0];
+        const QPackedDense layer = random_pdense(in, out, p, rng);
+        std::vector<std::int8_t> x(in);
+        fill_i8(x, rng);
+        for (bool relu : {false, true}) {
+          std::vector<std::int8_t> y(out), y_ref(out);
+          layer.forward(x.data(), y.data(), relu);
+          layer.forward_reference(x.data(), y_ref.data(), relu);
+          EXPECT_EQ(y, y_ref) << kernels::isa_name(isa) << " "
+                              << precision_name(p) << " in=" << in
+                              << " out=" << out << " relu=" << relu;
+        }
       }
     }
   }
 }
 
 TEST(PackedKernels, Conv1DForwardPathsBitExactAcrossOddShapes) {
-  sim::RandomStream rng(422);
   const std::size_t shapes[][3] = {{1, 1, 1}, {1, 5, 3}, {3, 7, 3},
                                    {5, 4, 5}, {9, 13, 3}, {16, 11, 5}};
-  for (Precision p : {Precision::kTernary, Precision::kInt4}) {
-    for (const auto& shape : shapes) {
-      const std::size_t in_ch = shape[0], out_ch = shape[1], k = shape[2];
-      const QPackedConv1D layer = random_pconv(in_ch, out_ch, k, p, rng);
-      for (std::size_t T : {std::size_t{1}, std::size_t{2}, std::size_t{9},
-                            std::size_t{17}}) {
-        std::vector<std::int8_t> x(T * in_ch);
-        fill_i8(x, rng);
-        for (bool relu : {false, true}) {
-          std::vector<std::int8_t> y_scalar(T * out_ch), y_ref(T * out_ch),
-              y_simd(T * out_ch);
-          layer.forward(x.data(), T, y_scalar.data(), relu);
-          layer.forward_reference(x.data(), T, y_ref.data(), relu);
-          layer.forward_simd(x.data(), T, y_simd.data(), relu);
-          EXPECT_EQ(y_scalar, y_ref)
-              << precision_name(p) << " in=" << in_ch << " out=" << out_ch
-              << " k=" << k << " T=" << T << " relu=" << relu;
-          EXPECT_EQ(y_simd, y_ref)
-              << precision_name(p) << " in=" << in_ch << " out=" << out_ch
-              << " k=" << k << " T=" << T << " relu=" << relu;
+  for (kernels::Isa isa : host_isa_levels("QPackedConv1D::forward")) {
+    kernels::ScopedIsaCap cap(isa);
+    sim::RandomStream rng(422);
+    for (Precision p : {Precision::kTernary, Precision::kInt4}) {
+      for (const auto& shape : shapes) {
+        const std::size_t in_ch = shape[0], out_ch = shape[1], k = shape[2];
+        const QPackedConv1D layer = random_pconv(in_ch, out_ch, k, p, rng);
+        for (std::size_t T : {std::size_t{1}, std::size_t{2}, std::size_t{9},
+                              std::size_t{17}}) {
+          std::vector<std::int8_t> x(T * in_ch);
+          fill_i8(x, rng);
+          for (bool relu : {false, true}) {
+            std::vector<std::int8_t> y(T * out_ch), y_ref(T * out_ch);
+            layer.forward(x.data(), T, y.data(), relu);
+            layer.forward_reference(x.data(), T, y_ref.data(), relu);
+            EXPECT_EQ(y, y_ref)
+                << kernels::isa_name(isa) << " " << precision_name(p)
+                << " in=" << in_ch << " out=" << out_ch << " k=" << k
+                << " T=" << T << " relu=" << relu;
+          }
         }
       }
     }
