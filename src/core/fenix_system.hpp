@@ -145,10 +145,10 @@ class FenixSystem {
   /// `source` as simulated time advances — the workload never materializes
   /// beyond one epoch, and per-packet and per-mirror records are folded and
   /// freed two barriers later, so RSS grows only with the flow count, the
-  /// epoch size, two bytes per mirror and the latency reservoirs (at most
-  /// 2^20 samples each). `hooks` (optional) observes simulated time for fault injection
-  /// (fired at epoch boundaries); `phases` (optional, sorted, disjoint)
-  /// requests per-phase forwarding accuracy accounting. This is
+  /// epoch size and two bytes per mirror (each latency recorder is a fixed
+  /// 20 KB histogram). `hooks` (optional) observes simulated time for fault
+  /// injection (fired at epoch boundaries); `phases` (optional, sorted,
+  /// disjoint) requests per-phase forwarding accuracy accounting. This is
   /// run_pipelined() with one pipe on one thread: the packets run inline on
   /// the calling thread and the DNN passes are batched.
   RunReport run(net::PacketSource& source, std::size_t num_classes,

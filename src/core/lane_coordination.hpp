@@ -160,10 +160,10 @@ class LaneWatchdog {
   /// Lane-local event capture; only the lane's owner pipe may call these
   /// between barriers.
   void buffer_miss(std::size_t lane, sim::SimTime at) {
-    buffers_[lane].push_back(Event{at, kMiss});
+    buffers_[lane].events.push_back(Event{at, kMiss});
   }
   void buffer_result(std::size_t lane, sim::SimTime at) {
-    buffers_[lane].push_back(Event{at, kResult});
+    buffers_[lane].events.push_back(Event{at, kResult});
   }
 
   /// Epoch reconciliation (coordinator only, at a barrier): replay every
@@ -172,13 +172,13 @@ class LaneWatchdog {
   void reconcile() {
     merge_scratch_.clear();
     for (std::size_t lane = 0; lane < kCoordinationLanes; ++lane) {
-      for (std::size_t i = 0; i < buffers_[lane].size(); ++i) {
-        merge_scratch_.push_back(
-            MergeEntry{buffers_[lane][i].at, buffers_[lane][i].kind,
-                       static_cast<std::uint32_t>(lane),
-                       static_cast<std::uint32_t>(i)});
+      std::vector<Event>& events = buffers_[lane].events;
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        merge_scratch_.push_back(MergeEntry{events[i].at, events[i].kind,
+                                            static_cast<std::uint32_t>(lane),
+                                            static_cast<std::uint32_t>(i)});
       }
-      buffers_[lane].clear();
+      events.clear();
     }
     std::sort(merge_scratch_.begin(), merge_scratch_.end(),
               [](const MergeEntry& a, const MergeEntry& b) {
@@ -235,8 +235,11 @@ class LaneWatchdog {
     std::uint32_t index;
   };
 
+  /// One lane's events, on cache lines only its owner pipe writes.
+  struct alignas(64) LaneEvents { std::vector<Event> events; };
+
   HealthWatchdog inner_;
-  std::array<std::vector<Event>, kCoordinationLanes> buffers_;
+  std::array<LaneEvents, kCoordinationLanes> buffers_;
   std::vector<MergeEntry> merge_scratch_;
   bool published_degraded_ = false;
   std::uint64_t reconciles_ = 0;

@@ -187,7 +187,7 @@ class ModelEngine {
   /// pipe worker between barriers, so no synchronization is needed; the
   /// shared members a lane submit reads (device window, reconfig window,
   /// config depths) change only at epoch barriers.
-  struct EnginePort {
+  struct alignas(64) EnginePort {
     /// Finish times of the admitted vectors still holding a FIFO slot.
     std::deque<sim::SimTime> pending_finishes;
     sim::SimTime array_free_at = 0;  ///< Next admissible inference start.

@@ -73,8 +73,8 @@ RunReport FenixSystem::run_pipelined(net::PacketSource& source,
   // epoch's packets (partitioned per pipe) and flushes the fleet at each
   // boundary, and close_epoch() retires each epoch's outcome records,
   // tickets and batches two barriers later. What still grows with the run
-  // is four bytes per flow, two per mirror (the settled class table) and
-  // the latency reservoirs, capped at 2^20 samples each.
+  // is four bytes per flow and two per mirror (the settled class table); the
+  // latency recorders are fixed 20 KB histograms (2^-7 relative error).
 
   // ---- The one inference stage, whose fleet (this thread + threads − 1
   // workers) runs pipes and DNN batches, and the lane-granular core.

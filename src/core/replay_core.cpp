@@ -34,12 +34,6 @@ T heap_pop(std::vector<T>& heap) {
   return top;
 }
 
-// Pre-sizes every latency reservoir of `l` for `n` samples.
-void reserve(RunLatencies& l, std::size_t n) {
-  for_each_latency(
-      [n](const char*, telemetry::LatencyRecorder& r) { r.reserve(n); }, l);
-}
-
 }  // namespace
 
 ReplayCore::LaneState::LaneState(net::ReliableLink* to, net::ReliableLink* from,
@@ -69,19 +63,10 @@ ReplayCore::ReplayCore(const net::PacketSource& source, std::size_t num_classes,
   const double lane_rate = config.recovery.retransmit_rate_hz / n;
   const double lane_burst =
       std::max(1.0, config.recovery.retransmit_burst_tokens / n);
-  // Reserve capacity is invisible in the report (the reservoirs clamp to a
-  // fixed capacity), so capping the pre-size for huge streamed hints cannot
-  // break bit-identity — it only bounds up-front allocation.
-  const std::size_t hint = static_cast<std::size_t>(
-      std::min<std::uint64_t>(source.packet_hint(), 1ULL << 20));
   lanes_.reserve(kCoordinationLanes);
   for (std::size_t lane = 0; lane < kCoordinationLanes; ++lane) {
     lanes_.emplace_back(to_fpga[lane], from_fpga[lane], lane_rate, lane_burst);
-    // Pre-size the lane reservoirs so the hot loop rarely grows a vector
-    // (mirror-path recorders see at most one sample per lane packet).
-    reserve(lanes_[lane], hint / kCoordinationLanes + 64);
   }
-  reserve(report_, hint);
   for (std::uint32_t fid = 0; fid < flow_labels_.size(); ++fid) {
     flow_labels_[fid] = source.flow_label(fid);
   }
@@ -419,12 +404,10 @@ std::optional<std::string> recorder_divergence(
   static constexpr double kPercentiles[] = {0.0,  10.0, 25.0, 50.0,  75.0,
                                             90.0, 95.0, 99.0, 99.9, 100.0};
   for (double p : kPercentiles) {
-    if (a.percentile(p) != b.percentile(p)) {
-      std::ostringstream out;
-      out << field << ".p" << p << ": " << a.percentile(p) << " vs "
-          << b.percentile(p);
-      return out.str();
-    }
+    if (a.percentile(p) == b.percentile(p)) continue;
+    std::ostringstream name;
+    name << field << ".p" << p;
+    return diverge(name.str(), a.percentile(p), b.percentile(p));
   }
   return std::nullopt;
 }

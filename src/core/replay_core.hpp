@@ -340,7 +340,7 @@ class ReplayCore {
   /// Everything one coordination lane owns, its partial report included.
   /// Touched by exactly one thread between reconcile() barriers; folded and
   /// merged by the coordinator.
-  struct LaneState : RunCounters, RunLatencies {
+  struct alignas(64) LaneState : RunCounters, RunLatencies {
     LaneState(net::ReliableLink* to, net::ReliableLink* from,
               double rtx_rate_hz, double rtx_burst);
 

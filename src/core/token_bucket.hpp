@@ -31,7 +31,7 @@ struct TokenBucketStats {
   std::uint64_t grants = 0;          ///< Feature vectors sent.
 };
 
-class TokenBucket {
+class alignas(64) TokenBucket {
  public:
   explicit TokenBucket(const TokenBucketConfig& config);
 

@@ -104,6 +104,21 @@ void packed_gemv_acc(const QPackedMatrix& w, const PackedOperands& ops,
   }
 }
 
+// MACs of the FC stack at any precision: INT8, sub-INT8 or the fp32 model.
+template <typename FloatModel>
+std::uint64_t fc_macs(const std::vector<QDense>& fcs,
+                      const std::vector<QPackedDense>& pfcs,
+                      const FloatModel* float_model) {
+  std::uint64_t macs = 0;
+  for (const QDense& f : fcs) macs += std::uint64_t{f.w.rows} * f.w.cols;
+  for (const QPackedDense& f : pfcs) macs += std::uint64_t{f.w.rows} * f.w.cols;
+  if (float_model == nullptr) return macs;
+  for (const auto& f : float_model->fc_layers()) {
+    macs += std::uint64_t{f->out_dim()} * f->in_dim();
+  }
+  return macs;
+}
+
 }  // namespace
 
 QPackedMatrix QPackedMatrix::from(const Matrix& m, Precision p) {
@@ -1012,22 +1027,13 @@ std::uint64_t QuantizedCnn::macs_per_inference() const {
   for (const QPackedConv1D& c : pconvs_) {
     macs += static_cast<std::uint64_t>(T) * c.out_ch * c.in_ch * c.kernel;
   }
-  for (const QDense& f : fcs_) {
-    macs += static_cast<std::uint64_t>(f.w.rows) * f.w.cols;
-  }
-  for (const QPackedDense& f : pfcs_) {
-    macs += static_cast<std::uint64_t>(f.w.rows) * f.w.cols;
-  }
   if (float_model_ != nullptr) {
     for (const auto& c : float_model_->conv_layers()) {
       macs += static_cast<std::uint64_t>(T) * c->out_channels() *
               c->in_channels() * c->kernel();
     }
-    for (const auto& f : float_model_->fc_layers()) {
-      macs += static_cast<std::uint64_t>(f->out_dim()) * f->in_dim();
-    }
   }
-  return macs;
+  return macs + fc_macs(fcs_, pfcs_, float_model_);
 }
 
 // ------------------------------------------------------------- QuantizedRnn
@@ -1384,13 +1390,9 @@ std::int16_t QuantizedRnn::predict_reference(const std::vector<Token>& tokens) c
 }
 
 std::uint64_t QuantizedRnn::macs_per_inference() const {
-  const std::size_t T = config_.seq_len;
-  std::uint64_t macs = static_cast<std::uint64_t>(T) * config_.units *
-                       (config_.embed_dim() + config_.units);
-  for (const QDense& f : fcs_) {
-    macs += static_cast<std::uint64_t>(f.w.rows) * f.w.cols;
-  }
-  return macs;
+  return std::uint64_t{config_.seq_len} * config_.units *
+             (config_.embed_dim() + config_.units) +
+         fc_macs(fcs_, pfcs_, float_model_);
 }
 
 }  // namespace fenix::nn

@@ -27,7 +27,7 @@ void MetricRegistry::set_counter(const std::string& name, std::uint64_t value) {
     m->label.clear();
     return;
   }
-  metrics_.push_back(Metric{name, /*is_counter=*/true, value, 0.0});
+  metrics_.push_back(Metric{name, /*is_counter=*/true, value, 0.0, {}});
 }
 
 void MetricRegistry::set_gauge(const std::string& name, double value) {
@@ -37,7 +37,7 @@ void MetricRegistry::set_gauge(const std::string& name, double value) {
     m->label.clear();
     return;
   }
-  metrics_.push_back(Metric{name, /*is_counter=*/false, 0, value});
+  metrics_.push_back(Metric{name, /*is_counter=*/false, 0, value, {}});
 }
 
 void MetricRegistry::set_label(const std::string& name, const std::string& text) {

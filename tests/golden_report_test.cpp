@@ -227,7 +227,7 @@ net::Trace* GoldenReportTest::trace_ = nullptr;
 TEST_F(GoldenReportTest, PlainTrace) {
   const RunReport report =
       expect_digest(base_config(), primary_, *trace_, profile_->num_classes(),
-                    nullptr, {}, 0x86f4677ff8c63c25ULL);
+                    nullptr, {}, 0xa06f3b711284be68ULL);
   EXPECT_GT(report.mirrors, 0u);
   EXPECT_GT(report.results_applied, 0u);
 }
@@ -263,7 +263,7 @@ TEST_F(GoldenReportTest, CompoundFaultScheduleWithPhases) {
   };
   const RunReport report =
       expect_digest(base_config(), primary_, *trace_, profile_->num_classes(),
-                    &schedule, phases, 0x80e0571f76d1b725ULL);
+                    &schedule, phases, 0x4f3f0edb121fc99cULL);
   EXPECT_GT(report.deadline_misses, 0u);
   EXPECT_GT(report.watchdog.degradations, 0u);
   EXPECT_EQ(report.phases.size(), phases.size());
@@ -280,7 +280,7 @@ TEST_F(GoldenReportTest, LifecyclePromoteThenRollback) {
   config.lifecycle.slo.min_samples = 1;
   const RunReport report =
       expect_digest(config, primary_, *trace_, profile_->num_classes(),
-                    nullptr, {}, 0x03f56e383a1e8164ULL);
+                    nullptr, {}, 0x2770dbe03cdbde49ULL);
   EXPECT_EQ(report.lifecycle_promotions, 1u);
   EXPECT_EQ(report.lifecycle_rollbacks, 1u);
 }
@@ -307,7 +307,7 @@ TEST_F(GoldenReportTest, LifecycleRnnShadowDriftRollback) {
   }
   const RunReport report =
       expect_digest(config, primary_, *trace_, profile_->num_classes(),
-                    nullptr, {}, 0x4b407436e3d7f0f8ULL, grid);
+                    nullptr, {}, 0x8fd3964acc5d994dULL, grid);
   EXPECT_EQ(report.lifecycle_promotions, 1u);
   EXPECT_EQ(report.lifecycle_rollbacks, 1u);
   EXPECT_EQ(report.lifecycle_slo_breaches, 1u);
@@ -336,7 +336,7 @@ TEST_F(GoldenReportTest, DdosFloodWithAdmissionLadder) {
   config.admission.victim_min_count = 8;
   const RunReport report =
       expect_digest(config, primary_, flood, profile_->num_classes(), nullptr,
-                    {}, 0xf609bd5c900e88f1ULL);
+                    {}, 0xe6847aeb446635baULL);
   EXPECT_GT(report.admission_transitions, 0u);
   EXPECT_GT(report.shed_thinned + report.shed_frozen + report.shed_isolated,
             0u);

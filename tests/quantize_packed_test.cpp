@@ -405,6 +405,33 @@ TEST(PackedModels, Fp32TierDelegatesToFloatModel) {
   }
 }
 
+TEST(PackedModels, MacCountIsPrecisionIndependent) {
+  // The systolic timer reads macs_per_inference(), so one shape must cost
+  // the same MACs whichever precision holds its weights.
+  CnnConfig cnn_config;
+  cnn_config.conv_channels = {16, 24};
+  cnn_config.fc_dims = {32};
+  cnn_config.num_classes = 3;
+  const CnnClassifier cnn(cnn_config, 45);
+  RnnConfig rnn_config;
+  rnn_config.units = 24;
+  rnn_config.fc_dims = {16};
+  rnn_config.num_classes = 3;
+  const RnnClassifier rnn(rnn_config, 46);
+  const auto calibration = pattern_samples(4, 88);
+  const std::uint64_t cnn_macs =
+      QuantizedCnn(cnn, calibration, Precision::kInt8).macs_per_inference();
+  const std::uint64_t rnn_macs =
+      QuantizedRnn(rnn, calibration, Precision::kInt8).macs_per_inference();
+  EXPECT_EQ(rnn_macs, 9ULL * 24 * (16 + 24) + 24ULL * 16 + 16ULL * 3);
+  for (Precision p : {Precision::kInt4, Precision::kTernary, Precision::kFp32}) {
+    EXPECT_EQ(QuantizedCnn(cnn, calibration, p).macs_per_inference(), cnn_macs)
+        << precision_name(p);
+    EXPECT_EQ(QuantizedRnn(rnn, calibration, p).macs_per_inference(), rnn_macs)
+        << precision_name(p);
+  }
+}
+
 TEST(PackedModels, PrecisionNamesRoundTrip) {
   for (Precision p : {Precision::kFp32, Precision::kInt8, Precision::kInt4,
                       Precision::kTernary}) {

@@ -1,6 +1,12 @@
 // Tests for metrics, latency recording, and table rendering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+#include <vector>
+
+#include "sim/random.hpp"
 #include "telemetry/latency.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/rate_meter.hpp"
@@ -73,6 +79,50 @@ TEST(ConfusionMatrix, PerfectScore) {
   EXPECT_DOUBLE_EQ(cm.accuracy(), 1.0);
 }
 
+// Nearest-rank percentile of `sorted`, the rule LatencyRecorder follows.
+sim::SimDuration exact_percentile(const std::vector<sim::SimDuration>& sorted,
+                                  double p) {
+  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  return sorted[std::min(static_cast<std::size_t>(rank + 0.5), sorted.size() - 1)];
+}
+
+// Records `samples` and checks every percentile on a 0.1 grid against the
+// exact sorted-sample value: within 2^-S relative below the ceiling, exact
+// at p0 and p100.
+void expect_within_bound(std::vector<sim::SimDuration> samples) {
+  LatencyRecorder rec;
+  for (const sim::SimDuration d : samples) rec.record(d);
+  std::sort(samples.begin(), samples.end());
+  ASSERT_EQ(rec.count(), samples.size());
+  EXPECT_EQ(rec.min(), samples.front());
+  EXPECT_EQ(rec.max(), samples.back());
+  EXPECT_EQ(rec.percentile(0.0), samples.front());
+  EXPECT_EQ(rec.percentile(100.0), samples.back());
+  constexpr sim::SimDuration kCeiling = 1ULL << LatencyRecorder::kCeilingBits;
+  for (int tenth = 0; tenth <= 1000; ++tenth) {
+    const double p = tenth / 10.0;
+    const sim::SimDuration exact = exact_percentile(samples, p);
+    if (exact >= kCeiling) continue;
+    const sim::SimDuration got = rec.percentile(p);
+    const double error = got > exact ? static_cast<double>(got - exact)
+                                     : static_cast<double>(exact - got);
+    ASSERT_LE(error, std::ldexp(static_cast<double>(exact),
+                                -static_cast<int>(LatencyRecorder::kSubBucketBits)))
+        << "p" << p << ": " << got << " vs exact " << exact;
+  }
+}
+
+// Every field a report reads from a recorder, the percentile grid included.
+std::vector<double> summary(const LatencyRecorder& rec) {
+  std::vector<double> out{static_cast<double>(rec.count()),
+                          static_cast<double>(rec.min()),
+                          static_cast<double>(rec.max()), rec.mean_ps()};
+  for (int tenth = 0; tenth <= 1000; ++tenth) {
+    out.push_back(static_cast<double>(rec.percentile(tenth / 10.0)));
+  }
+  return out;
+}
+
 TEST(LatencyRecorder, BasicStatistics) {
   LatencyRecorder rec;
   for (std::uint64_t i = 1; i <= 100; ++i) rec.record(i * sim::kMicrosecond);
@@ -89,17 +139,31 @@ TEST(LatencyRecorder, EmptySafe) {
   EXPECT_EQ(rec.count(), 0u);
   EXPECT_EQ(rec.percentile(50), 0u);
   EXPECT_EQ(rec.min(), 0u);
+  EXPECT_EQ(rec.max(), 0u);
   EXPECT_DOUBLE_EQ(rec.mean_us(), 0.0);
+  LatencyRecorder other;
+  rec.absorb(other);
+  EXPECT_EQ(rec.count(), 0u);
 }
 
-TEST(LatencyRecorder, ReservoirKeepsMeanUnderOverflow) {
-  LatencyRecorder rec(128);  // tiny reservoir
-  for (std::uint64_t i = 0; i < 50'000; ++i) {
-    rec.record(sim::microseconds(10));
+TEST(LatencyRecorder, SummaryStaysExactPastTwoToTheTwentySamples) {
+  LatencyRecorder rec;
+  std::uint64_t sum = 0;
+  const std::uint64_t n = (1ULL << 20) + 4096;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const sim::SimDuration d = sim::nanoseconds(500) + (i * 7919) % 1'000'003;
+    rec.record(d);
+    sum += d;
   }
-  EXPECT_EQ(rec.count(), 50'000u);
-  EXPECT_NEAR(rec.mean_us(), 10.0, 1e-9);
-  EXPECT_EQ(rec.percentile(50), sim::microseconds(10));
+  EXPECT_EQ(rec.count(), n);
+  EXPECT_EQ(rec.min(), sim::nanoseconds(500));
+  EXPECT_EQ(rec.max(), sim::nanoseconds(500) + 1'000'002);
+  EXPECT_DOUBLE_EQ(rec.mean_ps(), static_cast<double>(sum) / static_cast<double>(n));
+
+  LatencyRecorder flat;
+  for (std::uint64_t i = 0; i < n; ++i) flat.record(sim::microseconds(10));
+  EXPECT_NEAR(flat.mean_us(), 10.0, 1e-9);
+  EXPECT_EQ(flat.percentile(50), sim::microseconds(10));
 }
 
 TEST(LatencyRecorder, P999EdgeCases) {
@@ -118,34 +182,141 @@ TEST(LatencyRecorder, P999EdgeCases) {
   EXPECT_DOUBLE_EQ(one.p999_us(), 7.0);
 }
 
-TEST(LatencyRecorder, P999ExactWithinReservoirBound) {
-  // Exactly at the reservoir bound every sample is retained, so p999 is the
-  // exact nearest-rank value — the property the scenario tail gates rely on.
-  LatencyRecorder rec(10'000);
+TEST(LatencyRecorder, P999WithinBoundAndSeparatesTail) {
+  // rank = 0.999 * 9999 = 9989.0 -> index 9989 -> sample value 9990us.
+  LatencyRecorder rec;
   for (std::uint64_t i = 1; i <= 10'000; ++i) rec.record(i * sim::kMicrosecond);
   EXPECT_EQ(rec.count(), 10'000u);
-  // rank = 0.999 * 9999 = 9989.0 -> index 9989 -> sample value 9990us.
-  EXPECT_DOUBLE_EQ(rec.p999_us(), 9990.0);
-  EXPECT_DOUBLE_EQ(rec.p99_us(), 9900.0);
+  EXPECT_NEAR(rec.p999_us(), 9990.0, 9990.0 / 128);
+  EXPECT_NEAR(rec.p99_us(), 9900.0, 9900.0 / 128);
   EXPECT_EQ(rec.max(), sim::microseconds(10'000));
 
   // p999 separates a tail the p99 can't see: 10k samples at 10us with 15
   // outliers at 1000us leave p99 flat but move p999.
-  LatencyRecorder tail(20'000);
+  LatencyRecorder tail;
   for (int i = 0; i < 10'000; ++i) tail.record(sim::microseconds(10));
   for (int i = 0; i < 15; ++i) tail.record(sim::microseconds(1000));
-  EXPECT_DOUBLE_EQ(tail.p99_us(), 10.0);
-  EXPECT_DOUBLE_EQ(tail.p999_us(), 1000.0);
+  EXPECT_NEAR(tail.p99_us(), 10.0, 10.0 / 128);
+  EXPECT_NEAR(tail.p999_us(), 1000.0, 1000.0 / 128);
 }
 
-TEST(LatencyRecorder, P999DegradesGracefullyBeyondReservoir) {
-  // Past the bound the reservoir subsamples; the estimate must stay inside
-  // the observed range and the summary stats stay exact.
-  LatencyRecorder rec(256);
-  for (std::uint64_t i = 1; i <= 100'000; ++i) rec.record(i * sim::kNanosecond);
-  EXPECT_EQ(rec.count(), 100'000u);
-  EXPECT_GE(rec.percentile(99.9), rec.percentile(50.0));
-  EXPECT_LE(rec.percentile(99.9), rec.max());
+TEST(LatencyRecorder, PercentilesWithinBoundOnRandomInputs) {
+  // Log-uniform over 1 ps .. 2^40 ps, so every bucket scale is populated.
+  sim::RandomStream rng(0x1a7e);
+  std::vector<sim::SimDuration> samples(100'000);
+  for (auto& d : samples) {
+    d = static_cast<sim::SimDuration>(std::exp2(rng.uniform(0.0, 40.0)));
+  }
+  expect_within_bound(samples);
+}
+
+TEST(LatencyRecorder, PercentilesWithinBoundOnHeavyTailedInputs) {
+  // Pareto(alpha 1.1) above 10 us: a long tail, most mass near the bottom.
+  sim::RandomStream rng(0x7a11);
+  std::vector<sim::SimDuration> samples(100'000);
+  for (auto& d : samples) {
+    d = static_cast<sim::SimDuration>(rng.bounded_pareto(1e7, 1e13, 1.1));
+  }
+  expect_within_bound(samples);
+}
+
+TEST(LatencyRecorder, PercentilesWithinBoundAtBucketEdges) {
+  constexpr unsigned S = LatencyRecorder::kSubBucketBits;
+  std::vector<sim::SimDuration> edges = {0, 1, 2, (1ULL << S) - 1, 1ULL << S,
+                                         (1ULL << S) + 1};
+  for (unsigned k = S + 1; k <= LatencyRecorder::kCeilingBits; ++k) {
+    edges.push_back((1ULL << k) - 1);
+    edges.push_back(1ULL << k);
+    edges.push_back((1ULL << k) + 1);
+  }
+  // Uneven multiplicities so the ranks of the grid land on every edge.
+  std::vector<sim::SimDuration> samples;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    samples.insert(samples.end(), 1 + i % 4, edges[i]);
+  }
+  expect_within_bound(samples);
+  for (const sim::SimDuration edge : edges) {
+    LatencyRecorder alone;
+    alone.record(edge);
+    alone.record(edge);
+    EXPECT_EQ(alone.percentile(50.0), edge);
+  }
+}
+
+TEST(LatencyRecorder, ValuesAtAndAboveCeilingShareTopBucket) {
+  constexpr sim::SimDuration kCeiling = 1ULL << LatencyRecorder::kCeilingBits;
+  LatencyRecorder rec;
+  const sim::SimDuration values[] = {kCeiling - 1, kCeiling, kCeiling + 1,
+                                     1ULL << 50, 1ULL << 62};
+  for (const sim::SimDuration d : values) rec.record(d);
+  EXPECT_EQ(rec.count(), 5u);
+  EXPECT_EQ(rec.min(), kCeiling - 1);
+  EXPECT_EQ(rec.max(), 1ULL << 62);
+  EXPECT_EQ(rec.percentile(100.0), 1ULL << 62);
+  // Ranks past the ceiling read the top bucket, clamped to [min, max].
+  for (const double p : {25.0, 50.0, 75.0}) {
+    EXPECT_GE(rec.percentile(p), kCeiling - 1) << p;
+    EXPECT_LE(rec.percentile(p), kCeiling) << p;
+  }
+
+  // Samples of 2^63 and up: min and max stay exact, and the middle rank
+  // reads the top bucket clamped up to min.
+  LatencyRecorder huge;
+  huge.record(~0ULL);
+  huge.record(1ULL << 63);
+  huge.record(~0ULL);
+  EXPECT_EQ(huge.percentile(0.0), 1ULL << 63);
+  EXPECT_EQ(huge.percentile(100.0), ~0ULL);
+  EXPECT_EQ(huge.percentile(50.0), 1ULL << 63);
+}
+
+TEST(LatencyRecorder, MergeIsExactInAnyOrder) {
+  // 16 lanes with lane-dependent distributions, more than 2^20 samples in
+  // all, the last lane's reaching past the ceiling: every merge order must
+  // equal one recorder fed every sample.
+  constexpr std::size_t kLanes = 16;
+  constexpr std::size_t kPerLane = 70'000;
+  static_assert(kLanes * kPerLane > (1u << 20));
+  sim::RandomStream rng(0x3e46);
+  std::vector<LatencyRecorder> lanes(kLanes);
+  LatencyRecorder single;
+  for (std::size_t i = 0; i < kPerLane; ++i) {
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      const double base = 1e6 * static_cast<double>(lane + 1);
+      const sim::SimDuration d = static_cast<sim::SimDuration>(
+          lane == kLanes - 1 ? std::exp2(rng.uniform(0.0, 50.0))
+          : lane % 2         ? rng.uniform(base, 2 * base)
+                             : rng.pareto(base, 1.5 + lane / 8.0));
+      lanes[lane].record(d);
+      single.record(d);
+    }
+  }
+  const std::vector<double> want = summary(single);
+
+  std::vector<std::size_t> order(kLanes);
+  std::iota(order.begin(), order.end(), 0);
+  std::vector<std::vector<std::size_t>> orders = {order};
+  std::reverse(order.begin(), order.end());
+  orders.push_back(order);
+  std::shuffle(order.begin(), order.end(), rng);
+  orders.push_back(order);
+  for (const auto& o : orders) {
+    LatencyRecorder merged;
+    for (const std::size_t lane : o) merged.absorb(lanes[lane]);
+    EXPECT_EQ(summary(merged), want);
+  }
+
+  // A pairwise tree: lanes fold into their neighbours, then the halves.
+  std::vector<LatencyRecorder> level = lanes;
+  while (level.size() > 1) {
+    std::vector<LatencyRecorder> next;
+    for (std::size_t i = 0; i < level.size(); i += 2) {
+      next.push_back(level[i + 1]);
+      next.back().absorb(level[i]);
+    }
+    level = std::move(next);
+  }
+  EXPECT_EQ(summary(level.front()), want);
 }
 
 TEST(TextTable, RendersAligned) {
